@@ -1,12 +1,9 @@
 #include "anneal/anneal_pipeline.h"
 
-#include <cmath>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 
-#include "core/speculator.h"
-#include "core/wait_buffer.h"
+#include "core/speculative_stage.h"
 
 namespace ann {
 namespace {
@@ -20,53 +17,33 @@ struct TourEstimate {
 
 }  // namespace
 
+using Matches = std::vector<std::uint32_t>;
+using Stage = tvs::SpeculativeStage<TourEstimate, Matches>;
+
 struct AnnealPipeline::State {
   State(sre::Runtime& runtime, const Cities& c,
-        const std::vector<double>& queries, AnnealPipelineConfig config,
-        bool spec_on)
-      : rt(runtime),
-        cities(c),
-        query_xy(queries),
-        cfg(std::move(config)),
-        speculation(spec_on) {}
+        const std::vector<double>& queries, AnnealPipelineConfig config)
+      : rt(runtime), cities(c), query_xy(queries), cfg(std::move(config)) {}
 
   sre::Runtime& rt;
   const Cities& cities;
   const std::vector<double>& query_xy;
   AnnealPipelineConfig cfg;
-  bool speculation;
 
   std::size_t n_points = 0;
   std::size_t n_blocks = 0;
 
-  std::mutex mu;
   std::unique_ptr<Annealer> solver;  ///< driven by the serial sweep chain
   std::vector<TourEstimate> snapshots;
 
-  stats::BlockTrace trace;
-  std::vector<std::optional<std::vector<std::uint32_t>>> out_blocks;
-  Tour committed;
-  bool have_committed = false;
-  bool spec_committed = false;
-  std::uint64_t rollbacks = 0;
-  bool natural_built = false;
-
-  std::unique_ptr<tvs::WaitBuffer<std::size_t, std::vector<std::uint32_t>>>
-      buffer;
-  std::unique_ptr<tvs::Speculator<TourEstimate>> spec;
-
-  [[nodiscard]] std::pair<std::size_t, std::size_t> block_range(
-      std::size_t b) const {
-    const std::size_t begin = b * cfg.block_points;
-    return {begin, std::min(begin + cfg.block_points, n_points)};
-  }
+  std::unique_ptr<Stage> stage;
 };
 
 AnnealPipeline::AnnealPipeline(sre::Runtime& runtime, const Cities& cities,
                                const std::vector<double>& query_xy,
                                AnnealPipelineConfig config, bool speculation)
     : st_(std::make_shared<State>(runtime, cities, query_xy,
-                                  std::move(config), speculation)) {
+                                  std::move(config))) {
   State& st = *st_;
   if (st.query_xy.empty() || st.query_xy.size() % 2 != 0) {
     throw std::invalid_argument("AnnealPipeline: bad query points");
@@ -76,81 +53,53 @@ AnnealPipeline::AnnealPipeline(sre::Runtime& runtime, const Cities& cities,
   }
   st.n_points = st.query_xy.size() / 2;
   st.n_blocks = (st.n_points + st.cfg.block_points - 1) / st.cfg.block_points;
-  st.trace = stats::BlockTrace(st.n_blocks);
-  st.out_blocks.resize(st.n_blocks);
   st.snapshots.resize(st.cfg.sweeps);
   st.solver = std::make_unique<Annealer>(st.cities, st.cfg.solver_seed);
 
-  auto stp = st_;
-  st.buffer = std::make_unique<
-      tvs::WaitBuffer<std::size_t, std::vector<std::uint32_t>>>(
-      [stp](const std::size_t& b, std::vector<std::uint32_t>&& m,
-            std::uint64_t) {
-        std::scoped_lock lk(stp->mu);
-        stp->out_blocks[b] = std::move(m);
-      },
-      /*retire_window=*/8);
-
-  if (speculation) {
-    tvs::Speculator<TourEstimate>::Callbacks cb;
-    cb.build_chain = [this](const TourEstimate& guess, sre::Epoch epoch,
-                            std::uint32_t) {
-      build_match_chain(*guess.tour, epoch);
+  // State-owned closures hold a raw State*: the stage's tasks pin State.
+  Stage::Hooks hooks;
+  hooks.map = {"match", st.cfg.match_cost_us,
+               [s = &st](const TourEstimate& tour, std::size_t b) {
+                 const std::size_t begin = b * s->cfg.block_points;
+                 const std::size_t end =
+                     std::min(begin + s->cfg.block_points, s->n_points);
+                 return match_points(s->cities, *tour.tour, s->query_xy, begin,
+                                     end);
+               }};
+  hooks.within_tolerance = [s = &st](const TourEstimate& guess,
+                                     const TourEstimate& cur) {
+    // Semantic check: re-match a sample of query points under both tours
+    // and compare the matched edges as unordered city pairs. This bounds
+    // the consumer-visible error directly (see the header comment for why
+    // a tour-cost tolerance would not).
+    const std::size_t sample = std::min(s->cfg.check_sample, s->n_points);
+    if (sample == 0) return true;
+    const auto a = match_points(s->cities, *guess.tour, s->query_xy, 0, sample);
+    const auto b = match_points(s->cities, *cur.tour, s->query_xy, 0, sample);
+    const auto edge_cities = [](const Tour& t, std::uint32_t e) {
+      const std::size_t n = t.order.size();
+      std::uint32_t u = t.order[e];
+      std::uint32_t v = t.order[(e + 1) % n];
+      if (u > v) std::swap(u, v);
+      return std::pair{u, v};
     };
-    cb.within_tolerance = [stp](const TourEstimate& guess,
-                                const TourEstimate& cur) {
-      // Semantic check: re-match a sample of query points under both tours
-      // and compare the matched edges as unordered city pairs. This bounds
-      // the consumer-visible error directly (see the header comment for why
-      // a tour-cost tolerance would not).
-      const std::size_t sample =
-          std::min(stp->cfg.check_sample, stp->n_points);
-      if (sample == 0) return true;
-      const auto a = match_points(stp->cities, *guess.tour, stp->query_xy, 0,
-                                  sample);
-      const auto b = match_points(stp->cities, *cur.tour, stp->query_xy, 0,
-                                  sample);
-      const auto edge_cities = [](const Tour& t, std::uint32_t e) {
-        const std::size_t n = t.order.size();
-        std::uint32_t u = t.order[e];
-        std::uint32_t v = t.order[(e + 1) % n];
-        if (u > v) std::swap(u, v);
-        return std::pair{u, v};
-      };
-      std::size_t differ = 0;
-      for (std::size_t i = 0; i < sample; ++i) {
-        if (edge_cities(*guess.tour, a[i]) != edge_cities(*cur.tour, b[i])) {
-          ++differ;
-        }
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < sample; ++i) {
+      if (edge_cities(*guess.tour, a[i]) != edge_cities(*cur.tour, b[i])) {
+        ++differ;
       }
-      return static_cast<double>(differ) <=
-             stp->cfg.spec.tolerance * static_cast<double>(sample);
-    };
-    cb.on_commit = [stp](sre::Epoch epoch, std::uint64_t now_us) {
-      {
-        std::scoped_lock lk(stp->mu);
-        stp->spec_committed = true;
-      }
-      stp->buffer->commit(epoch, now_us);
-    };
-    cb.on_rollback = [stp](sre::Epoch epoch, std::uint64_t) {
-      {
-        std::scoped_lock lk(stp->mu);
-        ++stp->rollbacks;
-      }
-      stp->buffer->drop(epoch);
-    };
-    cb.build_natural = [this](const TourEstimate& final_tour, std::uint64_t) {
-      build_natural(*final_tour.tour);
-    };
-    st.spec = std::make_unique<tvs::Speculator<TourEstimate>>(
-        runtime, st.cfg.spec, std::move(cb), st.cfg.check_cost_us);
-  }
+    }
+    return static_cast<double>(differ) <=
+           s->cfg.spec.tolerance * static_cast<double>(sample);
+  };
+  st.stage = std::make_unique<Stage>(
+      runtime, st.n_blocks,
+      speculation ? std::optional(st.cfg.spec) : std::nullopt,
+      st.cfg.check_cost_us, st_, std::move(hooks));
 }
 
 void AnnealPipeline::start() {
   auto st = st_;
-  auto self = this;
   sre::TaskPtr prev;
   for (std::size_t s = 0; s < st->cfg.sweeps; ++s) {
     auto sweep_task = st->rt.make_task(
@@ -161,134 +110,43 @@ void AnnealPipeline::start() {
           st->snapshots[s] = TourEstimate{
               std::make_shared<const Tour>(st->solver->current()), cost};
         });
-    sweep_task->add_completion_hook(
-        [self, s](sre::Task&, std::uint64_t done_us) {
-          self->on_sweep(s, done_us);
-        });
+    st->stage->estimate_on_done(*sweep_task, static_cast<std::uint32_t>(s + 1),
+                                s + 1 == st->cfg.sweeps,
+                                [st, s] { return st->snapshots[s]; });
     if (prev) st->rt.add_dependency(prev, sweep_task);
     prev = sweep_task;
     st->rt.submit(sweep_task);
   }
   for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    st->trace.record_arrival(b, 0);
-  }
-}
-
-void AnnealPipeline::on_sweep(std::size_t sweep_ix, std::uint64_t now_us) {
-  auto st = st_;
-  const bool is_final = (sweep_ix + 1 == st->cfg.sweeps);
-  const auto index = static_cast<std::uint32_t>(sweep_ix + 1);
-  if (!st->spec) {
-    if (is_final) build_natural(*st->snapshots[sweep_ix].tour);
-    return;
-  }
-  if (st->spec->wants_estimate(index, is_final)) {
-    st->spec->on_estimate(st->snapshots[sweep_ix], index, is_final, now_us);
-  }
-}
-
-void AnnealPipeline::build_match_chain(const Tour& guess, sre::Epoch epoch) {
-  auto st = st_;
-  auto tour = std::make_shared<const Tour>(guess);
-  for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    const auto [begin, end] = st->block_range(b);
-    auto matches = std::make_shared<std::vector<std::uint32_t>>();
-    auto task = st->rt.make_task(
-        "spec-match[" + std::to_string(b) + ",e" + std::to_string(epoch) + "]",
-        sre::TaskClass::Speculative, epoch, /*depth=*/3,
-        st->cfg.match_cost_us,
-        [st, begin, end, tour, matches](sre::TaskContext&) {
-          *matches = match_points(st->cities, *tour, st->query_xy, begin, end);
-        });
-    task->add_completion_hook(
-        [st, b, matches, epoch](sre::Task&, std::uint64_t done_us) {
-          {
-            std::scoped_lock lk(st->mu);
-            st->trace.record_done(b, done_us, /*speculative=*/true);
-          }
-          st->buffer->add(epoch, b, std::move(*matches), done_us);
-        });
-    st->rt.submit(task);
-  }
-  {
-    std::scoped_lock lk(st->mu);
-    st->committed = guess;  // provisional
-    st->have_committed = true;
-  }
-}
-
-void AnnealPipeline::build_natural(const Tour& final_tour) {
-  auto st = st_;
-  {
-    std::scoped_lock lk(st->mu);
-    if (st->natural_built) {
-      throw std::logic_error("AnnealPipeline: natural path built twice");
-    }
-    st->natural_built = true;
-    st->committed = final_tour;
-    st->have_committed = true;
-  }
-  auto tour = std::make_shared<const Tour>(final_tour);
-  for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    const auto [begin, end] = st->block_range(b);
-    auto matches = std::make_shared<std::vector<std::uint32_t>>();
-    auto task = st->rt.make_task(
-        "match[" + std::to_string(b) + "]", sre::TaskClass::Natural,
-        sre::kNaturalEpoch, /*depth=*/3, st->cfg.match_cost_us,
-        [st, begin, end, tour, matches](sre::TaskContext&) {
-          *matches = match_points(st->cities, *tour, st->query_xy, begin, end);
-        });
-    task->add_completion_hook(
-        [st, b, matches](sre::Task&, std::uint64_t done_us) {
-          std::scoped_lock lk(st->mu);
-          st->trace.record_done(b, done_us, /*speculative=*/false);
-          st->out_blocks[b] = std::move(*matches);
-        });
-    st->rt.submit(task);
+    st->stage->record_arrival(b, 0);
   }
 }
 
 std::vector<std::uint32_t> AnnealPipeline::matches() const {
-  std::scoped_lock lk(st_->mu);
-  std::vector<std::uint32_t> out;
-  out.reserve(st_->n_points);
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("AnnealPipeline: block " + std::to_string(b) +
-                             " missing");
-    }
-    out.insert(out.end(), st_->out_blocks[b]->begin(),
-               st_->out_blocks[b]->end());
-  }
-  return out;
+  return st_->stage->concat("AnnealPipeline");
 }
 
 const Tour& AnnealPipeline::committed_tour() const {
-  std::scoped_lock lk(st_->mu);
-  if (!st_->have_committed) {
-    throw std::logic_error("AnnealPipeline: no committed tour");
-  }
-  return st_->committed;
+  const TourEstimate* t = st_->stage->committed();
+  if (!t) throw std::logic_error("AnnealPipeline: no committed tour");
+  return *t->tour;
 }
 
-const stats::BlockTrace& AnnealPipeline::trace() const { return st_->trace; }
+const stats::BlockTrace& AnnealPipeline::trace() const {
+  return st_->stage->trace();
+}
 
 bool AnnealPipeline::speculation_committed() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->spec_committed;
+  return st_->stage->speculation_committed();
 }
 
 std::uint64_t AnnealPipeline::rollbacks() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->rollbacks;
+  return st_->stage->rollbacks();
 }
 
 void AnnealPipeline::validate_complete() const {
-  std::scoped_lock lk(st_->mu);
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("AnnealPipeline: incomplete output");
-    }
+  if (!st_->stage->complete()) {
+    throw std::logic_error("AnnealPipeline: incomplete output");
   }
 }
 

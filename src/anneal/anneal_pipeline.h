@@ -63,10 +63,6 @@ class AnnealPipeline {
  private:
   struct State;
 
-  void on_sweep(std::size_t sweep_ix, std::uint64_t now_us);
-  void build_match_chain(const Tour& guess, sre::Epoch epoch);
-  void build_natural(const Tour& final_tour);
-
   std::shared_ptr<State> st_;
 };
 

@@ -74,8 +74,11 @@ class Speculator {
     /// Null = margins reported as -1 (unknown).
     std::function<double(const V& guess, const V& current)> tolerance_margin;
 
-    /// Final check passed: release the epoch's buffered results.
-    std::function<void(sre::Epoch epoch, std::uint64_t now_us)> on_commit;
+    /// Final check passed: release the epoch's buffered results. `guess` is
+    /// the committed epoch's guess — the value the output was built from.
+    std::function<void(const V& guess, sre::Epoch epoch,
+                       std::uint64_t now_us)>
+        on_commit;
 
     /// Epoch rejected: buffered results were already aborted in the runtime;
     /// drop them from wait buffers and clean up chain state.
@@ -157,12 +160,18 @@ class Speculator {
     return config_.verify.should_check(index, false);
   }
 
-  /// Feeds estimate number `index` (1-based, monotonically increasing).
-  /// `is_final` marks the true, complete value. `now_us` is engine time.
+  /// Feeds estimate number `index` (1-based). `is_final` marks the true,
+  /// complete value. `now_us` is engine time. Estimates materialized by
+  /// parallel tasks can arrive out of order: one older than the newest
+  /// already fed, or arriving after the final, is ignored — it must neither
+  /// replace newer data nor hide that the final value is known (a failed
+  /// final check would then re-speculate, and no estimate would ever come
+  /// to settle the run).
   void on_estimate(V value, std::uint32_t index, bool is_final,
                    std::uint64_t now_us) {
     std::unique_lock lk(mu_);
     if (terminal_locked()) return;
+    if (latest_ && (index < latest_index_ || latest_is_final_)) return;
     latest_ = std::move(value);
     latest_index_ = index;
     latest_is_final_ = is_final;
@@ -358,11 +367,12 @@ class Speculator {
       // Commit: the speculative outputs stand in for the natural path.
       state_ = State::Committed;
       ++generation_;
+      const V guess = std::move(active_->guess);
       active_.reset();
       runtime_.mark_epoch_committed(epoch);
       lk.unlock();
       SRE_CHAOS_POINT("speculator.commit_window");
-      cb_.on_commit(epoch, now_us);
+      cb_.on_commit(guess, epoch, now_us);
       return;
     }
 

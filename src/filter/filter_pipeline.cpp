@@ -1,18 +1,16 @@
 #include "filter/filter_pipeline.h"
 
-#include <cassert>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 
-#include "core/speculator.h"
-#include "core/wait_buffer.h"
+#include "core/speculative_stage.h"
 #include "filter/fir.h"
 #include "filter/iterative_design.h"
 
 namespace filt {
 
 using Coeffs = std::vector<double>;
+using Stage = tvs::SpeculativeStage<Coeffs, std::vector<double>>;
 
 /// Filters one block with full-signal context: the FIR history reaches back
 /// taps-1 samples before the block, so per-block outputs concatenate to
@@ -33,52 +31,26 @@ std::vector<double> filter_block(const std::vector<double>& input,
 
 struct FilterPipeline::State {
   State(sre::Runtime& runtime, const std::vector<double>& in,
-        const std::vector<double>& tgt, FilterPipelineConfig config,
-        bool spec_on)
-      : rt(runtime),
-        input(in),
-        target(tgt),
-        cfg(std::move(config)),
-        speculation(spec_on) {}
+        const std::vector<double>& tgt, FilterPipelineConfig config)
+      : rt(runtime), input(in), target(tgt), cfg(std::move(config)) {}
 
   sre::Runtime& rt;
   const std::vector<double>& input;
   const std::vector<double>& target;
   FilterPipelineConfig cfg;
-  bool speculation;
-
   std::size_t n_blocks = 0;
 
-  std::mutex mu;
   std::shared_ptr<IterativeSolver> solver;  ///< driven by the serial chain
   std::vector<std::shared_ptr<const Coeffs>> iterate_snapshots;
 
-  stats::BlockTrace trace;
-  std::vector<std::optional<std::vector<double>>> out_blocks;
-  Coeffs committed_coeffs;
-  bool have_output_coeffs = false;
-  bool spec_committed = false;
-  std::uint64_t rollbacks = 0;
-  bool natural_built = false;
-
-  std::unique_ptr<tvs::WaitBuffer<std::size_t, std::vector<double>>> buffer;
-  std::unique_ptr<tvs::Speculator<Coeffs>> spec;
-
-  [[nodiscard]] std::pair<std::size_t, std::size_t> block_range(
-      std::size_t b) const {
-    const std::size_t begin = b * cfg.block_samples;
-    const std::size_t end =
-        std::min(begin + cfg.block_samples, input.size());
-    return {begin, end};
-  }
+  std::unique_ptr<Stage> stage;
 };
 
 FilterPipeline::FilterPipeline(sre::Runtime& runtime,
                                const std::vector<double>& input,
                                const std::vector<double>& target,
                                FilterPipelineConfig config, bool speculation)
-    : st_(std::make_shared<State>(runtime, input, target, std::move(config),
-                                  speculation)) {
+    : st_(std::make_shared<State>(runtime, input, target, std::move(config))) {
   State& st = *st_;
   if (st.input.size() != st.target.size() || st.input.empty()) {
     throw std::invalid_argument("FilterPipeline: bad signal sizes");
@@ -88,50 +60,25 @@ FilterPipeline::FilterPipeline(sre::Runtime& runtime,
   }
   st.n_blocks =
       (st.input.size() + st.cfg.block_samples - 1) / st.cfg.block_samples;
-  st.trace = stats::BlockTrace(st.n_blocks);
-  st.out_blocks.resize(st.n_blocks);
   st.iterate_snapshots.resize(st.cfg.iterations);
 
-  auto stp = st_;
-  st.buffer =
-      std::make_unique<tvs::WaitBuffer<std::size_t, std::vector<double>>>(
-          [stp](const std::size_t& b, std::vector<double>&& y, std::uint64_t) {
-            std::scoped_lock lk(stp->mu);
-            stp->out_blocks[b] = std::move(y);
-          },
-          /*retire_window=*/8);
-
-  if (speculation) {
-    tvs::Speculator<Coeffs>::Callbacks cb;
-    cb.build_chain = [this](const Coeffs& guess, sre::Epoch epoch,
-                            std::uint32_t) {
-      build_filter_chain(guess, epoch);
-    };
-    cb.within_tolerance = [tol = st.cfg.spec.tolerance](const Coeffs& guess,
-                                                        const Coeffs& cur) {
-      return rel_l2_diff(guess, cur) <= tol;
-    };
-    cb.on_commit = [stp](sre::Epoch epoch, std::uint64_t now_us) {
-      {
-        std::scoped_lock lk(stp->mu);
-        stp->spec_committed = true;
-        stp->have_output_coeffs = true;
-      }
-      stp->buffer->commit(epoch, now_us);
-    };
-    cb.on_rollback = [stp](sre::Epoch epoch, std::uint64_t) {
-      {
-        std::scoped_lock lk(stp->mu);
-        ++stp->rollbacks;
-      }
-      stp->buffer->drop(epoch);
-    };
-    cb.build_natural = [this](const Coeffs& final_coeffs, std::uint64_t) {
-      build_natural(final_coeffs);
-    };
-    st.spec = std::make_unique<tvs::Speculator<Coeffs>>(
-        runtime, st.cfg.spec, std::move(cb), st.cfg.check_cost_us);
-  }
+  // State-owned closures hold a raw State*: the stage's tasks pin State.
+  Stage::Hooks hooks;
+  hooks.map = {"filter", st.cfg.filter_cost_us,
+               [s = &st](const Coeffs& coeffs, std::size_t b) {
+                 const std::size_t begin = b * s->cfg.block_samples;
+                 const std::size_t end =
+                     std::min(begin + s->cfg.block_samples, s->input.size());
+                 return filter_block(s->input, begin, end, coeffs);
+               }};
+  hooks.within_tolerance = [tol = st.cfg.spec.tolerance](const Coeffs& guess,
+                                                         const Coeffs& cur) {
+    return rel_l2_diff(guess, cur) <= tol;
+  };
+  st.stage = std::make_unique<Stage>(
+      runtime, st.n_blocks,
+      speculation ? std::optional(st.cfg.spec) : std::nullopt,
+      st.cfg.check_cost_us, st_, std::move(hooks));
 }
 
 void FilterPipeline::start() {
@@ -144,9 +91,9 @@ void FilterPipeline::start() {
             estimate_problem(st->input, st->target, st->cfg.taps));
       });
 
-  // Serial iteration chain ("Iteration step k").
+  // Serial iteration chain ("Iteration step k"); each iterate is an
+  // estimate of the final coefficients.
   sre::TaskPtr prev = problem_task;
-  auto self = this;
   for (std::size_t k = 0; k < st->cfg.iterations; ++k) {
     auto iter_task = st->rt.make_task(
         "iterate[" + std::to_string(k + 1) + "]", sre::TaskClass::Natural,
@@ -156,10 +103,9 @@ void FilterPipeline::start() {
           st->iterate_snapshots[k] =
               std::make_shared<const Coeffs>(st->solver->current());
         });
-    iter_task->add_completion_hook(
-        [self, k](sre::Task&, std::uint64_t done_us) {
-          self->on_iterate(k, done_us);
-        });
+    st->stage->estimate_on_done(*iter_task, static_cast<std::uint32_t>(k + 1),
+                                k + 1 == st->cfg.iterations,
+                                [st, k] { return *st->iterate_snapshots[k]; });
     st->rt.add_dependency(prev, iter_task);
     prev = iter_task;
     st->rt.submit(iter_task);
@@ -168,127 +114,37 @@ void FilterPipeline::start() {
 
   // Every block is available from t=0: record arrivals now.
   for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    st->trace.record_arrival(b, 0);
-  }
-}
-
-void FilterPipeline::on_iterate(std::size_t k, std::uint64_t now_us) {
-  auto st = st_;
-  const bool is_final = (k + 1 == st->cfg.iterations);
-  const auto index = static_cast<std::uint32_t>(k + 1);
-  auto snapshot = st->iterate_snapshots[k];
-
-  if (!st->spec) {
-    if (is_final) build_natural(*snapshot);
-    return;
-  }
-  // Coefficient vectors are cheap; feed every iterate the speculator wants.
-  if (st->spec->wants_estimate(index, is_final)) {
-    st->spec->on_estimate(*snapshot, index, is_final, now_us);
-  }
-}
-
-void FilterPipeline::build_filter_chain(const Coeffs& guess,
-                                        sre::Epoch epoch) {
-  auto st = st_;
-  auto coeffs = std::make_shared<const Coeffs>(guess);
-  for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    const auto [begin, end] = st->block_range(b);
-    auto y = std::make_shared<std::vector<double>>();
-    auto task = st->rt.make_task(
-        "spec-filter[" + std::to_string(b) + ",e" + std::to_string(epoch) +
-            "]",
-        sre::TaskClass::Speculative, epoch, /*depth=*/3,
-        st->cfg.filter_cost_us, [st, begin, end, coeffs, y](sre::TaskContext&) {
-          *y = filter_block(st->input, begin, end, *coeffs);
-        });
-    task->add_completion_hook(
-        [st, b, y, epoch](sre::Task&, std::uint64_t done_us) {
-          {
-            std::scoped_lock lk(st->mu);
-            st->trace.record_done(b, done_us, /*speculative=*/true);
-          }
-          st->buffer->add(epoch, b, std::move(*y), done_us);
-        });
-    st->rt.submit(task);
-  }
-  {
-    std::scoped_lock lk(st->mu);
-    st->committed_coeffs = guess;  // provisional; natural path overwrites
-  }
-}
-
-void FilterPipeline::build_natural(const Coeffs& coeffs) {
-  auto st = st_;
-  {
-    std::scoped_lock lk(st->mu);
-    if (st->natural_built) {
-      throw std::logic_error("FilterPipeline: natural path built twice");
-    }
-    st->natural_built = true;
-    st->committed_coeffs = coeffs;
-    st->have_output_coeffs = true;
-  }
-  auto c = std::make_shared<const Coeffs>(coeffs);
-  for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    const auto [begin, end] = st->block_range(b);
-    auto y = std::make_shared<std::vector<double>>();
-    auto task = st->rt.make_task(
-        "filter[" + std::to_string(b) + "]", sre::TaskClass::Natural,
-        sre::kNaturalEpoch, /*depth=*/3, st->cfg.filter_cost_us,
-        [st, begin, end, c, y](sre::TaskContext&) {
-          *y = filter_block(st->input, begin, end, *c);
-        });
-    task->add_completion_hook([st, b, y](sre::Task&, std::uint64_t done_us) {
-      std::scoped_lock lk(st->mu);
-      st->trace.record_done(b, done_us, /*speculative=*/false);
-      st->out_blocks[b] = std::move(*y);
-    });
-    st->rt.submit(task);
+    st->stage->record_arrival(b, 0);
   }
 }
 
 std::vector<double> FilterPipeline::output() const {
-  std::scoped_lock lk(st_->mu);
-  std::vector<double> out;
-  out.reserve(st_->input.size());
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("FilterPipeline: block " + std::to_string(b) +
-                             " missing");
-    }
-    out.insert(out.end(), st_->out_blocks[b]->begin(),
-               st_->out_blocks[b]->end());
-  }
-  return out;
+  return st_->stage->concat("FilterPipeline");
 }
 
-const stats::BlockTrace& FilterPipeline::trace() const { return st_->trace; }
+const stats::BlockTrace& FilterPipeline::trace() const {
+  return st_->stage->trace();
+}
 
 bool FilterPipeline::speculation_committed() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->spec_committed;
+  return st_->stage->speculation_committed();
 }
 
 std::uint64_t FilterPipeline::rollbacks() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->rollbacks;
+  return st_->stage->rollbacks();
 }
 
 const std::vector<double>& FilterPipeline::final_coefficients() const {
-  std::scoped_lock lk(st_->mu);
-  if (!st_->have_output_coeffs) {
+  const Coeffs* coeffs = st_->stage->committed();
+  if (!coeffs) {
     throw std::logic_error("FilterPipeline: no committed coefficients");
   }
-  return st_->committed_coeffs;
+  return *coeffs;
 }
 
 void FilterPipeline::validate_complete() const {
-  std::scoped_lock lk(st_->mu);
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("FilterPipeline: incomplete output");
-    }
+  if (!st_->stage->complete()) {
+    throw std::logic_error("FilterPipeline: incomplete output");
   }
 }
 

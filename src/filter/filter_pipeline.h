@@ -60,10 +60,6 @@ class FilterPipeline {
  private:
   struct State;
 
-  void on_iterate(std::size_t k, std::uint64_t now_us);
-  void build_filter_chain(const std::vector<double>& coeffs, sre::Epoch epoch);
-  void build_natural(const std::vector<double>& coeffs);
-
   std::shared_ptr<State> st_;
 };
 

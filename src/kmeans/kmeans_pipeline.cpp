@@ -1,11 +1,9 @@
 #include "kmeans/kmeans_pipeline.h"
 
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 
-#include "core/speculator.h"
-#include "core/wait_buffer.h"
+#include "core/speculative_stage.h"
 #include "predict/bank.h"
 #include "predict/ewma.h"
 #include "predict/last_value.h"
@@ -13,47 +11,30 @@
 
 namespace km {
 
+using Labels = std::vector<std::uint32_t>;
+using Stage = tvs::SpeculativeStage<Centroids, Labels>;
+
 struct KmeansPipeline::State {
-  State(sre::Runtime& runtime, const Dataset& d, KmeansPipelineConfig config,
-        bool spec_on)
-      : rt(runtime), data(d), cfg(std::move(config)), speculation(spec_on) {}
+  State(sre::Runtime& runtime, const Dataset& d, KmeansPipelineConfig config)
+      : rt(runtime), data(d), cfg(std::move(config)) {}
 
   sre::Runtime& rt;
   const Dataset& data;
   KmeansPipelineConfig cfg;
-  bool speculation;
 
   std::size_t n_blocks = 0;
   Dataset sample;  ///< training prefix (copy; small)
 
-  std::mutex mu;
   Centroids iterate;  ///< mutated by the serial iteration chain only
   std::vector<std::shared_ptr<const Centroids>> snapshots;
 
-  stats::BlockTrace trace;
-  std::vector<std::optional<std::vector<std::uint32_t>>> out_blocks;
-  Centroids committed;
-  bool have_committed = false;
-  bool spec_committed = false;
-  std::uint64_t rollbacks = 0;
-  bool natural_built = false;
-
-  std::unique_ptr<tvs::WaitBuffer<std::size_t, std::vector<std::uint32_t>>>
-      buffer;
-  std::unique_ptr<tvs::Speculator<Centroids>> spec;
   std::unique_ptr<predict::PredictorBank<Centroids>> bank;
-
-  [[nodiscard]] std::pair<std::size_t, std::size_t> block_range(
-      std::size_t b) const {
-    const std::size_t begin = b * cfg.block_points;
-    return {begin, std::min(begin + cfg.block_points, data.size())};
-  }
+  std::unique_ptr<Stage> stage;
 };
 
 KmeansPipeline::KmeansPipeline(sre::Runtime& runtime, const Dataset& data,
                                KmeansPipelineConfig config, bool speculation)
-    : st_(std::make_shared<State>(runtime, data, std::move(config),
-                                  speculation)) {
+    : st_(std::make_shared<State>(runtime, data, std::move(config))) {
   State& st = *st_;
   if (st.data.size() == 0) {
     throw std::invalid_argument("KmeansPipeline: empty dataset");
@@ -72,95 +53,76 @@ KmeansPipeline::KmeansPipeline(sre::Runtime& runtime, const Dataset& data,
                               static_cast<std::ptrdiff_t>(sample_n * st.data.dims));
 
   st.n_blocks = (st.data.size() + st.cfg.block_points - 1) / st.cfg.block_points;
-  st.trace = stats::BlockTrace(st.n_blocks);
-  st.out_blocks.resize(st.n_blocks);
   st.snapshots.resize(st.cfg.iterations);
 
-  auto stp = st_;
-  st.buffer = std::make_unique<
-      tvs::WaitBuffer<std::size_t, std::vector<std::uint32_t>>>(
-      [stp](const std::size_t& b, std::vector<std::uint32_t>&& labels,
-            std::uint64_t) {
-        std::scoped_lock lk(stp->mu);
-        stp->out_blocks[b] = std::move(labels);
-      },
-      /*retire_window=*/8);
+  // State-owned closures hold a raw State*: the stage's tasks pin State.
+  if (speculation && st.cfg.spec.predictor == tvs::PredictorMode::Bank) {
+    // Score with the pipeline's own tolerance predicate: the fraction of
+    // sample points a predicted iterate would assign differently.
+    st.bank = std::make_unique<predict::PredictorBank<Centroids>>(
+        st.cfg.spec.tolerance,
+        [s = &st](const Centroids& pred, const Centroids& actual) {
+          return assignment_disagreement(pred, actual, s->sample);
+        });
+    st.bank->add(std::make_unique<predict::LastValue<Centroids>>());
+    st.bank->add(std::make_unique<predict::Stride<Centroids>>());
+    st.bank->add(std::make_unique<predict::Ewma<Centroids>>());
+    st.bank->set_score_hook(
+        [rt = &st.rt](const std::string& name, bool hit, double err) {
+          if (sre::Observer* obs = rt->observer()) {
+            obs->on_prediction_scored(name, hit, err);
+          }
+        });
+  }
 
-  if (speculation) {
-    tvs::Speculator<Centroids>::Callbacks cb;
-    cb.build_chain = [this](const Centroids& guess, sre::Epoch epoch,
-                            std::uint32_t) {
-      build_label_chain(guess, epoch);
+  Stage::Hooks hooks;
+  hooks.map = {"label", st.cfg.label_cost_us,
+               [s = &st](const Centroids& centroids, std::size_t b) {
+                 const std::size_t begin = b * s->cfg.block_points;
+                 const std::size_t end =
+                     std::min(begin + s->cfg.block_points, s->data.size());
+                 return label(centroids, s->data, begin, end);
+               }};
+  hooks.within_tolerance = [s = &st](const Centroids& guess,
+                                     const Centroids& current) {
+    return assignment_disagreement(guess, current, s->sample) <=
+           s->cfg.spec.tolerance;
+  };
+  if (st.bank) {
+    // The bank sees every iterate (scoring needs the full stream), even the
+    // ones the speculator will not consume.
+    hooks.observe = [bank = st.bank.get()](std::uint32_t index,
+                                           const Centroids& c) {
+      bank->observe(index, c);
     };
-    cb.within_tolerance = [stp](const Centroids& guess,
-                                const Centroids& current) {
-      return assignment_disagreement(guess, current, stp->sample) <=
-             stp->cfg.spec.tolerance;
+    hooks.charge_rollback = [bank = st.bank.get()] {
+      return bank->charge_rollback();
     };
-    cb.on_commit = [stp](sre::Epoch epoch, std::uint64_t now_us) {
-      {
-        std::scoped_lock lk(stp->mu);
-        stp->spec_committed = true;
-      }
-      stp->buffer->commit(epoch, now_us);
-    };
-    cb.on_rollback = [stp](sre::Epoch epoch, std::uint64_t) {
-      {
-        std::scoped_lock lk(stp->mu);
-        ++stp->rollbacks;
-      }
-      stp->buffer->drop(epoch);
-      if (stp->bank) {
-        const std::string charged = stp->bank->charge_rollback();
-        if (sre::Observer* obs = stp->rt.observer()) {
-          obs->on_predictor_charged(charged);
-        }
-      }
-    };
-    cb.build_natural = [this](const Centroids& final_centroids,
-                              std::uint64_t) {
-      build_natural(final_centroids);
-    };
-    st.spec = std::make_unique<tvs::Speculator<Centroids>>(
-        runtime, st.cfg.spec, std::move(cb), st.cfg.check_cost_us);
+  }
+  st.stage = std::make_unique<Stage>(
+      runtime, st.n_blocks,
+      speculation ? std::optional(st.cfg.spec) : std::nullopt,
+      st.cfg.check_cost_us, st_, std::move(hooks));
 
-    if (st.cfg.spec.predictor == tvs::PredictorMode::Bank) {
-      // Score with the pipeline's own tolerance predicate: the fraction of
-      // sample points a predicted iterate would assign differently.
-      st.bank = std::make_unique<predict::PredictorBank<Centroids>>(
-          st.cfg.spec.tolerance,
-          [stp](const Centroids& pred, const Centroids& actual) {
-            return assignment_disagreement(pred, actual, stp->sample);
-          });
-      st.bank->add(std::make_unique<predict::LastValue<Centroids>>());
-      st.bank->add(std::make_unique<predict::Stride<Centroids>>());
-      st.bank->add(std::make_unique<predict::Ewma<Centroids>>());
-      st.bank->set_score_hook(
-          [rt = &st.rt](const std::string& name, bool hit, double err) {
-            if (sre::Observer* obs = rt->observer()) {
-              obs->on_prediction_scored(name, hit, err);
-            }
-          });
-      tvs::Speculator<Centroids>::PredictorHook hook;
-      const auto target = static_cast<std::uint32_t>(st.cfg.iterations);
-      hook.confidence = [bank = st.bank.get(), target](std::uint32_t) {
-        return bank->confidence(target);
-      };
-      // Adopt the bank's extrapolation toward the converged centroids
-      // instead of the raw early iterate (Stride reaches further down the
-      // Lloyd trajectory; the checks still judge it against real iterates).
-      hook.refine_guess =
-          [bank = st.bank.get(), target](std::uint32_t) -> std::optional<Centroids> {
-        return bank->predict(target).guess;
-      };
-      st.spec->set_predictor_hook(std::move(hook));
-    }
+  if (st.bank) {
+    Stage::PredictorHook hook;
+    const auto target = static_cast<std::uint32_t>(st.cfg.iterations);
+    hook.confidence = [bank = st.bank.get(), target](std::uint32_t) {
+      return bank->confidence(target);
+    };
+    // Adopt the bank's extrapolation toward the converged centroids
+    // instead of the raw early iterate (Stride reaches further down the
+    // Lloyd trajectory; the checks still judge it against real iterates).
+    hook.refine_guess =
+        [bank = st.bank.get(), target](std::uint32_t) -> std::optional<Centroids> {
+      return bank->predict(target).guess;
+    };
+    st.stage->speculator()->set_predictor_hook(std::move(hook));
   }
 }
 
 void KmeansPipeline::start() {
   auto st = st_;
-  auto self = this;
   sre::TaskPtr prev;
   for (std::size_t it = 0; it < st->cfg.iterations; ++it) {
     auto iter_task = st->rt.make_task(
@@ -173,132 +135,38 @@ void KmeansPipeline::start() {
                                 : lloyd_step(st->iterate, st->sample);
           st->snapshots[it] = std::make_shared<const Centroids>(st->iterate);
         });
-    iter_task->add_completion_hook(
-        [self, it](sre::Task&, std::uint64_t done_us) {
-          self->on_iterate(it, done_us);
-        });
+    st->stage->estimate_on_done(*iter_task, static_cast<std::uint32_t>(it + 1),
+                                it + 1 == st->cfg.iterations,
+                                [st, it] { return *st->snapshots[it]; });
     if (prev) st->rt.add_dependency(prev, iter_task);
     prev = iter_task;
     st->rt.submit(iter_task);
   }
   for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    st->trace.record_arrival(b, 0);
-  }
-}
-
-void KmeansPipeline::on_iterate(std::size_t k_iter, std::uint64_t now_us) {
-  auto st = st_;
-  const bool is_final = (k_iter + 1 == st->cfg.iterations);
-  const auto index = static_cast<std::uint32_t>(k_iter + 1);
-  auto snapshot = st->snapshots[k_iter];
-
-  if (!st->spec) {
-    if (is_final) build_natural(*snapshot);
-    return;
-  }
-  // The bank sees every iterate (scoring needs the full stream), even the
-  // ones the speculator will not consume.
-  if (st->bank) st->bank->observe(index, *snapshot);
-  if (st->spec->wants_estimate(index, is_final)) {
-    st->spec->on_estimate(*snapshot, index, is_final, now_us);
-  }
-}
-
-void KmeansPipeline::build_label_chain(const Centroids& guess,
-                                       sre::Epoch epoch) {
-  auto st = st_;
-  auto centroids = std::make_shared<const Centroids>(guess);
-  for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    const auto [begin, end] = st->block_range(b);
-    auto labels = std::make_shared<std::vector<std::uint32_t>>();
-    auto task = st->rt.make_task(
-        "spec-label[" + std::to_string(b) + ",e" + std::to_string(epoch) + "]",
-        sre::TaskClass::Speculative, epoch, /*depth=*/3,
-        st->cfg.label_cost_us,
-        [st, begin, end, centroids, labels](sre::TaskContext&) {
-          *labels = label(*centroids, st->data, begin, end);
-        });
-    task->add_completion_hook(
-        [st, b, labels, epoch](sre::Task&, std::uint64_t done_us) {
-          {
-            std::scoped_lock lk(st->mu);
-            st->trace.record_done(b, done_us, /*speculative=*/true);
-          }
-          st->buffer->add(epoch, b, std::move(*labels), done_us);
-        });
-    st->rt.submit(task);
-  }
-  {
-    std::scoped_lock lk(st->mu);
-    st->committed = guess;  // provisional; rollback/natural overwrite
-    st->have_committed = true;
-  }
-}
-
-void KmeansPipeline::build_natural(const Centroids& final_centroids) {
-  auto st = st_;
-  {
-    std::scoped_lock lk(st->mu);
-    if (st->natural_built) {
-      throw std::logic_error("KmeansPipeline: natural path built twice");
-    }
-    st->natural_built = true;
-    st->committed = final_centroids;
-    st->have_committed = true;
-  }
-  auto centroids = std::make_shared<const Centroids>(final_centroids);
-  for (std::size_t b = 0; b < st->n_blocks; ++b) {
-    const auto [begin, end] = st->block_range(b);
-    auto labels = std::make_shared<std::vector<std::uint32_t>>();
-    auto task = st->rt.make_task(
-        "label[" + std::to_string(b) + "]", sre::TaskClass::Natural,
-        sre::kNaturalEpoch, /*depth=*/3, st->cfg.label_cost_us,
-        [st, begin, end, centroids, labels](sre::TaskContext&) {
-          *labels = label(*centroids, st->data, begin, end);
-        });
-    task->add_completion_hook(
-        [st, b, labels](sre::Task&, std::uint64_t done_us) {
-          std::scoped_lock lk(st->mu);
-          st->trace.record_done(b, done_us, /*speculative=*/false);
-          st->out_blocks[b] = std::move(*labels);
-        });
-    st->rt.submit(task);
+    st->stage->record_arrival(b, 0);
   }
 }
 
 std::vector<std::uint32_t> KmeansPipeline::labels() const {
-  std::scoped_lock lk(st_->mu);
-  std::vector<std::uint32_t> out;
-  out.reserve(st_->data.size());
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("KmeansPipeline: block " + std::to_string(b) +
-                             " missing");
-    }
-    out.insert(out.end(), st_->out_blocks[b]->begin(),
-               st_->out_blocks[b]->end());
-  }
-  return out;
+  return st_->stage->concat("KmeansPipeline");
 }
 
 const Centroids& KmeansPipeline::committed_centroids() const {
-  std::scoped_lock lk(st_->mu);
-  if (!st_->have_committed) {
-    throw std::logic_error("KmeansPipeline: no committed centroids");
-  }
-  return st_->committed;
+  const Centroids* c = st_->stage->committed();
+  if (!c) throw std::logic_error("KmeansPipeline: no committed centroids");
+  return *c;
 }
 
-const stats::BlockTrace& KmeansPipeline::trace() const { return st_->trace; }
+const stats::BlockTrace& KmeansPipeline::trace() const {
+  return st_->stage->trace();
+}
 
 bool KmeansPipeline::speculation_committed() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->spec_committed;
+  return st_->stage->speculation_committed();
 }
 
 std::uint64_t KmeansPipeline::rollbacks() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->rollbacks;
+  return st_->stage->rollbacks();
 }
 
 stats::PredictorScoreboard KmeansPipeline::predictor_scoreboard() const {
@@ -306,7 +174,8 @@ stats::PredictorScoreboard KmeansPipeline::predictor_scoreboard() const {
 }
 
 std::uint64_t KmeansPipeline::gate_denials() const {
-  return st_->spec ? st_->spec->gate_denials() : 0;
+  const auto* spec = st_->stage->speculator();
+  return spec ? spec->gate_denials() : 0;
 }
 
 std::string KmeansPipeline::best_predictor() const {
@@ -314,11 +183,8 @@ std::string KmeansPipeline::best_predictor() const {
 }
 
 void KmeansPipeline::validate_complete() const {
-  std::scoped_lock lk(st_->mu);
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("KmeansPipeline: incomplete output");
-    }
+  if (!st_->stage->complete()) {
+    throw std::logic_error("KmeansPipeline: incomplete output");
   }
 }
 

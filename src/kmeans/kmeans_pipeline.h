@@ -89,10 +89,6 @@ class KmeansPipeline {
  private:
   struct State;
 
-  void on_iterate(std::size_t k_iter, std::uint64_t now_us);
-  void build_label_chain(const Centroids& guess, sre::Epoch epoch);
-  void build_natural(const Centroids& final_centroids);
-
   std::shared_ptr<State> st_;
 };
 

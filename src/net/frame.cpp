@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -51,7 +52,7 @@ std::vector<std::uint8_t> encode_frame(std::uint16_t type,
                                        const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out(kHeaderSize + payload.size());
   encode_header(out.data(), type, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(out.data() + kHeaderSize, payload.data(), payload.size());
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderSize);
   return out;
 }
 

@@ -1,6 +1,5 @@
 #include "pipeline/huffman_pipeline.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -58,6 +57,8 @@ struct HuffmanPipeline::Chain {
 };
 
 struct HuffmanPipeline::State {
+  using Stage = tvs::SpeculativeStage<TreeEstimate, BlockResult>;
+
   State(sre::Runtime& runtime, const sio::BlockSource& source, RunConfig config)
       : rt(runtime),
         src(source),
@@ -69,8 +70,8 @@ struct HuffmanPipeline::State {
   sre::Runtime& rt;
   const sio::BlockSource& src;
   /// Engaged by the shared_ptr constructor: keeps the source alive as long
-  /// as State itself (and State rides in every task closure), so the caller
-  /// may drop its reference once results are collected.
+  /// as State itself (and every task pins State), so the caller may drop
+  /// its reference once results are collected.
   std::shared_ptr<const sio::BlockSource> src_keepalive;
   RunConfig cfg;
 
@@ -94,47 +95,26 @@ struct HuffmanPipeline::State {
   /// the time it is wired up.
   std::size_t counted_blocks = 0;
 
-  // First pass.
+  // First pass. Tasks are tracked weakly: their bodies pin State, so a
+  // strong reference would cycle whenever a run is abandoned with them
+  // unrun. An expired count or reduce task has finished (natural tasks are
+  // never aborted), so there is no dependency left to declare on it.
   std::vector<huff::Histogram> block_hists;  ///< written by count bodies
-  std::vector<sre::TaskPtr> count_tasks;
-  sre::TaskPtr prev_reduce;
+  std::vector<std::weak_ptr<sre::Task>> count_tasks;
+  std::weak_ptr<sre::Task> prev_reduce;
   huff::Histogram prefix;  ///< mutated only by the serial reduce chain
   std::vector<std::shared_ptr<const huff::Histogram>> snapshots;
 
-  // Results.
-  stats::BlockTrace trace;
-  std::vector<std::optional<huff::EncodedBlock>> out_blocks;
-  std::vector<std::uint64_t> out_offsets;
-  huff::CodeLengths out_lengths{};
-  bool have_table = false;
-  bool spec_committed = false;
-  std::uint64_t rollbacks = 0;
-  bool natural_built = false;
+  /// The natural path's exact code lengths, set before any natural encode
+  /// is spawned. All-zero (a valid empty table) for a zero-block run.
+  huff::CodeLengths natural_lengths{};
 
-  /// Completion detection (see set_on_complete). Each block's committed
-  /// encoding lands exactly once — via the wait-buffer sink (commit or
-  /// post-commit pass-through) or the natural encode hook, mutually
-  /// exclusive per run by the Speculator's terminal states — and both fill
-  /// sites count the empty→set transition under mu.
-  std::size_t blocks_filled = 0;
-  std::function<void(std::uint64_t)> on_complete;
-
-  /// Called under mu after a fill site sets out_blocks[b]; returns the
-  /// callback to fire (outside the lock) when this fill completed the run.
-  [[nodiscard]] std::function<void(std::uint64_t)> note_filled_locked() {
-    ++blocks_filled;
-    if (blocks_filled == n_blocks && have_table) return on_complete;
-    return nullptr;
-  }
-
-  // Speculation.
+  // Speculation: the live epoch's second pass (guarded by mu), the
+  // predictor bank (PredictorMode::Bank: observes every prefix histogram,
+  // supplies the speculation basis and the gate confidence), and the stage.
   std::optional<Chain> chain;
-  std::unique_ptr<tvs::WaitBuffer<std::size_t, SpecResult>> buffer;
-  std::unique_ptr<tvs::Speculator<TreeEstimate>> spec;
-
-  /// Predictor racing (PredictorMode::Bank): observes every prefix
-  /// histogram, supplies the speculation basis and the gate confidence.
   std::unique_ptr<predict::PredictorBank<huff::Histogram>> bank;
+  std::unique_ptr<Stage> stage;
 
   [[nodiscard]] std::size_t group_begin(std::size_t g) const {
     return g * cfg.ratios.offset_group;
@@ -144,6 +124,15 @@ struct HuffmanPipeline::State {
   }
   [[nodiscard]] std::uint64_t cost(TaskKind kind, std::size_t n = 1) const {
     return cfg.platform.cost.cost(kind, n);
+  }
+
+  /// Code lengths of the committed output's table.
+  [[nodiscard]] huff::CodeLengths committed_lengths() {
+    if (stage->speculation_committed()) {
+      return stage->committed()->table->lengths();
+    }
+    std::scoped_lock lk(mu);
+    return natural_lengths;
   }
 };
 
@@ -161,136 +150,99 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
   st.block_hists.resize(st.n_blocks);
   st.count_tasks.resize(st.n_blocks);
   st.snapshots.resize(st.n_reduces);
-  st.trace = stats::BlockTrace(st.n_blocks);
-  st.out_blocks.resize(st.n_blocks);
-  st.out_offsets.resize(st.n_blocks, 0);
 
-  // A zero-block run has nothing to count, so no code table would ever be
-  // built; declare the default (empty, all-zero lengths) table up front so
-  // the run is complete as soon as a completion callback is installed,
-  // validate_complete passes, and assemble_output emits a valid empty
-  // container (all-zero lengths satisfy the Kraft check and decoding zero
-  // original bytes never consults the table).
-  if (st.n_blocks == 0) st.have_table = true;
+  const bool speculating = config.speculation_enabled();
+  if (speculating && config.spec.predictor == tvs::PredictorMode::Bank) {
+    // Score predictions in the same units as the speculation check: the
+    // relative compressed-size delta between the predicted tree and the
+    // best tree for the data actually seen, so hit rate estimates "would
+    // this predictor's guess have survived a check".
+    st.bank = std::make_unique<predict::PredictorBank<huff::Histogram>>(
+        config.spec.tolerance,
+        [](const huff::Histogram& pred, const huff::Histogram& actual) {
+          const auto t_pred = huff::CodeTable::from_lengths(
+              huff::HuffmanTree::build(pred.with_floor(1)).lengths());
+          const auto t_act = huff::CodeTable::from_lengths(
+              huff::HuffmanTree::build(actual.with_floor(1)).lengths());
+          const double pb = static_cast<double>(t_pred.encoded_bits(actual));
+          const double ab = static_cast<double>(t_act.encoded_bits(actual));
+          return ab <= 0.0 ? 0.0 : std::abs(pb - ab) / ab;
+        });
+    // Registration order is the tie-break: the paper-equivalent baseline
+    // predictor stays the safe default until another one earns the lead.
+    st.bank->add(std::make_unique<predict::LastValue<huff::Histogram>>());
+    st.bank->add(std::make_unique<predict::HistogramMorph>());
+    st.bank->add(std::make_unique<predict::Stride<huff::Histogram>>());
+    st.bank->add(std::make_unique<predict::Ewma<huff::Histogram>>());
+    st.bank->set_score_hook(
+        [rt = &st.rt](const std::string& name, bool hit, double err) {
+          if (sre::Observer* obs = rt->observer()) {
+            obs->on_prediction_scored(name, hit, err);
+          }
+        });
+  }
 
-  // Wait buffer: commits release speculative results into the output arrays.
-  auto stp = st_;
-  st.buffer = std::make_unique<tvs::WaitBuffer<std::size_t, SpecResult>>(
-      [stp](const std::size_t& block, SpecResult&& r, std::uint64_t now_us) {
-        std::function<void(std::uint64_t)> done;
-        {
-          std::scoped_lock lk(stp->mu);
-          if (!stp->out_blocks[block]) done = stp->note_filled_locked();
-          stp->out_blocks[block] = std::move(r.enc);
-          stp->out_offsets[block] = r.offset;
-        }
-        if (done) done(now_us);
-      },
-      /*retire_window=*/8);
-
-  if (config.speculation_enabled()) {
-    tvs::Speculator<TreeEstimate>::Callbacks cb;
-    cb.build_chain = [stp](const TreeEstimate& guess, sre::Epoch epoch,
-                           std::uint32_t gix) {
-      build_spec_chain(stp, guess, epoch, gix);
+  // State-owned closures (stage hooks, SuperTask subscribers) hold only a
+  // weak reference: each is called from a task that pins State, and a
+  // strong one would keep State alive through itself.
+  const std::weak_ptr<State> w = st_;
+  State::Stage::Hooks hooks;
+  hooks.build_chain = [w](const TreeEstimate& guess, sre::Epoch epoch,
+                          std::uint32_t gix) {
+    build_spec_chain(w.lock(), guess, epoch, gix);
+  };
+  hooks.build_natural = [w](const TreeEstimate& final_value) {
+    build_natural(w.lock(), final_value);
+  };
+  hooks.within_tolerance = [tol = config.spec.tolerance](
+                               const TreeEstimate& guess,
+                               const TreeEstimate& cur) {
+    // The paper's check (§IV-B): compare the compressed size of the data
+    // seen so far under both trees; reject when the difference exceeds the
+    // tolerance fraction of the newer tree's size.
+    const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
+    const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
+    const std::uint64_t diff =
+        guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits;
+    return static_cast<double>(diff) <= tol * static_cast<double>(cur_bits);
+  };
+  hooks.tolerance_margin = [tol = config.spec.tolerance](
+                               const TreeEstimate& guess,
+                               const TreeEstimate& cur) {
+    // Headroom ratio for observability: observed relative size delta over
+    // the allowed delta. < 1 passes the check above; ~0 = perfect guess.
+    const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
+    const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
+    const std::uint64_t diff =
+        guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits;
+    const double allowed = tol * static_cast<double>(cur_bits);
+    return allowed <= 0.0 ? (diff == 0 ? 0.0 : 1e9)
+                          : static_cast<double>(diff) / allowed;
+  };
+  hooks.on_rollback = [w](sre::Epoch epoch) {
+    const auto stp = w.lock();
+    std::scoped_lock lk(stp->mu);
+    if (stp->chain && stp->chain->epoch == epoch) stp->chain.reset();
+  };
+  if (st.bank) {
+    hooks.observe = [bank = st.bank.get()](std::uint32_t k,
+                                           const TreeEstimate& est) {
+      bank->observe(k, *est.hist);
     };
-    cb.within_tolerance = [tol = config.spec.tolerance](
-                              const TreeEstimate& guess,
-                              const TreeEstimate& cur) {
-      // The paper's check (§IV-B): compare the compressed size of the data
-      // seen so far under both trees; reject when the difference exceeds the
-      // tolerance fraction of the newer tree's size.
-      const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
-      const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
-      const std::uint64_t diff =
-          guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits;
-      return static_cast<double>(diff) <=
-             tol * static_cast<double>(cur_bits);
+    hooks.charge_rollback = [bank = st.bank.get()] {
+      return bank->charge_rollback();
     };
-    cb.tolerance_margin = [tol = config.spec.tolerance](
-                              const TreeEstimate& guess,
-                              const TreeEstimate& cur) {
-      // Headroom ratio for observability: observed relative size delta over
-      // the allowed delta. < 1 passes the check above; ~0 = perfect guess.
-      const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
-      const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
-      const std::uint64_t diff =
-          guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits;
-      const double allowed = tol * static_cast<double>(cur_bits);
-      return allowed <= 0.0 ? (diff == 0 ? 0.0 : 1e9)
-                            : static_cast<double>(diff) / allowed;
-    };
-    cb.on_commit = [stp](sre::Epoch epoch, std::uint64_t now_us) {
-      {
-        std::scoped_lock lk(stp->mu);
-        assert(stp->chain && stp->chain->epoch == epoch);
-        stp->spec_committed = true;
-        stp->out_lengths = stp->chain->table->lengths();
-        stp->have_table = true;
-      }
-      stp->buffer->commit(epoch, now_us);
-    };
-    cb.on_rollback = [stp](sre::Epoch epoch, std::uint64_t /*now_us*/) {
-      {
-        std::scoped_lock lk(stp->mu);
-        ++stp->rollbacks;
-        if (stp->chain && stp->chain->epoch == epoch) {
-          stp->chain.reset();
-        }
-      }
-      stp->buffer->drop(epoch);
-      if (stp->bank) {
-        const std::string charged = stp->bank->charge_rollback();
-        if (sre::Observer* obs = stp->rt.observer()) {
-          obs->on_predictor_charged(charged);
-        }
-      }
-    };
-    cb.build_natural = [stp](const TreeEstimate& final_value,
-                             std::uint64_t now_us) {
-      build_natural(stp, final_value, now_us);
-    };
-    st.spec = std::make_unique<tvs::Speculator<TreeEstimate>>(
-        runtime, config.spec, std::move(cb), st.cost(TaskKind::Check));
-    // In-flight check tasks pin State (a stale check can retire after the
-    // run commits and this handle is long gone — see set_task_keepalive).
-    st.spec->set_task_keepalive(std::weak_ptr<const void>(stp));
-    st.spec->set_stream(config.stream_id);
-
-    if (config.spec.predictor == tvs::PredictorMode::Bank) {
-      // Score predictions in the same units as the speculation check: the
-      // relative compressed-size delta between the predicted tree and the
-      // best tree for the data actually seen, so hit rate estimates "would
-      // this predictor's guess have survived a check".
-      st.bank = std::make_unique<predict::PredictorBank<huff::Histogram>>(
-          config.spec.tolerance,
-          [](const huff::Histogram& pred, const huff::Histogram& actual) {
-            const auto t_pred = huff::CodeTable::from_lengths(
-                huff::HuffmanTree::build(pred.with_floor(1)).lengths());
-            const auto t_act = huff::CodeTable::from_lengths(
-                huff::HuffmanTree::build(actual.with_floor(1)).lengths());
-            const double pb = static_cast<double>(t_pred.encoded_bits(actual));
-            const double ab = static_cast<double>(t_act.encoded_bits(actual));
-            return ab <= 0.0 ? 0.0 : std::abs(pb - ab) / ab;
-          });
-      // Registration order is the tie-break: the paper-equivalent baseline
-      // predictor stays the safe default until another one earns the lead.
-      st.bank->add(std::make_unique<predict::LastValue<huff::Histogram>>());
-      st.bank->add(std::make_unique<predict::HistogramMorph>());
-      st.bank->add(std::make_unique<predict::Stride<huff::Histogram>>());
-      st.bank->add(std::make_unique<predict::Ewma<huff::Histogram>>());
-      st.bank->set_score_hook(
-          [rt = &st.rt](const std::string& name, bool hit, double err) {
-            if (sre::Observer* obs = rt->observer()) {
-              obs->on_prediction_scored(name, hit, err);
-            }
-          });
-      tvs::Speculator<TreeEstimate>::PredictorHook hook;
-      hook.confidence = [bank = st.bank.get(),
-                         n = static_cast<std::uint32_t>(st.n_reduces)](
-                            std::uint32_t) { return bank->confidence(n); };
-      st.spec->set_predictor_hook(std::move(hook));
-    }
+  }
+  st.stage = std::make_unique<State::Stage>(
+      runtime, st.n_blocks,
+      speculating ? std::optional(config.spec) : std::nullopt,
+      st.cost(TaskKind::Check), st_, std::move(hooks), config.stream_id);
+  if (st.bank) {
+    State::Stage::PredictorHook hook;
+    hook.confidence = [bank = st.bank.get(),
+                       n = static_cast<std::uint32_t>(st.n_reduces)](
+                          std::uint32_t) { return bank->confidence(n); };
+    st.stage->speculator()->set_predictor_hook(std::move(hook));
   }
 
   // --- SuperTask wiring ------------------------------------------------
@@ -298,10 +250,11 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
   // first pass's bookkeeping; the final one feeds the natural second pass
   // when no speculation is running.
   st.first_pass->subscribe_value<EstimateMsg>(
-      "histogram", [stp](const EstimateMsg& msg, std::uint64_t now_us) {
-        const bool is_final = (msg.reduce_index + 1 == stp->n_reduces);
+      "histogram",
+      [w, speculating](const EstimateMsg& msg, std::uint64_t now_us) {
+        const auto stp = w.lock();
         {
-          std::unique_lock lk(stp->mu);
+          std::scoped_lock lk(stp->mu);
           const std::size_t counted = std::min(
               (msg.reduce_index + 1) * stp->cfg.ratios.reduce_ratio,
               stp->n_blocks);
@@ -309,22 +262,25 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
           if (stp->chain) {
             stp->chain->counted_blocks =
                 std::max(stp->chain->counted_blocks, stp->counted_blocks);
-            extend_chain_locked(stp, lk);
+            extend_chain_locked(stp);
           }
         }
-        if (!stp->spec && is_final) {
-          TreeEstimate final_est{stp->snapshots[msg.reduce_index], nullptr};
-          build_natural(stp, final_est, now_us);
+        if (!speculating) {
+          stp->stage->estimate(
+              static_cast<std::uint32_t>(msg.reduce_index + 1),
+              msg.reduce_index + 1 == stp->n_reduces,
+              TreeEstimate{stp->snapshots[msg.reduce_index], nullptr}, now_us);
         }
       });
 
-  if (st.spec) {
+  if (speculating) {
     // Speculative side: the histogram port is a flagged speculation basis;
     // each publication may spawn a Control-class prediction task that
     // builds the prefix tree and feeds the Speculator.
     st.first_pass->mark_speculation_basis("histogram");
     st.first_pass->set_speculation_trigger(
-        [stp](const sre::SuperTask::Payload& payload, std::uint64_t) {
+        [w](const sre::SuperTask::Payload& payload, std::uint64_t) {
+          const auto stp = w.lock();
           const auto& msg =
               *std::static_pointer_cast<const EstimateMsg>(payload);
           const std::size_t r = msg.reduce_index;
@@ -333,8 +289,9 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
           auto snapshot = stp->snapshots[r];
           // The bank sees every estimate (scoring needs the full stream),
           // even the ones the speculator will not consume.
-          if (stp->bank) stp->bank->observe(k, *snapshot);
-          if (!stp->spec->wants_estimate(k, is_final)) return;
+          if (!stp->stage->offer(k, is_final, TreeEstimate{snapshot, nullptr})) {
+            return;
+          }
 
           // "trees are created with every new histogram that in turn
           // generate checking tasks" (paper Fig. 2 caption) — here, only
@@ -368,11 +325,9 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
               },
               stp->cfg.stream_id);
           tree_task->set_mem_bytes(2 * sizeof(huff::Histogram));
-          auto spec = stp->spec.get();
-          tree_task->add_completion_hook(
-              [spec, cell, k, is_final](sre::Task&, std::uint64_t done_us) {
-                spec->on_estimate(*cell, k, is_final, done_us);
-              });
+          stp->stage->estimate_on_done(
+              *tree_task, k, is_final, [cell] { return *cell; },
+              /*offered=*/true);
           stp->rt.submit(tree_task);
         });
   }
@@ -386,17 +341,7 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
 }
 
 void HuffmanPipeline::set_on_complete(std::function<void(std::uint64_t)> fn) {
-  std::function<void(std::uint64_t)> fire;
-  {
-    std::scoped_lock lk(st_->mu);
-    st_->on_complete = std::move(fn);
-    // Zero-block runs qualify immediately: have_table is pre-set in the
-    // constructor and no fill will ever happen.
-    if (st_->blocks_filled == st_->n_blocks && st_->have_table) {
-      fire = st_->on_complete;
-    }
-  }
-  if (fire) fire(0);
+  st_->stage->set_on_complete(std::move(fn));
 }
 
 void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
@@ -407,7 +352,7 @@ void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
   sre::TaskPtr reduce;
   {
     std::scoped_lock lk(st->mu);
-    st->trace.record_arrival(i, now_us);
+    st->stage->record_arrival(i, now_us);
 
     count = st->rt.make_task(
         "count[" + std::to_string(i) + "]", sre::TaskClass::Natural,
@@ -438,15 +383,23 @@ void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
           },
           st->cfg.stream_id);
       reduce->set_mem_bytes((end - begin) * sizeof(huff::Histogram));
+      // Each reduce publishes a fresh prefix histogram through the
+      // SuperTask hierarchy. The flagged port advances normal execution AND
+      // triggers the speculative side (paper §III-B: "the expected data has
+      // arrived and should advance normal program execution, and ...
+      // trigger a speculative task").
       reduce->add_completion_hook(
           [st, r](sre::Task&, std::uint64_t done_us) {
-            on_reduce_done(st, r, done_us);
+            st->first_pass->publish_value<EstimateMsg>("histogram", {r},
+                                                       done_us);
           });
       for (std::size_t b = begin; b < end; ++b) {
-        st->rt.add_dependency(st->count_tasks[b], reduce);
+        if (auto c = st->count_tasks[b].lock()) {
+          st->rt.add_dependency(c, reduce);
+        }
       }
-      if (st->prev_reduce) {
-        st->rt.add_dependency(st->prev_reduce, reduce);
+      if (auto prev = st->prev_reduce.lock()) {
+        st->rt.add_dependency(prev, reduce);
       }
       st->prev_reduce = reduce;
     }
@@ -455,21 +408,14 @@ void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
   if (reduce) st->rt.submit(reduce);
 }
 
-void HuffmanPipeline::on_reduce_done(const std::shared_ptr<State>& st,
-                                     std::size_t r, std::uint64_t now_us) {
-  // A Reduce produced a fresh prefix histogram: publish it through the
-  // SuperTask hierarchy. The flagged port advances normal execution AND
-  // triggers the speculative side (paper §III-B: "the expected data has
-  // arrived and should advance normal program execution, and ... trigger a
-  // speculative task").
-  st->first_pass->publish_value<EstimateMsg>("histogram", {r}, now_us);
-}
-
 void HuffmanPipeline::build_spec_chain(const std::shared_ptr<State>& st,
                                        const TreeEstimate& guess,
                                        sre::Epoch epoch,
                                        std::uint32_t estimate_index) {
-  std::unique_lock lk(st->mu);
+  std::scoped_lock lk(st->mu);
+  // A builder that lost the race to its epoch's rollback (or to a newer
+  // epoch's builder) must not replace the live chain.
+  if (st->stage->stale(epoch)) return;
   Chain chain;
   chain.epoch = epoch;
   chain.table = guess.table;
@@ -483,13 +429,12 @@ void HuffmanPipeline::build_spec_chain(const std::shared_ptr<State>& st,
                st->n_blocks),
       st->counted_blocks);
   st->chain = std::move(chain);
-  extend_chain_locked(st, lk);
+  extend_chain_locked(st);
 }
 
-void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st,
-                                          std::unique_lock<std::mutex>& lk) {
-  assert(lk.owns_lock());
-  (void)lk;
+/// Wires the live chain's offset groups (and their encodes) as far as the
+/// counted prefix reaches. Caller holds st->mu.
+void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
   Chain& chain = *st->chain;
   const std::size_t G = st->cfg.ratios.offset_group;
 
@@ -523,7 +468,9 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st,
         st->cfg.stream_id);
     offset_task->set_mem_bytes((end - begin) * sizeof(huff::Histogram));
     for (std::size_t b = begin; b < end; ++b) {
-      st->rt.add_dependency(st->count_tasks[b], offset_task);
+      if (auto c = st->count_tasks[b].lock()) {
+        st->rt.add_dependency(c, offset_task);
+      }
     }
     if (chain.prev_offset) {
       st->rt.add_dependency(chain.prev_offset, offset_task);
@@ -549,14 +496,9 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st,
                                  sizeof(huff::CodeTable));
       encode_task->add_completion_hook(
           [st, b, enc, offsets, epoch](sre::Task&, std::uint64_t done_us) {
-            std::uint64_t offset = 0;
-            {
-              std::scoped_lock hlk(st->mu);
-              st->trace.record_done(b, done_us, /*speculative=*/true);
-              offset = (*offsets)[b];
-            }
-            st->buffer->add(epoch, b, SpecResult{std::move(*enc), offset},
-                            done_us);
+            st->stage->deliver(epoch, b,
+                               BlockResult{std::move(*enc), (*offsets)[b]},
+                               done_us);
             st->second_pass->publish_value<BlockDoneMsg>("block-done",
                                                          {b, true}, done_us);
           });
@@ -567,16 +509,7 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st,
 }
 
 void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
-                                    const TreeEstimate& final_value,
-                                    std::uint64_t /*now_us*/) {
-  {
-    std::scoped_lock lk(st->mu);
-    if (st->natural_built) {
-      throw std::logic_error("HuffmanPipeline: natural path built twice");
-    }
-    st->natural_built = true;
-  }
-
+                                    const TreeEstimate& final_value) {
   // Natural tree task: exact (unfloored) table from the complete histogram.
   auto hist = final_value.hist;
   auto table_cell = std::make_shared<std::shared_ptr<const huff::CodeTable>>();
@@ -598,8 +531,7 @@ void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
     auto table = *table_cell;
     {
       std::scoped_lock lk(st->mu);
-      st->out_lengths = table->lengths();
-      st->have_table = true;
+      st->natural_lengths = table->lengths();
     }
     const std::size_t G = st->cfg.ratios.offset_group;
     const std::size_t n_groups = (st->n_blocks + G - 1) / G;
@@ -652,17 +584,11 @@ void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
                                    sizeof(huff::CodeTable));
         encode_task->add_completion_hook(
             [st, b, enc, offsets](sre::Task&, std::uint64_t done_us) {
-              std::function<void(std::uint64_t)> done;
-              {
-                std::scoped_lock lk(st->mu);
-                st->trace.record_done(b, done_us, /*speculative=*/false);
-                if (!st->out_blocks[b]) done = st->note_filled_locked();
-                st->out_blocks[b] = std::move(*enc);
-                st->out_offsets[b] = (*offsets)[b];
-              }
+              st->stage->deliver(sre::kNaturalEpoch, b,
+                                 BlockResult{std::move(*enc), (*offsets)[b]},
+                                 done_us);
               st->second_pass->publish_value<BlockDoneMsg>(
                   "block-done", {b, false}, done_us);
-              if (done) done(done_us);
             });
         st->rt.add_dependency(offset_task, encode_task);
         st->rt.submit(encode_task);
@@ -672,43 +598,44 @@ void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
   st->rt.submit(tree_task);
 }
 
-const stats::BlockTrace& HuffmanPipeline::trace() const { return st_->trace; }
+const stats::BlockTrace& HuffmanPipeline::trace() const {
+  return st_->stage->trace();
+}
 
 sre::SuperTask& HuffmanPipeline::root_supertask() { return st_->root; }
 
 bool HuffmanPipeline::speculation_committed() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->spec_committed;
+  return st_->stage->speculation_committed();
 }
 
 std::size_t HuffmanPipeline::wait_discarded() const {
-  return st_->buffer->discarded();
+  return st_->stage->wait_discarded();
 }
 
 std::size_t HuffmanPipeline::wait_pending() const {
-  return st_->buffer->total_pending();
+  return st_->stage->wait_pending();
 }
 
 std::uint64_t HuffmanPipeline::rollbacks() const {
-  std::scoped_lock lk(st_->mu);
-  return st_->rollbacks;
+  return st_->stage->rollbacks();
 }
 
-// The spec pointer is written once at construction and never reset, so
-// these reach it without the State lock; the Speculator's own mutex orders
-// the retune against estimates and verdicts.
+// The Speculator's own mutex orders a retune against estimates and
+// verdicts; the stage creates it once at construction.
 bool HuffmanPipeline::retune_spec(const tvs::SpecConfig& next) {
-  if (!st_->spec) return false;
-  st_->spec->retune(next);
-  return true;
+  auto* spec = st_->stage->speculator();
+  if (spec) spec->retune(next);
+  return spec != nullptr;
 }
 
 tvs::SpecConfig HuffmanPipeline::spec_config() const {
-  return st_->spec ? st_->spec->config() : st_->cfg.spec;
+  const auto* spec = st_->stage->speculator();
+  return spec ? spec->config() : st_->cfg.spec;
 }
 
 std::uint64_t HuffmanPipeline::spec_retunes() const {
-  return st_->spec ? st_->spec->retunes() : 0;
+  const auto* spec = st_->stage->speculator();
+  return spec ? spec->retunes() : 0;
 }
 
 stats::PredictorScoreboard HuffmanPipeline::predictor_scoreboard() const {
@@ -716,7 +643,8 @@ stats::PredictorScoreboard HuffmanPipeline::predictor_scoreboard() const {
 }
 
 std::uint64_t HuffmanPipeline::gate_denials() const {
-  return st_->spec ? st_->spec->gate_denials() : 0;
+  const auto* spec = st_->stage->speculator();
+  return spec ? spec->gate_denials() : 0;
 }
 
 std::string HuffmanPipeline::best_predictor() const {
@@ -724,57 +652,56 @@ std::string HuffmanPipeline::best_predictor() const {
 }
 
 void HuffmanPipeline::validate_complete() const {
-  std::scoped_lock lk(st_->mu);
-  if (!st_->have_table) {
+  if (st_->n_blocks != 0 && !st_->stage->committed()) {
     throw std::logic_error("HuffmanPipeline: run produced no code table");
   }
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b].has_value()) {
-      throw std::logic_error("HuffmanPipeline: block " + std::to_string(b) +
-                             " has no committed encoding");
+  const stats::BlockTrace& trace = st_->stage->trace();
+  st_->stage->with_results([&trace](const auto& slots) {
+    for (std::size_t b = 0; b < slots.size(); ++b) {
+      if (!slots[b]) {
+        throw std::logic_error("HuffmanPipeline: block " + std::to_string(b) +
+                               " has no committed encoding");
+      }
+      if (!trace.at(b).completed()) {
+        throw std::logic_error("HuffmanPipeline: block " + std::to_string(b) +
+                               " missing completion timestamp");
+      }
     }
-    if (!st_->trace.at(b).completed()) {
-      throw std::logic_error("HuffmanPipeline: block " + std::to_string(b) +
-                             " missing completion timestamp");
-    }
-  }
+  });
 }
 
 std::uint64_t HuffmanPipeline::output_bits() const {
-  std::scoped_lock lk(st_->mu);
-  std::uint64_t end = 0;
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (st_->out_blocks[b]) {
-      end = std::max(end, st_->out_offsets[b] + st_->out_blocks[b]->bit_count);
+  return st_->stage->with_results([](const auto& slots) {
+    std::uint64_t end = 0;
+    for (const auto& slot : slots) {
+      if (slot) end = std::max(end, slot->offset + slot->enc.bit_count);
     }
-  }
-  return end;
+    return end;
+  });
 }
 
 std::vector<std::uint8_t> HuffmanPipeline::assemble_output() const {
-  std::scoped_lock lk(st_->mu);
   huff::CompressedStream s;
   s.original_bytes = st_->src.total_bytes();
   s.n_blocks = static_cast<std::uint32_t>(st_->n_blocks);
   s.block_size = static_cast<std::uint32_t>(st_->src.block_size());
-  s.lengths = st_->out_lengths;
+  s.lengths = st_->committed_lengths();
 
   std::vector<huff::EncodedBlock> blocks;
   blocks.reserve(st_->n_blocks);
-  std::uint64_t end_bit = 0;
-  for (std::size_t b = 0; b < st_->n_blocks; ++b) {
-    if (!st_->out_blocks[b]) {
-      throw std::logic_error("assemble_output: incomplete run");
-    }
-    blocks.push_back(*st_->out_blocks[b]);
-    end_bit = std::max(end_bit,
-                       st_->out_offsets[b] + st_->out_blocks[b]->bit_count);
-  }
-  s.payload = huff::assemble(blocks, st_->out_offsets);
-  s.payload_bits = end_bit;
   // The Offset phase computed every block's position anyway: embed the
   // random-access index for free.
-  s.block_offsets = st_->out_offsets;
+  s.block_offsets.reserve(st_->n_blocks);
+  st_->stage->with_results([&](const auto& slots) {
+    for (const auto& slot : slots) {
+      if (!slot) throw std::logic_error("assemble_output: incomplete run");
+      blocks.push_back(slot->enc);
+      s.block_offsets.push_back(slot->offset);
+      s.payload_bits =
+          std::max(s.payload_bits, slot->offset + slot->enc.bit_count);
+    }
+  });
+  s.payload = huff::assemble(blocks, s.block_offsets);
   return huff::serialize(s);
 }
 

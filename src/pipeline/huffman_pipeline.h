@@ -21,8 +21,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/speculator.h"
-#include "core/wait_buffer.h"
+#include "core/speculative_stage.h"
 #include "huffman/canonical.h"
 #include "huffman/encoder.h"
 #include "huffman/histogram.h"
@@ -148,7 +147,8 @@ class HuffmanPipeline {
   [[nodiscard]] sre::SuperTask& root_supertask();
 
  private:
-  struct SpecResult {
+  /// One block's committed encoding and its absolute start bit.
+  struct BlockResult {
     huff::EncodedBlock enc;
     std::uint64_t offset = 0;
   };
@@ -159,18 +159,14 @@ class HuffmanPipeline {
   // Wiring helpers (definitions in the .cpp). Static and keyed off the
   // shared State: no task closure or completion hook ever captures the
   // HuffmanPipeline handle itself, so the handle can be destroyed while
-  // stray tasks are still in flight — each closure pins State (and through
-  // it the source) until the task retires.
-  static void on_reduce_done(const std::shared_ptr<State>& st, std::size_t r,
-                             std::uint64_t now_us);
+  // stray tasks are still in flight — each task pins State (and through it
+  // the source) until it retires.
   static void build_spec_chain(const std::shared_ptr<State>& st,
                                const TreeEstimate& guess, sre::Epoch epoch,
                                std::uint32_t estimate_index);
-  static void extend_chain_locked(const std::shared_ptr<State>& st,
-                                  std::unique_lock<std::mutex>& lk);
+  static void extend_chain_locked(const std::shared_ptr<State>& st);
   static void build_natural(const std::shared_ptr<State>& st,
-                            const TreeEstimate& final_value,
-                            std::uint64_t now_us);
+                            const TreeEstimate& final_value);
 
   std::shared_ptr<State> st_;
 };

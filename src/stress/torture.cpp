@@ -183,7 +183,8 @@ TortureReport run_speculator_torture(const TortureOptions& opt) {
                            const std::uint64_t& current) {
     return guess == current;
   };
-  cb.on_commit = [&](sre::Epoch epoch, std::uint64_t now_us) {
+  cb.on_commit = [&](const std::uint64_t&, sre::Epoch epoch,
+                    std::uint64_t now_us) {
     {
       std::scoped_lock lk(obs.mu);
       ++obs.commits;

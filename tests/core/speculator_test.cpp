@@ -24,6 +24,7 @@ struct Probe {
   };
   std::vector<ChainBuild> chains;
   std::vector<sre::Epoch> commits;
+  std::vector<double> committed_guesses;
   std::vector<sre::Epoch> rollbacks;
   std::optional<double> natural_from;
   double tolerance = 0.1;  // |guess - current| <= tolerance
@@ -37,8 +38,9 @@ Speculator<double>::Callbacks callbacks(Probe& probe) {
   cb.within_tolerance = [&probe](const double& g, const double& cur) {
     return std::abs(g - cur) <= probe.tolerance;
   };
-  cb.on_commit = [&probe](sre::Epoch e, std::uint64_t) {
+  cb.on_commit = [&probe](const double& g, sre::Epoch e, std::uint64_t) {
     probe.commits.push_back(e);
+    probe.committed_guesses.push_back(g);
   };
   cb.on_rollback = [&probe](sre::Epoch e, std::uint64_t) {
     probe.rollbacks.push_back(e);
@@ -136,6 +138,38 @@ TEST_F(SpeculatorFixture, FailedCheckRollsBackAndRespeculates) {
   EXPECT_DOUBLE_EQ(probe.chains[1].guess, 2.0);
   EXPECT_NE(spec.active_epoch(), first_epoch);
   EXPECT_EQ(rt.counters().rollbacks, 1u);
+}
+
+TEST_F(SpeculatorFixture, CommitCarriesTheReopenedEpochsGuess) {
+  auto spec = make({.step_size = 1, .verify = VerificationPolicy::every_kth(2)});
+  spec.on_estimate(1.0, 1, false, 0);  // epoch 1 adopts 1.0
+  spec.on_estimate(2.0, 2, false, 1);  // check fails: reopen from 2.0
+  drain(rt);
+  ASSERT_EQ(probe.rollbacks.size(), 1u);
+  ASSERT_EQ(probe.chains.size(), 2u);
+  spec.on_estimate(2.05, 3, true, 2);  // within tolerance of 2.0
+  drain(rt);
+  ASSERT_EQ(probe.commits.size(), 1u);
+  EXPECT_EQ(probe.commits[0], probe.chains[1].epoch);
+  ASSERT_EQ(probe.committed_guesses.size(), 1u);
+  EXPECT_DOUBLE_EQ(probe.committed_guesses[0], 2.0)
+      << "on_commit must carry the reopened epoch's guess, not the first";
+}
+
+TEST_F(SpeculatorFixture, LateOlderEstimateCannotHideTheFinal) {
+  // Parallel tasks can materialize estimates out of order: here the final
+  // (index 3) lands before estimate 2. The late estimate must be ignored,
+  // so the failed final check still falls back to the natural path instead
+  // of re-speculating with no estimate left to settle the run.
+  auto spec = make({.step_size = 1, .verify = VerificationPolicy::every_kth(8)});
+  spec.on_estimate(1.0, 1, false, 0);  // opens an epoch (guess 1.0)
+  spec.on_estimate(9.9, 3, true, 1);   // final check spawned; it will fail
+  spec.on_estimate(1.0, 2, false, 2);  // late, older estimate
+  drain(rt);
+  EXPECT_TRUE(spec.finished());
+  ASSERT_TRUE(probe.natural_from.has_value());
+  EXPECT_DOUBLE_EQ(*probe.natural_from, 9.9);
+  EXPECT_EQ(probe.chains.size(), 1u);
 }
 
 TEST_F(SpeculatorFixture, FailedFinalCheckFallsBackToNatural) {

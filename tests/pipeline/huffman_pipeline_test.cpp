@@ -5,7 +5,11 @@
 // no stray tasks; traces are complete.
 #include <gtest/gtest.h>
 
+#include "io/block_source.h"
 #include "pipeline/driver.h"
+#include "pipeline/huffman_pipeline.h"
+#include "sim/sim_executor.h"
+#include "workload/corpus.h"
 
 namespace {
 
@@ -185,6 +189,35 @@ TEST(Pipeline, DeterministicSimTraces) {
   EXPECT_EQ(a.container, b.container);
   EXPECT_EQ(a.makespan_us, b.makespan_us);
   EXPECT_EQ(a.rollbacks, b.rollbacks);
+}
+
+TEST(Pipeline, StateIsFreedWithHandleAndRuntime) {
+  // The shared_ptr constructor lets State co-own the source, so the source
+  // outlives the pipeline exactly as long as State does. Once the handle
+  // and the runtime (with every task) are gone, nothing may keep State
+  // alive — in particular not the closures State itself owns (wait-buffer
+  // sink, Speculator callbacks, SuperTask subscribers).
+  std::weak_ptr<const sio::BlockSource> weak_source;
+  {
+    auto cfg = small(wl::FileKind::Pdf, sre::DispatchPolicy::Balanced, 512);
+    auto source = std::make_shared<const sio::BlockSource>(
+        wl::make_corpus(cfg.file, cfg.bytes, cfg.seed), 4096,
+        std::make_shared<sio::DiskArrival>());
+    weak_source = source;
+    sre::Runtime rt(cfg.policy);
+    sim::SimExecutor ex(rt, cfg.platform);
+    pipeline::HuffmanPipeline pl(rt, source, cfg);
+    source->for_each_arrival([&](std::size_t i, sio::Micros at) {
+      ex.schedule_arrival(at, [&pl, i](sim::Micros now) {
+        pl.on_block_arrival(i, now);
+      });
+    });
+    source.reset();
+    ex.run();
+    pl.validate_complete();
+    EXPECT_GT(pl.rollbacks(), 0u) << "the run should exercise rollback";
+  }
+  EXPECT_TRUE(weak_source.expired());
 }
 
 TEST(RunResult, LatencyHelpers) {

@@ -11,12 +11,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/speculative_stage.h"
 #include "core/speculator.h"
 #include "core/wait_buffer.h"
+#include "filter/filter_pipeline.h"
+#include "filter/fir.h"
+#include "filter/iterative_design.h"
 #include "sre/chaos_point.h"
 #include "sre/runtime.h"
 
@@ -25,6 +30,7 @@ namespace {
 using sre::DispatchPolicy;
 using sre::Runtime;
 using tvs::SpecConfig;
+using tvs::SpeculativeStage;
 using tvs::Speculator;
 using tvs::VerificationPolicy;
 using tvs::WaitBuffer;
@@ -69,7 +75,7 @@ Speculator<double>::Callbacks callbacks(Probe& probe) {
   cb.within_tolerance = [](const double& g, const double& cur) {
     return std::abs(g - cur) <= 0.1;
   };
-  cb.on_commit = [&probe](sre::Epoch e, std::uint64_t) {
+  cb.on_commit = [&probe](const double&, sre::Epoch e, std::uint64_t) {
     probe.commits.push_back(e);
   };
   cb.on_rollback = [&probe](sre::Epoch e, std::uint64_t) {
@@ -157,6 +163,107 @@ TEST(ChaosRegression, FinalEstimateInLateRollbackWindowBuildsNaturalOnce) {
 
   EXPECT_EQ(probe.naturals, 1);
   EXPECT_TRUE(spec.finished());
+}
+
+// --- Race 1b: a stale chain builder returns after a newer epoch committed --
+//
+// The Speculator calls build_chain with its lock released. Inside e1's open
+// window — before e1's builder has run — a failing check rolls e1 back, the
+// speculator reopens and builds e2 from the newer estimate, and e2's final
+// check passes. Only then does e1's builder run. Pre-fix, each pipeline's
+// late e1 builder still spawned its chain and stored its guess as the
+// "provisional" committed value, overwriting e2's; the stage now skips a
+// builder whose epoch is stale, and takes the committed value from the
+// Speculator's commit alone.
+TEST(ChaosRegression, StaleBuilderAfterNewerCommitIsANoOp) {
+  Runtime rt(DispatchPolicy::Balanced);
+  using Stage = SpeculativeStage<double, double>;
+  auto owner = std::make_shared<int>(0);
+  std::vector<sre::Epoch> built;
+  Stage* stage_ptr = nullptr;
+  Stage::Hooks hooks;
+  hooks.map = {"blk", 1, [](const double& v, std::size_t) { return v; }};
+  hooks.build_chain = [&](const double& guess, sre::Epoch e, std::uint32_t) {
+    built.push_back(e);
+    stage_ptr->map_blocks(guess, e);
+  };
+  hooks.within_tolerance = [](const double& g, const double& cur) {
+    return std::abs(g - cur) <= 0.1;
+  };
+  Stage stage(rt, /*blocks=*/4,
+              SpecConfig{.step_size = 1, .verify = VerificationPolicy::full()},
+              /*check_cost_us=*/1, owner, std::move(hooks));
+  stage_ptr = &stage;
+
+  InjectOnce hook;
+  hook.target = "speculator.open_window";
+  hook.inject = [&] {
+    stage.estimate(2, false, 5.0, 20);  // e1's check fails: reopen e2 at 5.0
+    drain(rt);
+    stage.estimate(3, true, 5.05, 30);  // e2's final check passes: commit
+    drain(rt);
+  };
+  sre::chaos::ScopedHook guard(&hook);
+
+  stage.estimate(1, false, 1.0, 10);  // opens e1 (guess 1.0) → window
+  drain(rt);
+
+  ASSERT_EQ(hook.fired, 1);
+  EXPECT_EQ(stage.rollbacks(), 1u);
+  ASSERT_EQ(built.size(), 1u) << "e1's late builder must not run";
+  EXPECT_TRUE(stage.speculation_committed());
+  ASSERT_NE(stage.committed(), nullptr);
+  EXPECT_DOUBLE_EQ(*stage.committed(), 5.0) << "committed value is e2's guess";
+  EXPECT_EQ(rt.counters().spec_tasks_executed, 4u) << "only e2's blocks ran";
+  ASSERT_TRUE(stage.complete());
+  stage.with_results([](const auto& slots) {
+    for (const auto& slot : slots) EXPECT_DOUBLE_EQ(*slot, 5.0);
+  });
+}
+
+// The same interleaving through FilterPipeline (three CG iterates, a check at
+// iterate 2): e1 adopts iterate 1, the check against iterate 2 fails, e2
+// adopts iterate 2 and commits at the final iterate 3, and e1's builder
+// returns last. The pipeline must report e2's coefficients and output.
+TEST(ChaosRegression, FilterPipelineStaleBuilderKeepsCommittedCoefficients) {
+  const std::vector<double> input = filt::make_signal(8192, 11, 0.7);
+  const std::vector<double> target = filt::make_signal(8192, 11, 0.0);
+  filt::FilterPipelineConfig cfg;
+  cfg.taps = 12;
+  cfg.iterations = 3;
+  cfg.block_samples = 2048;
+  cfg.spec.step_size = 1;
+  cfg.spec.verify = VerificationPolicy::every_kth(2);
+
+  filt::IterativeSolver solver(filt::estimate_problem(input, target, cfg.taps));
+  std::vector<std::vector<double>> iterates;
+  for (std::size_t k = 0; k < cfg.iterations; ++k) {
+    solver.step();
+    iterates.push_back(solver.current());
+  }
+  const double d12 = filt::rel_l2_diff(iterates[0], iterates[1]);
+  const double d23 = filt::rel_l2_diff(iterates[1], iterates[2]);
+  ASSERT_LT(d23, d12) << "iterate 2 must sit closer to 3 than 1 does to 2";
+  cfg.spec.tolerance = (d12 + d23) / 2;  // check 1-vs-2 fails, 2-vs-3 passes
+
+  Runtime rt(DispatchPolicy::Balanced);
+  filt::FilterPipeline pl(rt, input, target, cfg, /*speculation=*/true);
+  InjectOnce hook;
+  hook.target = "speculator.open_window";
+  hook.inject = [&rt] { drain(rt); };  // iterates 2-3, checks, e2, commit
+  sre::chaos::ScopedHook guard(&hook);
+
+  pl.start();
+  drain(rt);
+
+  ASSERT_EQ(hook.fired, 1);
+  pl.validate_complete();
+  EXPECT_EQ(pl.rollbacks(), 1u);
+  EXPECT_TRUE(pl.speculation_committed());
+  EXPECT_EQ(pl.final_coefficients(), iterates[1])
+      << "committed coefficients must be e2's guess (iterate 2)";
+  EXPECT_EQ(pl.output(), filt::apply_fir(input, iterates[1]));
+  EXPECT_EQ(rt.counters().spec_tasks_executed, 4u) << "only e2's blocks ran";
 }
 
 // --- Race 2: an add races the commit flush ---------------------------------

@@ -50,7 +50,7 @@ struct Probe {
     cb.within_tolerance = [](const double& g, const double& cur) {
       return std::abs(g - cur) <= 0.1;
     };
-    cb.on_commit = [this](sre::Epoch, std::uint64_t) {
+    cb.on_commit = [this](const double&, sre::Epoch, std::uint64_t) {
       commits.fetch_add(1, std::memory_order_relaxed);
     };
     cb.on_rollback = [this](sre::Epoch, std::uint64_t) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 line (build + full ctest) and, unless skipped,
-# a sanitizer pass (asan+ubsan preset) over the same test suite. Leak
-# checking stays off in the preset: epoch-drop GC retains speculative
-# products until process exit, which LeakSanitizer reports by design.
+# a sanitizer pass (asan+ubsan preset) over the same test suite. The preset
+# runs with leak checking off; the pipeline test binaries then run again
+# with it on, so a pipeline State kept alive by its own closures (a
+# reference cycle) fails CI.
 #
 #   tools/ci.sh            # tier-1 + sanitizers
 #   tools/ci.sh tsan       # ThreadSanitizer over the sre_core test label
@@ -188,5 +189,12 @@ echo "== sanitizers: asan+ubsan preset (build-asan/) =="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j"$JOBS"
 ctest --preset asan -j"$JOBS"
+
+echo "-- pipeline tests with LeakSanitizer on --"
+for t in huffman_pipeline_test filter_pipeline_test kmeans_pipeline_test \
+         anneal_test multi_pipeline_test; do
+  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+    "./build-asan/tests/$t"
+done
 
 echo "== CI green =="
