@@ -38,7 +38,8 @@ SessionManager::SessionManager(ServiceConfig cfg)
     : cfg_(cfg),
       rt_(std::make_unique<sre::Runtime>(cfg.policy, cfg.priority_mode)),
       admission_(ShedPolicy(cfg.shed)),
-      max_concurrent_(cfg.max_concurrent) {
+      max_concurrent_(cfg.max_concurrent),
+      max_concurrent_peak_(cfg.max_concurrent) {
   if (cfg_.control.enabled && cfg_.registry == nullptr) {
     // The control loop's sensors are the serve_* series; keep them in an
     // internal registry when the caller did not ask for metrics export.
@@ -382,6 +383,7 @@ void SessionManager::control_tick_locked(std::uint64_t now_us) {
   if (!admission_actions.empty()) {
     const control::AdmissionLimits lim = controller_->admission().limits();
     max_concurrent_ = lim.max_concurrent;
+    max_concurrent_peak_ = std::max(max_concurrent_peak_, max_concurrent_);
     ShedPolicy::Config shed = cfg_.shed;
     shed.queue_capacity[static_cast<std::size_t>(Priority::Bulk)] =
         lim.bulk_queue_cap;
@@ -464,6 +466,7 @@ SessionManager::ControlStatus SessionManager::control_status() const {
   std::scoped_lock lk(mu_);
   ControlStatus st;
   st.max_concurrent = max_concurrent_;
+  st.max_concurrent_peak = max_concurrent_peak_;
   st.bulk_queue_cap = admission_.shed_config()
                           .queue_capacity[static_cast<std::size_t>(Priority::Bulk)];
   if (controller_) {

@@ -129,6 +129,10 @@ class SessionManager {
   /// when the controller is disabled.
   struct ControlStatus {
     std::size_t max_concurrent = 0;
+    /// The widest window in force at any point so far. The controller
+    /// reclaims a widened window once the queue drains, so max_concurrent
+    /// alone cannot show that a widening ever happened.
+    std::size_t max_concurrent_peak = 0;
     std::size_t bulk_queue_cap = 0;
     std::uint64_t admission_retunes = 0;
     std::uint64_t spec_retunes = 0;  ///< knob movements across all sessions
@@ -212,6 +216,7 @@ class SessionManager {
   /// The live concurrency window. Starts at cfg_.max_concurrent; the
   /// controller may widen it up to ControlConfig::concurrent_max.
   std::size_t max_concurrent_ = 0;
+  std::size_t max_concurrent_peak_ = 0;
   std::optional<control::Controller> controller_;
   std::optional<metrics::DeltaView> rates_;
   /// Per-session rollback counts as of the previous control tick.

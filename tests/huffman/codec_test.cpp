@@ -3,6 +3,10 @@
 // the whole stream).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "huffman/decoder.h"
 #include "huffman/encoder.h"
 #include "huffman/offsets.h"
@@ -72,11 +76,19 @@ TEST(Decoder, ThrowsOnTruncatedStream) {
   EXPECT_THROW(d.decode(enc.bits, data.size() + 20), std::exception);
 }
 
+// gtest prints a CodecCase as its raw bytes, and that print is the case's
+// ctest name. The padding after `kind` is spelled out and zeroed so the
+// names do not pick up whatever bytes happened to be in memory.
 struct CodecCase {
+  CodecCase(wl::FileKind k, std::size_t b, std::uint64_t s)
+      : kind(k), bytes(b), seed(s) {}
   wl::FileKind kind;
+  std::array<std::uint8_t, 7> zero_padding{};
   std::size_t bytes;
   std::uint64_t seed;
 };
+static_assert(sizeof(CodecCase) == 24 &&
+              std::has_unique_object_representations_v<CodecCase>);
 
 class CodecRoundTrip : public ::testing::TestWithParam<CodecCase> {};
 

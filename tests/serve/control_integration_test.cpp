@@ -41,6 +41,7 @@ TEST(ControlIntegration, DisabledControllerReportsStaticBaselines) {
 
   const auto cs = mgr.control_status();
   EXPECT_EQ(cs.max_concurrent, 3u);
+  EXPECT_EQ(cs.max_concurrent_peak, 3u);
   EXPECT_EQ(cs.bulk_queue_cap, 5u);
   EXPECT_EQ(cs.admission_retunes, 0u);
   EXPECT_EQ(cs.spec_retunes, 0u);
@@ -117,8 +118,13 @@ TEST(ControlIntegration, QueuePressureWidensTheConcurrencyWindow) {
 
   const auto cs = mgr.control_status();
   EXPECT_GT(cs.admission_retunes, 0u) << "queue wait never tripped the band";
-  EXPECT_GT(cs.max_concurrent, 1u) << "the window should have widened";
-  EXPECT_LE(cs.max_concurrent, cfg.control.concurrent_max);
+  // Once the queue empties the wait signal drops below the band and the
+  // controller may reclaim the window before drain() stops it, so the
+  // widening shows in the peak, not necessarily in the final value.
+  EXPECT_GT(cs.max_concurrent_peak, 1u) << "the window should have widened";
+  EXPECT_LE(cs.max_concurrent_peak, cfg.control.concurrent_max);
+  EXPECT_GE(cs.max_concurrent, 1u);
+  EXPECT_LE(cs.max_concurrent, cs.max_concurrent_peak);
 }
 
 TEST(ControlIntegration, ControlThreadSurvivesAnIdleService) {
