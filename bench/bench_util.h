@@ -4,13 +4,18 @@
 // shape), an ASCII latency-vs-element chart (the figure's visual shape), and
 // — when run with `--csv <dir>` — one CSV per figure panel with the exact
 // series, ready for external plotting.
+//
+// BENCH_*.json writers share the provenance header (write_provenance) and
+// the rep-spread summary (spread) at the end of this file.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pipeline/driver.h"
@@ -166,6 +171,84 @@ inline void print_runtime_bars(
 /// Sanity common to every figure run: output round-trips and latencies exist.
 inline void verify_run(const NamedRun& run) {
   pipeline::verify_roundtrip(run.result);
+}
+
+// --- BENCH_*.json provenance and spread --------------------------------------
+
+/// Median and quartiles of a set of per-rep measurements (linear
+/// interpolation between order statistics).
+struct Spread {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+};
+
+inline Spread spread(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+inline const char* compiler_id() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// Short git sha of the source tree the binary was built from, with
+/// "-dirty" when tracked files differ from it; "unknown" outside a checkout.
+inline std::string git_sha() {
+#ifdef TVS_SOURCE_DIR
+  const auto run = [](const std::string& cmd) {
+    std::string out;
+    if (std::FILE* p = popen(cmd.c_str(), "r")) {
+      char buf[128];
+      while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+      pclose(p);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+      out.pop_back();
+    }
+    return out;
+  };
+  const std::string git = "git -C \"" TVS_SOURCE_DIR "\" ";
+  std::string sha = run(git + "rev-parse --short=12 HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  if (!run(git + "status --porcelain --untracked-files=no 2>/dev/null")
+           .empty()) {
+    sha += "-dirty";
+  }
+  return sha;
+#else
+  return "unknown";
+#endif
+}
+
+/// Writes the `"provenance"` member every BENCH_*.json carries: host core
+/// count, compiler, build type, source sha and repetitions per cell.
+/// Emits a trailing comma; call it right after the opening brace.
+inline void write_provenance(std::FILE* f, unsigned reps) {
+#ifdef TVS_BUILD_TYPE
+  const char* build_type = TVS_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  std::fprintf(f,
+               "  \"provenance\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\", \"git_sha\": \"%s\", "
+               "\"reps\": %u},\n",
+               std::thread::hardware_concurrency(), compiler_id(), build_type,
+               git_sha().c_str(), reps);
 }
 
 }  // namespace benchutil

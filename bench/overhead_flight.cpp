@@ -69,7 +69,6 @@ int main() {
 
   pipeline::RunOptions base;
   base.workers = kWorkers;
-  base.dispatch = sre::DispatchMode::Sharded;
   base.arrival_time_scale = 0.0;  // compute-bound: maximizes event rate
 
   flight::Recorder recorder;

@@ -24,10 +24,10 @@
 namespace report {
 
 /// Scheduler-path counters (engine-agnostic mirror of the threaded
-/// executor's sharded DispatchStats). Engines that have no dispatch
-/// instrumentation — the simulator, Central mode — leave it all-zero, and
-/// both renderers omit the section entirely in that case: an all-zero row
-/// would read as "measured, nothing happened", which is the wrong claim.
+/// executor's DispatchStats). The simulator has no dispatch instrumentation
+/// and leaves it all-zero; both renderers omit the section entirely in that
+/// case: an all-zero row would read as "measured, nothing happened", which
+/// is the wrong claim.
 struct DispatchInfo {
   std::uint64_t tasks_run = 0;
   std::uint64_t local_pops = 0;

@@ -284,7 +284,6 @@ RunResult run_threaded(const RunConfig& config, const RunOptions& options) {
   sre::ThreadedExecutor::Options topts;
   topts.workers = options.workers;
   topts.arrival_time_scale = options.arrival_time_scale;
-  topts.dispatch = options.dispatch;
   if (options.registry) {
     // Pin each worker to its own metrics shard: deterministic, no false
     // sharing between workers.
@@ -435,7 +434,7 @@ report::RunInfo run_info(const RunConfig& config, const RunResult& result,
   info.best_predictor = result.best_predictor;
   info.counters = result.counters;
   info.predictors = result.predictors;
-  // All-zero under run_sim / Central dispatch (see RunResult::dispatch);
+  // All-zero under run_sim (see RunResult::dispatch);
   // the report layer omits the section in that case rather than printing
   // a wall of zeros that looks like a measurement.
   const auto& d = result.dispatch;

@@ -57,10 +57,10 @@ struct RunResult {
   std::uint64_t spec_dispatches = 0;      ///< pool pops of speculative tasks
   std::uint64_t control_dispatches = 0;   ///< pool pops of control tasks
 
-  /// Scheduler-path counters. Populated ONLY by run_threaded under
-  /// DispatchMode::Sharded. run_sim and Central dispatch leave every field
-  /// zero — those engines have no per-worker dispatch machinery to count,
-  /// so an all-zero struct means "not instrumented", not "nothing ran".
+  /// Scheduler-path counters. Populated ONLY by run_threaded. run_sim
+  /// leaves every field zero — the simulator has no per-worker dispatch
+  /// machinery to count, so an all-zero struct means "not instrumented",
+  /// not "nothing ran".
   /// Consumers must treat all-zero as absent; report::RunReport omits its
   /// Dispatch section in that case instead of printing zeros.
   sre::ThreadedExecutor::DispatchStats dispatch;
@@ -115,9 +115,6 @@ struct RunOptions {
   // Threaded engine only.
   unsigned workers = 4;
   double arrival_time_scale = 1.0;
-  /// Scheduler path: Sharded (work-stealing, lock-free completions) or
-  /// Central (single-lock baseline).
-  sre::DispatchMode dispatch = sre::DispatchMode::Sharded;
 };
 
 /// Runs `config` on the virtual-time simulator. Deterministic given a fixed

@@ -33,7 +33,6 @@ struct ServiceConfig {
   /// sessions simply never open epochs).
   sre::DispatchPolicy policy = sre::DispatchPolicy::Balanced;
   sre::PriorityMode priority_mode = sre::PriorityMode::DepthFirst;
-  sre::DispatchMode dispatch = sre::DispatchMode::Sharded;
 
   /// Multiplier on each session's block-arrival schedule (its RunConfig's
   /// ArrivalModel). 0 = inject blocks as fast as the feeder can — sessions

@@ -56,7 +56,6 @@ SessionManager::SessionManager(ServiceConfig cfg)
   if (cfg_.fault_plan != nullptr) rt_->set_fault_plan(cfg_.fault_plan);
   sre::ThreadedExecutor::Options topts;
   topts.workers = cfg_.workers;
-  topts.dispatch = cfg_.dispatch;
   if (cfg_.registry != nullptr) {
     topts.worker_start_hook = [](unsigned ix) {
       metrics::bind_shard(ix % metrics::kShards);

@@ -95,7 +95,7 @@ class Runtime {
   /// Pops the next task to run under the configured policy. `now_us`/`cpu`
   /// are bookkeeping for the observer (executors pass their engine time and
   /// CPU/worker index). One task per lock acquisition — the simulator's
-  /// path, and the threaded executor's legacy central path.
+  /// path, and the single-threaded drive the tests use as a reference.
   TaskPtr next_task(std::uint64_t now_us = 0, unsigned cpu = 0);
 
   /// Sharded-dispatch batch pop: under ONE lock acquisition, pops up to

@@ -39,16 +39,12 @@ bool apply_fault_plan(Runtime& runtime, Task& task) {
   return false;
 }
 
-/// True on sharded worker threads. A worker that makes new work ready (via
+/// True on worker threads. A worker that makes new work ready (via
 /// an inline finish or a hook) picks it up itself on its next acquire loop,
 /// so its ready_signal must not bounce to the director — only non-worker
 /// threads (feeder arrivals, director-run hooks) need that wake. Extra
 /// workers still engage through their timed-park ready_count predicate.
-thread_local bool tls_sharded_worker = false;
-
-std::size_t ceil_pow2(std::size_t n) {
-  return std::bit_ceil(std::max<std::size_t>(n, 2));
-}
+thread_local bool tls_worker = false;
 
 /// Log-bucket index for a latency sample: bit_width(us), so bucket b covers
 /// [2^(b-1), 2^b) µs and bucket 0 is exactly 0 µs.
@@ -86,37 +82,22 @@ ThreadedExecutor::ThreadedExecutor(Runtime& runtime, Options options)
   if (options_.workers == 0) {
     throw std::invalid_argument("ThreadedExecutor: need at least one worker");
   }
-  if (options_.dispatch == DispatchMode::Sharded) {
-    options_.stage_batch = std::min(std::max(options_.stage_batch, 1u), 256u);
-    const auto inbox_cap =
-        static_cast<unsigned>(ceil_pow2(options_.inbox_capacity));
-    // The deque must absorb a full inbox drain plus a self-staged batch so
-    // worker-side pushes can never fail after a free_estimate check.
-    const auto deque_cap = static_cast<unsigned>(ceil_pow2(
-        std::max<std::size_t>(options_.local_queue_capacity, inbox_cap * 2)));
-    wstate_.reserve(options_.workers);
-    for (unsigned i = 0; i < options_.workers; ++i) {
-      wstate_.push_back(std::make_unique<WorkerState>(inbox_cap, deque_cap));
-    }
-    // Sized generously: completions pile up whenever the director is starved
-    // for CPU (e.g. more workers than cores), and a full queue forces workers
-    // onto the per-task locked fallback — exactly the cost the batched drain
-    // exists to amortize away. ~24 B/cell, so 16 Ki cells is ~400 KiB.
-    const std::size_t cap = ceil_pow2(std::max<std::size_t>(
-        16384, options_.workers * (inbox_cap + deque_cap + 2)));
-    completions_ = std::make_unique<CompletionQueue>(cap);
-    free_buf_.assign(options_.workers, 0);
+  wstate_.reserve(options_.workers);
+  for (unsigned i = 0; i < options_.workers; ++i) {
+    wstate_.push_back(std::make_unique<WorkerState>());
   }
+  // Sized generously: completions pile up whenever the director is starved
+  // for CPU (e.g. more workers than cores), and a full queue forces workers
+  // onto the per-task locked fallback — exactly the cost the batched drain
+  // exists to amortize away. ~24 B/cell, so 16 Ki cells is ~400 KiB.
+  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(
+      16384, options_.workers * (kInboxCapacity + kDequeCapacity + 2)));
+  completions_ = std::make_unique<CompletionQueue>(cap);
+  free_buf_.assign(options_.workers, 0);
+  // New ready work: the director stages it out. run() polls with a timeout,
+  // so it needs no eager wakeup here.
   runtime_.set_ready_signal([this] {
-    if (options_.dispatch == DispatchMode::Sharded) {
-      // New ready work: the director stages it out. run() polls with a
-      // timeout, so it needs no eager wakeup here.
-      if (!tls_sharded_worker) wake_director();
-    } else {
-      std::scoped_lock lk(mu_);
-      work_cv_.notify_all();
-      done_cv_.notify_all();
-    }
+    if (!tls_worker) wake_director();
   });
 }
 
@@ -124,20 +105,16 @@ ThreadedExecutor::~ThreadedExecutor() {
   {
     std::scoped_lock lk(mu_);
     stopping_.store(true, std::memory_order_release);
-    work_cv_.notify_all();
-    director_cv_.notify_all();
     done_cv_.notify_all();
   }
   {
     std::scoped_lock lk(feeder_mu_);
     feeder_cv_.notify_all();
   }
-  if (options_.dispatch == DispatchMode::Sharded) {
-    wake_all_workers();
-    {
-      std::scoped_lock lk(dir_mu_);
-      dir_cv_.notify_all();
-    }
+  wake_all_workers();
+  {
+    std::scoped_lock lk(dir_mu_);
+    dir_cv_.notify_all();
   }
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
@@ -218,9 +195,8 @@ void ThreadedExecutor::feeder_loop() {
     std::scoped_lock lk2(mu_);
     feeder_done_.store(true, std::memory_order_release);
     done_cv_.notify_all();
-    work_cv_.notify_all();
   }
-  if (options_.dispatch == DispatchMode::Sharded) wake_director();
+  wake_director();
 }
 
 void ThreadedExecutor::fail(const std::string& what) {
@@ -228,22 +204,16 @@ void ThreadedExecutor::fail(const std::string& what) {
     std::scoped_lock lk(mu_);
     if (error_.empty()) error_ = what;
     stopping_.store(true, std::memory_order_release);
-    work_cv_.notify_all();
-    director_cv_.notify_all();
     done_cv_.notify_all();
   }
   {
     std::scoped_lock lk(feeder_mu_);
     feeder_cv_.notify_all();
   }
-  if (options_.dispatch == DispatchMode::Sharded) {
-    wake_all_workers();
-    std::scoped_lock lk(dir_mu_);
-    dir_cv_.notify_all();
-  }
+  wake_all_workers();
+  std::scoped_lock lk(dir_mu_);
+  dir_cv_.notify_all();
 }
-
-// --- Sharded mode -----------------------------------------------------------
 
 void ThreadedExecutor::wake_worker(unsigned worker_ix) {
   WorkerState& w = *wstate_[worker_ix];
@@ -267,9 +237,7 @@ void ThreadedExecutor::wake_director() {
 
 bool ThreadedExecutor::distribute() {
   if (runtime_.ready_count() == 0) return false;
-  constexpr std::size_t kMax = 256;
   const unsigned nworkers = options_.workers;
-  const std::size_t batch = options_.stage_batch;
 
   for (unsigned w = 0; w < nworkers; ++w) {
     free_buf_[w] = wstate_[w]->inbox.free_slots();
@@ -281,13 +249,13 @@ bool ThreadedExecutor::distribute() {
   // when the awake ones are saturated. With fewer runnable chains than
   // workers this keeps the idle majority asleep instead of bouncing every
   // handoff to a fresh sleeper.
-  unsigned targets[kMax];
+  unsigned targets[kStageBatch];
   std::size_t want = 0;
-  for (int pass = 0; pass < 2 && want < batch; ++pass) {
+  for (int pass = 0; pass < 2 && want < kStageBatch; ++pass) {
     bool assigned = true;
-    while (want < batch && assigned) {
+    while (want < kStageBatch && assigned) {
       assigned = false;
-      for (unsigned k = 0; k < nworkers && want < batch; ++k) {
+      for (unsigned k = 0; k < nworkers && want < kStageBatch; ++k) {
         const unsigned w = (rr_cursor_ + k) % nworkers;
         if (free_buf_[w] == 0) continue;
         const bool parked = wstate_[w]->parked.load(std::memory_order_relaxed);
@@ -301,7 +269,7 @@ bool ThreadedExecutor::distribute() {
   rr_cursor_ = (rr_cursor_ + 1) % nworkers;
   if (want == 0) return false;  // all inboxes full; completions will drain them
 
-  Task* out[kMax];
+  Task* out[kStageBatch];
   const std::size_t n =
       runtime_.stage_ready_batch(now_us(), targets, want, out);
   for (std::size_t i = 0; i < n; ++i) {
@@ -349,7 +317,7 @@ std::size_t ThreadedExecutor::try_retire_batch() {
   return n;
 }
 
-void ThreadedExecutor::director_loop_sharded() {
+void ThreadedExecutor::director_loop() {
   for (;;) {
     if (stopping_.load(std::memory_order_acquire)) return;
     bool progress = false;
@@ -504,9 +472,9 @@ bool ThreadedExecutor::execute_and_retire(Task* task, WorkerState& me,
   return true;
 }
 
-void ThreadedExecutor::worker_loop_sharded(unsigned worker_ix) {
+void ThreadedExecutor::worker_loop(unsigned worker_ix) {
   if (options_.worker_start_hook) options_.worker_start_hook(worker_ix);
-  tls_sharded_worker = true;
+  tls_worker = true;
   WorkerState& me = *wstate_[worker_ix];
   const bool time_pops = options_.collect_pop_latency;
   for (;;) {
@@ -538,117 +506,24 @@ void ThreadedExecutor::worker_loop_sharded(unsigned worker_ix) {
   }
 }
 
-// --- Central (legacy single-lock) mode --------------------------------------
-
-bool ThreadedExecutor::finished_locked_central() const {
-  return feeder_done_.load(std::memory_order_acquire) &&
-         completions_central_.empty() && in_flight_ == 0 &&
-         runtime_.quiescent();
-}
-
-void ThreadedExecutor::worker_loop_central(unsigned worker_ix) {
-  if (options_.worker_start_hook) options_.worker_start_hook(worker_ix);
-  for (;;) {
-    {
-      std::unique_lock lk(mu_);
-      work_cv_.wait(lk, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               runtime_.ready_count() > 0;
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      ++in_flight_;  // claimed below; released if the pop loses the race
-    }
-    TaskPtr task = runtime_.next_task(now_us(), worker_ix);
-    if (!task) {
-      std::scoped_lock lk(mu_);
-      --in_flight_;
-      done_cv_.notify_all();
-      continue;
-    }
-    if (!apply_fault_plan(runtime_, *task)) {
-      SRE_CHAOS_POINT("executor.before_body");
-      try {
-        // Simple polling model of the paper's x86 backend: the worker runs
-        // the assigned task to completion; abort flags are honoured by the
-        // runtime when the completion is directed.
-        TaskContext ctx{runtime_, *task, now_us(), worker_ix};
-        task->run(ctx);
-      } catch (const std::exception& e) {
-        fail("task '" + task->name() + "' threw: " + e.what());
-        return;
-      }
-      SRE_CHAOS_POINT("executor.after_body");
-    }
-    {
-      std::scoped_lock lk(mu_);
-      completions_central_.push_back({std::move(task), now_us()});
-      director_cv_.notify_one();
-    }
-  }
-}
-
-void ThreadedExecutor::director_loop_central() {
-  for (;;) {
-    Completion c;
-    {
-      std::unique_lock lk(mu_);
-      director_cv_.wait(lk, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !completions_central_.empty();
-      });
-      if (completions_central_.empty()) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      c = std::move(completions_central_.front());
-      completions_central_.pop_front();
-    }
-    // Dependence propagation and completion hooks run on the director thread,
-    // matching the paper's dedicated scheduling/data-directing thread.
-    runtime_.on_task_finished(c.task, c.done_us);
-    {
-      std::scoped_lock lk(mu_);
-      --in_flight_;
-      work_cv_.notify_all();
-      done_cv_.notify_all();
-    }
-  }
-}
-
-// --- Shared run -------------------------------------------------------------
-
 void ThreadedExecutor::run() {
   {
     std::scoped_lock lk(mu_);
     feeder_done_.store(false, std::memory_order_release);
     stopping_.store(false, std::memory_order_release);
   }
-  const bool sharded = options_.dispatch == DispatchMode::Sharded;
   feeder_ = std::thread([this] { feeder_loop(); });
-  director_ = std::thread([this, sharded] {
-    if (sharded) {
-      director_loop_sharded();
-    } else {
-      director_loop_central();
-    }
-  });
+  director_ = std::thread([this] { director_loop(); });
   workers_.reserve(options_.workers);
   for (unsigned i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this, sharded, i] {
-      if (sharded) {
-        worker_loop_sharded(i);
-      } else {
-        worker_loop_central(i);
-      }
-    });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 
   {
     std::unique_lock lk(mu_);
     // Periodic recheck guards against rare wakeup races between the mutexes
     // involved (runtime's, ours, and the per-worker park locks).
-    const auto finished = [this, sharded] {
-      if (!sharded) return finished_locked_central();
+    const auto finished = [this] {
       // Order matters: quiescent() before directing_ == 0, then quiescent()
       // again. A completion hook may submit follow-on work after
       // outstanding_ transiently hits zero; during that whole window
@@ -663,15 +538,11 @@ void ThreadedExecutor::run() {
       done_cv_.wait_for(lk, std::chrono::milliseconds(10));
     }
     stopping_.store(true, std::memory_order_release);
-    work_cv_.notify_all();
-    director_cv_.notify_all();
   }
-  if (sharded) {
-    wake_all_workers();
-    {
-      std::scoped_lock lk(dir_mu_);
-      dir_cv_.notify_all();
-    }
+  wake_all_workers();
+  {
+    std::scoped_lock lk(dir_mu_);
+    dir_cv_.notify_all();
   }
 
   for (auto& w : workers_) w.join();

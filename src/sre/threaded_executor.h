@@ -6,25 +6,17 @@
 // (dependence propagation, completion hooks), and N worker threads execute
 // computational tasks.
 //
-// Two dispatch modes:
-//
-//  * Sharded (default) — the scalable path. The director batch-pops ready
-//    tasks from the central pool (one lock acquisition per batch) and feeds
-//    them to per-worker bounded SPSC inboxes; each worker drains its inbox
-//    into a private Chase–Lev deque, pops locally without any lock, and
-//    steals from siblings when dry. Completions retire through a lock-free
-//    MPSC queue back to the director — a worker never takes the runtime
-//    lock to finish a task. Wakeups are targeted (one condvar per worker,
-//    one for the director); there is no broadcast on the hot path.
-//    Rollback correctness: tasks staged into worker-local queues carry a
-//    revocation-epoch stamp; a worker popping a task whose stamp is stale
-//    checks the abort flag and, if set, retires the task unrun (the
-//    completion path then discards it exactly like an in-flight abort).
-//
-//  * Central — the paper-literal single-lock baseline (every pop goes
-//    through Runtime::next_task, completions through one mutex-guarded
-//    deque). Kept for A/B measurement (bench/micro_dispatch) and as the
-//    reference for the determinism-of-results tests.
+// Dispatch: the director batch-pops ready tasks from the central pool (one
+// lock acquisition per batch) and feeds them to per-worker bounded SPSC
+// inboxes; each worker drains its inbox into a private Chase–Lev deque, pops
+// locally without any lock, and steals from siblings when dry. Completions
+// retire through a lock-free MPSC queue back to the director — a worker
+// never takes the runtime lock to finish a task. Wakeups are targeted (one
+// condvar per worker, one for the director); there is no broadcast on the
+// hot path. Rollback correctness: tasks staged into worker-local queues
+// carry a revocation-epoch stamp; a worker popping a task whose stamp is
+// stale checks the abort flag and, if set, retires the task unrun (the
+// completion path then discards it exactly like an in-flight abort).
 //
 // Used by the examples and tests; the figure benchmarks use the
 // deterministic virtual-time sim::SimExecutor instead (see DESIGN.md §3 and
@@ -36,7 +28,6 @@
 #include <condition_variable>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,9 +41,6 @@
 
 namespace sre {
 
-/// How worker threads obtain tasks. See the file comment.
-enum class DispatchMode : std::uint8_t { Central, Sharded };
-
 class ThreadedExecutor {
  public:
   struct Options {
@@ -64,12 +52,7 @@ class ThreadedExecutor {
     /// loop, with the worker index. Lets callers pin thread-local state to
     /// the thread (e.g. metrics::bind_shard) without this layer depending
     /// on them. May be null.
-    std::function<void(unsigned worker_ix)> worker_start_hook;
-    DispatchMode dispatch = DispatchMode::Sharded;
-    /// Sharded mode tuning. Capacities are rounded up to powers of two.
-    unsigned inbox_capacity = 32;       ///< director→worker staging ring
-    unsigned local_queue_capacity = 64; ///< per-worker steal deque
-    unsigned stage_batch = 16;          ///< max tasks staged per lock grab
+    std::function<void(unsigned worker_ix)> worker_start_hook = nullptr;
     /// Record per-pop dispatch latency (acquire-start → task in hand) into
     /// DispatchStats::pop_latency. Off by default: it adds two clock reads
     /// per task.
@@ -79,7 +62,7 @@ class ThreadedExecutor {
   /// Arrival callback: receives the engine time (µs) at which it fired.
   using Arrival = std::function<void(std::uint64_t now_us)>;
 
-  /// Aggregated dispatch counters (sharded mode; zeros under Central).
+  /// Aggregated dispatch counters.
   /// Collected per worker on cache-line-padded private slots and summed on
   /// demand — workers never contend on these.
   struct DispatchStats {
@@ -155,16 +138,19 @@ class ThreadedExecutor {
   /// Aggregated dispatch counters; meaningful after run() returns.
   [[nodiscard]] DispatchStats dispatch_stats() const;
 
-  [[nodiscard]] DispatchMode dispatch_mode() const { return options_.dispatch; }
-
  private:
-  // --- Sharded mode ---------------------------------------------------------
+  /// Dispatch sizing. Capacities are powers of two; the deque must absorb a
+  /// full inbox drain plus a self-staged batch, so worker-side pushes can
+  /// never fail after a free_estimate check.
+  static constexpr unsigned kInboxCapacity = 32;  ///< director→worker ring
+  static constexpr unsigned kDequeCapacity = 64;  ///< per-worker steal deque
+  static constexpr unsigned kStageBatch = 16;  ///< max tasks staged per lock grab
+  static_assert(kDequeCapacity >= 2 * kInboxCapacity);
 
   /// Per-worker state. Heap-allocated so WorkerState addresses are stable
   /// and cache-line aligned; workers only dirty their own lines.
   struct alignas(64) WorkerState {
-    WorkerState(unsigned inbox_cap, unsigned deque_cap)
-        : inbox(inbox_cap), deque(deque_cap) {
+    WorkerState() : inbox(kInboxCapacity), deque(kDequeCapacity) {
       scratch.reserve(inbox.capacity());
     }
     SpscRing inbox;
@@ -173,12 +159,11 @@ class ThreadedExecutor {
     std::mutex park_mu;
     std::condition_variable park_cv;
     std::atomic<bool> parked{false};
-    std::uint64_t revocation_seen = 0;  ///< owner thread only
-    DispatchStats stats;                ///< owner thread writes, run() reads after join
+    DispatchStats stats;  ///< owner thread writes, run() reads after join
   };
 
-  void worker_loop_sharded(unsigned worker_ix);
-  void director_loop_sharded();
+  void worker_loop(unsigned worker_ix);
+  void director_loop();
   Task* acquire_task(WorkerState& me, unsigned worker_ix);
   Task* drain_inbox(WorkerState& me);
   bool execute_and_retire(Task* task, WorkerState& me, unsigned worker_ix);
@@ -191,12 +176,6 @@ class ThreadedExecutor {
   void wake_director();
   void wake_all_workers();
 
-  // --- Central (legacy single-lock) mode ------------------------------------
-
-  void worker_loop_central(unsigned worker_ix);
-  void director_loop_central();
-  [[nodiscard]] bool finished_locked_central() const;
-
   void feeder_loop();
   void fail(const std::string& what);
 
@@ -204,16 +183,8 @@ class ThreadedExecutor {
   Options options_;
   std::chrono::steady_clock::time_point start_;
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;      ///< wakes workers (central mode)
-  std::condition_variable done_cv_;      ///< wakes run()
-  std::condition_variable director_cv_;  ///< wakes the director (central mode)
-
-  struct Completion {
-    TaskPtr task;
-    std::uint64_t done_us;
-  };
-  std::deque<Completion> completions_central_;
+  std::mutex mu_;
+  std::condition_variable done_cv_;  ///< wakes run()
 
   /// Feeder schedule: a binary min-heap on (at_us, seq) — seq preserves
   /// submission order between equal-time arrivals, matching the stable sort
@@ -235,12 +206,11 @@ class ThreadedExecutor {
   std::uint64_t arrival_seq_ = 0;   ///< guarded by feeder_mu_
   bool service_open_ = false;       ///< guarded by feeder_mu_
 
-  std::size_t in_flight_ = 0;  ///< central mode: popped, not yet directed
   std::atomic<bool> feeder_done_{false};
   std::atomic<bool> stopping_{false};
   std::string error_;  ///< guarded by mu_
 
-  // Sharded mode machinery.
+  // Dispatch machinery.
   std::vector<std::unique_ptr<WorkerState>> wstate_;
   std::unique_ptr<CompletionQueue> completions_;
   /// Serializes the single-consumer side of completions_ (the "retire

@@ -226,8 +226,6 @@ TortureReport run_speculator_torture(const TortureOptions& opt) {
 
   sre::ThreadedExecutor::Options ex_opt;
   ex_opt.workers = opt.workers;
-  ex_opt.dispatch = (opt.seed & 1) != 0 ? sre::DispatchMode::Sharded
-                                        : sre::DispatchMode::Central;
   sre::ThreadedExecutor ex(rt, ex_opt);
 
   const std::uint32_t burst = std::max<std::uint32_t>(1, opt.burst);

@@ -183,7 +183,6 @@ TEST(RunReport, EmitsDispatchSectionForShardedThreadedRuns) {
   auto cfg = small_config();
   pipeline::RunOptions opt;
   opt.workers = 4;
-  opt.dispatch = sre::DispatchMode::Sharded;
   const auto res = pipeline::run_threaded(cfg, opt);
   const report::RunInfo info = pipeline::run_info(cfg, res, "threaded");
   ASSERT_FALSE(info.dispatch.empty());

@@ -2,7 +2,9 @@
 // concurrent-vs-sequential identity guarantee.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "huffman/stream_format.h"
@@ -13,6 +15,7 @@
 #include "serve/session.h"
 #include "serve/session_manager.h"
 #include "serve/shed_policy.h"
+#include "sre/fault.h"
 
 namespace {
 
@@ -324,14 +327,40 @@ TEST(SessionManager, EmptyInputCompletesWithValidEmptyContainer) {
   EXPECT_TRUE(mgr.runtime().quiescent());
 }
 
+/// Holds every task body until open() is called, so a test can observe a
+/// session that is certain not to have finished.
+class GatePlan final : public sre::FaultPlan {
+ public:
+  sre::FaultDecision before_task(const sre::Task&) noexcept override {
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [this] { return open_; });
+    return sre::FaultDecision::none();
+  }
+  void open() {
+    {
+      std::scoped_lock lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(SessionManager, ReleaseDropsResultButKeepsStats) {
+  GatePlan gate;
   serve::ServiceConfig cfg;
   cfg.workers = 2;
+  cfg.fault_plan = &gate;
   SessionManager mgr(cfg);
   const auto out =
       mgr.submit(small_session(3, sre::DispatchPolicy::NonSpeculative));
   ASSERT_TRUE(out.accepted);
-  EXPECT_FALSE(mgr.release(out.id));  // not terminal yet
+  EXPECT_FALSE(mgr.release(out.id));  // not terminal yet: bodies are gated
+  gate.open();
   ASSERT_NE(mgr.wait(out.id), nullptr);
 
   EXPECT_TRUE(mgr.release(out.id));

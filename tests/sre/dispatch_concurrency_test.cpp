@@ -1,6 +1,6 @@
-// Concurrency tests for the sharded dispatch path: rollback revocation of
-// tasks staged in worker-local queues, determinism of run *results* across
-// the Central and Sharded executors, and accounting invariants of the
+// Concurrency tests for the threaded dispatch path: rollback revocation of
+// tasks staged in worker-local queues, run *results* that match a
+// single-threaded drive of the same DAG, and accounting invariants of the
 // acquire/retire counters.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 
 namespace {
 
-using sre::DispatchMode;
 using sre::DispatchPolicy;
 using sre::Runtime;
 using sre::TaskClass;
@@ -109,11 +108,9 @@ struct RunTotals {
 // One seeded workload: a natural chain plus speculative epochs that commit
 // or abort based on the seed — the abort/commit decision is wired into the
 // DAG (a completion hook), not the schedule, so the totals are
-// schedule-independent.
-RunTotals run_workload(DispatchMode mode, unsigned seed) {
-  Runtime rt(DispatchPolicy::Aggressive);
-  ThreadedExecutor ex(rt, {.workers = 4, .dispatch = mode});
-
+// schedule-independent. `verdicts` must outlive the run.
+void build_workload(Runtime& rt, unsigned seed,
+                    std::deque<std::atomic<bool>>& verdicts) {
   std::mt19937 rng(seed);
   const int chain_len = 3 + static_cast<int>(rng() % 8);
   const int n_epochs = 1 + static_cast<int>(rng() % 4);
@@ -127,7 +124,6 @@ RunTotals run_workload(DispatchMode mode, unsigned seed) {
     prev = t;
   }
 
-  std::deque<std::atomic<bool>> verdicts;  // stable addresses
   for (int k = 0; k < n_epochs; ++k) {
     const bool doomed = (rng() & 1) != 0;
     const sre::Epoch e = rt.open_epoch();
@@ -165,27 +161,54 @@ RunTotals run_workload(DispatchMode mode, unsigned seed) {
     rt.submit(b);
     rt.submit(c);
   }
+}
 
-  ex.run();
+RunTotals totals(const Runtime& rt) {
   const stats::RunCounters c = rt.counters();
   return RunTotals{c.tasks_executed, c.tasks_aborted, c.spec_tasks_executed,
                    c.epochs_opened, c.epochs_committed};
 }
 
-// The sharded executor may interleave tasks differently from the single-lock
-// baseline, but the *results* — commit/abort totals — must be identical for
-// the same DAG, because abort/commit decisions are data-flow, not timing.
-TEST(DispatchConcurrency, DeterministicTotalsAcrossModes) {
+RunTotals run_threaded(unsigned seed) {
+  Runtime rt(DispatchPolicy::Aggressive);
+  ThreadedExecutor ex(rt, {.workers = 4});
+  std::deque<std::atomic<bool>> verdicts;  // stable addresses
+  build_workload(rt, seed, verdicts);
+  ex.run();
+  return totals(rt);
+}
+
+/// The reference: one thread pops, runs and retires each task in turn
+/// through Runtime::next_task / on_task_finished, the executor contract
+/// with no concurrency at all.
+RunTotals run_serial(unsigned seed) {
+  Runtime rt(DispatchPolicy::Aggressive);
+  std::deque<std::atomic<bool>> verdicts;
+  build_workload(rt, seed, verdicts);
+  std::uint64_t t = 0;
+  while (sre::TaskPtr task = rt.next_task(t)) {
+    TaskContext ctx{rt, *task, t};
+    task->run(ctx);
+    rt.on_task_finished(task, ++t);
+  }
+  EXPECT_TRUE(rt.quiescent()) << "seed " << seed;
+  return totals(rt);
+}
+
+// The threaded executor interleaves tasks across workers, but the *results*
+// — commit/abort totals — must equal a single-threaded drive of the same
+// DAG, because abort/commit decisions are data-flow, not timing.
+TEST(DispatchConcurrency, ThreadedTotalsMatchSerialDrive) {
   for (unsigned seed = 0; seed < 100; ++seed) {
-    const RunTotals central = run_workload(DispatchMode::Central, seed);
-    const RunTotals sharded = run_workload(DispatchMode::Sharded, seed);
-    ASSERT_EQ(central.executed, sharded.executed) << "seed " << seed;
-    ASSERT_EQ(central.aborted, sharded.aborted) << "seed " << seed;
-    ASSERT_EQ(central.spec_executed, sharded.spec_executed)
+    const RunTotals serial = run_serial(seed);
+    const RunTotals threaded = run_threaded(seed);
+    ASSERT_EQ(serial.executed, threaded.executed) << "seed " << seed;
+    ASSERT_EQ(serial.aborted, threaded.aborted) << "seed " << seed;
+    ASSERT_EQ(serial.spec_executed, threaded.spec_executed)
         << "seed " << seed;
-    ASSERT_EQ(central.epochs_opened, sharded.epochs_opened)
+    ASSERT_EQ(serial.epochs_opened, threaded.epochs_opened)
         << "seed " << seed;
-    ASSERT_EQ(central.epochs_committed, sharded.epochs_committed)
+    ASSERT_EQ(serial.epochs_committed, threaded.epochs_committed)
         << "seed " << seed;
   }
 }
@@ -211,22 +234,6 @@ TEST(DispatchConcurrency, AcquireSourcesSumToTasksRun) {
   EXPECT_EQ(s.pop_count(), static_cast<std::uint64_t>(kTasks))
       << "local+inbox+steal+self_stage pops must cover every task exactly once";
   EXPECT_LE(s.director_stages, static_cast<std::uint64_t>(kTasks));
-}
-
-// Central mode reports no sharded-path activity: its pops all go through the
-// runtime lock.
-TEST(DispatchConcurrency, CentralModeHasNoShardedCounters) {
-  Runtime rt(DispatchPolicy::Balanced);
-  ThreadedExecutor ex(rt, {.workers = 2, .dispatch = DispatchMode::Central});
-  for (int i = 0; i < 50; ++i) {
-    rt.submit(rt.make_task("t" + std::to_string(i), TaskClass::Natural,
-                           sre::kNaturalEpoch, 1, 1, [](TaskContext&) {}));
-  }
-  ex.run();
-  EXPECT_EQ(rt.counters().tasks_executed, 50u);
-  const ThreadedExecutor::DispatchStats s = ex.dispatch_stats();
-  EXPECT_EQ(s.pop_count(), 0u);
-  EXPECT_EQ(s.director_stages, 0u);
 }
 
 }  // namespace

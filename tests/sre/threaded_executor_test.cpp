@@ -125,58 +125,6 @@ TEST(ThreadedExecutor, ZeroWorkersRejected) {
   EXPECT_THROW(ThreadedExecutor(rt, {.workers = 0}), std::invalid_argument);
 }
 
-// Central-mode (single-lock baseline) variants: the legacy dispatch path
-// stays available for A/B measurement and must keep passing the same
-// behavioural contract.
-
-TEST(ThreadedExecutorCentral, RunsSingleTask) {
-  Runtime rt(DispatchPolicy::Balanced);
-  ThreadedExecutor ex(rt, {.workers = 2,
-                           .dispatch = sre::DispatchMode::Central});
-  std::atomic<bool> ran{false};
-  auto t = rt.make_task("t", TaskClass::Natural, 0, 1, 1,
-                        [&ran](TaskContext&) { ran = true; });
-  rt.submit(t);
-  ex.run();
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(rt.quiescent());
-}
-
-TEST(ThreadedExecutorCentral, HooksSpawnFollowOnWork) {
-  Runtime rt(DispatchPolicy::Balanced);
-  ThreadedExecutor ex(rt, {.workers = 2,
-                           .dispatch = sre::DispatchMode::Central});
-  std::atomic<int> phase{0};
-  auto first = rt.make_task("first", TaskClass::Natural, 0, 1, 1,
-                            [&phase](TaskContext&) { phase = 1; });
-  first->add_completion_hook([&rt, &phase](sre::Task&, std::uint64_t) {
-    rt.submit(rt.make_task("second", TaskClass::Natural, 0, 1, 1,
-                           [&phase](TaskContext&) { phase = 2; }));
-  });
-  rt.submit(first);
-  ex.run();
-  EXPECT_EQ(phase, 2);
-}
-
-TEST(ThreadedExecutorCentral, DeepSerialChainCompletes) {
-  Runtime rt(DispatchPolicy::Balanced);
-  ThreadedExecutor ex(rt, {.workers = 4,
-                           .dispatch = sre::DispatchMode::Central});
-  std::atomic<int> counter{0};
-  sre::TaskPtr prev;
-  for (int i = 0; i < 200; ++i) {
-    auto t = rt.make_task("link" + std::to_string(i), TaskClass::Natural, 0, 1,
-                          1, [&counter, i](TaskContext&) {
-                            EXPECT_EQ(counter.fetch_add(1), i);
-                          });
-    if (prev) rt.add_dependency(prev, t);
-    prev = t;
-    rt.submit(t);
-  }
-  ex.run();
-  EXPECT_EQ(counter, 200);
-}
-
 TEST(ThreadedExecutor, DeepSerialChainCompletes) {
   Runtime rt(DispatchPolicy::Balanced);
   ThreadedExecutor ex(rt, {.workers = 4});

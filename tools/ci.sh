@@ -7,7 +7,9 @@
 #
 #   tools/ci.sh            # tier-1 + sanitizers
 #   tools/ci.sh tsan       # ThreadSanitizer over the sre_core test label
-#                          # (scheduler, speculation, dispatch concurrency)
+#                          # (scheduler, speculation, dispatch concurrency),
+#                          # then a quick micro_dispatch sweep (1..16
+#                          # workers, flat and chain shapes) under TSan
 #   tools/ci.sh torture    # speculation torture harness under TSan: the
 #                          # fixed seed set plus one time-boxed random-seed
 #                          # sweep (prints the seed to replay on failure)
@@ -42,6 +44,9 @@ if [[ "${1:-}" == "tsan" ]]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$JOBS"
   ctest --preset tsan -j"$JOBS"
+  # The dispatch path end to end, up to 16 workers on the chain shape.
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    ./build-tsan/bench/micro_dispatch --quick --out "$(mktemp)"
   echo "== tsan green =="
   exit 0
 fi
