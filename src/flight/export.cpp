@@ -12,6 +12,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sre/ids.h"
+
 namespace flight {
 namespace {
 
@@ -55,20 +57,9 @@ std::string name_of(const std::vector<std::string>& names, std::uint32_t id,
 
 double as_double(std::uint64_t bits) { return std::bit_cast<double>(bits); }
 
-/// Join of one task's lifecycle records.
-struct TaskAgg {
-  std::uint32_t name = 0;
-  std::uint64_t stream = 0;
-  std::uint32_t epoch = 0;
-  std::uint32_t cls = 0;
-  std::uint64_t depth = 0;
-  bool has_dispatch = false;
-  bool has_finish = false;
-  bool aborted = false;
-  std::uint64_t dispatch_us = 0;
-  std::uint64_t finish_us = 0;
-  std::uint16_t cpu = 0;
-};
+bool is_class(const TaskSpan& t, sre::TaskClass c) {
+  return t.cls == static_cast<std::uint32_t>(c);
+}
 
 const char* class_name(std::uint32_t cls) {
   switch (cls) {
@@ -96,11 +87,45 @@ T read_pod(const std::string& s, std::size_t& pos) {
 
 }  // namespace
 
+std::vector<TaskSpan> task_spans(const std::vector<Record>& records) {
+  std::vector<TaskSpan> spans;
+  std::unordered_map<std::uint64_t, std::size_t> index;
+  for (const Record& r : records) {
+    if (r.kind != Kind::TaskCreated && r.kind != Kind::TaskDispatched &&
+        r.kind != Kind::TaskFinished) {
+      continue;
+    }
+    const auto [it, inserted] = index.try_emplace(r.task, spans.size());
+    if (inserted) spans.push_back(TaskSpan{.task = r.task});
+    TaskSpan& t = spans[it->second];
+    switch (r.kind) {
+      case Kind::TaskCreated:
+        t.name = r.name;
+        t.stream = r.stream;
+        t.epoch = r.epoch;
+        t.cls = r.flags;
+        t.depth = r.a;
+        break;
+      case Kind::TaskDispatched:
+        t.dispatched = true;
+        t.dispatch_us = r.t_us;
+        t.cpu = r.cpu;
+        break;
+      default:  // TaskFinished
+        t.finished = true;
+        t.finish_us = r.t_us;
+        t.aborted = (r.flags & kFlagAborted) != 0;
+        break;
+    }
+  }
+  return spans;
+}
+
 std::string to_chrome_trace(const std::vector<Record>& records,
                             const std::vector<std::string>& names,
                             const PostMortemInfo* post_mortem) {
   // Join task lifecycles and collect per-epoch / per-session extents.
-  std::unordered_map<std::uint64_t, TaskAgg> tasks;
+  const std::vector<TaskSpan> tasks = task_spans(records);
   struct EpochAgg {
     std::uint64_t stream = 0;
     bool committed = false, aborted = false;
@@ -130,33 +155,6 @@ std::string to_chrome_trace(const std::vector<Record>& records,
 
   for (const Record& r : records) {
     switch (r.kind) {
-      case Kind::TaskCreated: {
-        TaskAgg& t = tasks[r.task];
-        t.name = r.name;
-        t.stream = r.stream;
-        t.epoch = r.epoch;
-        t.cls = r.flags;
-        t.depth = r.a;
-        if (r.epoch != 0) {
-          EpochAgg& e = epochs[r.epoch];
-          if (r.stream != 0) e.stream = r.stream;
-        }
-        break;
-      }
-      case Kind::TaskDispatched: {
-        TaskAgg& t = tasks[r.task];
-        t.has_dispatch = true;
-        t.dispatch_us = r.t_us;
-        t.cpu = r.cpu;
-        break;
-      }
-      case Kind::TaskFinished: {
-        TaskAgg& t = tasks[r.task];
-        t.has_finish = true;
-        t.finish_us = r.t_us;
-        t.aborted = (r.flags & kFlagAborted) != 0;
-        break;
-      }
       case Kind::EpochOpened:
         (void)epochs[r.epoch];
         break;
@@ -179,9 +177,11 @@ std::string to_chrome_trace(const std::vector<Record>& records,
         break;
     }
   }
-  for (const auto& [id, t] : tasks) {
-    if (t.epoch == 0 || !t.has_dispatch || !t.has_finish) continue;
+  for (const TaskSpan& t : tasks) {
+    if (t.epoch == 0) continue;
     EpochAgg& e = epochs[t.epoch];
+    if (t.stream != 0) e.stream = t.stream;
+    if (!t.ran()) continue;
     stretch(e.timed, e.t_min, e.t_max, t.dispatch_us);
     stretch(e.timed, e.t_min, e.t_max, t.finish_us);
   }
@@ -189,7 +189,7 @@ std::string to_chrome_trace(const std::vector<Record>& records,
   std::set<std::uint64_t> pids;
   pids.insert(0);
   for (const auto& [s, agg] : sessions) pids.insert(s);
-  for (const auto& [id, t] : tasks) pids.insert(t.stream);
+  for (const TaskSpan& t : tasks) pids.insert(t.stream);
   for (const auto& [e, agg] : epochs) pids.insert(agg.stream);
   if (post_mortem != nullptr) pids.insert(post_mortem->session);
 
@@ -262,8 +262,8 @@ std::string to_chrome_trace(const std::vector<Record>& records,
   }
 
   // Task spans (tid 2 + worker index).
-  for (const auto& [tid, t] : tasks) {
-    if (!t.has_dispatch || !t.has_finish) continue;
+  for (const TaskSpan& t : tasks) {
+    if (!t.ran()) continue;
     const std::uint64_t dur =
         t.finish_us > t.dispatch_us ? t.finish_us - t.dispatch_us : 1;
     std::ostringstream ev;
@@ -271,7 +271,7 @@ std::string to_chrome_trace(const std::vector<Record>& records,
        << "\",\"cat\":\"" << class_name(t.cls)
        << (t.aborted ? ",aborted" : "") << "\",\"ph\":\"X\",\"ts\":"
        << t.dispatch_us << ",\"dur\":" << dur << ",\"pid\":" << t.stream
-       << ",\"tid\":" << (2 + t.cpu) << ",\"args\":{\"task\":" << tid
+       << ",\"tid\":" << (2 + t.cpu) << ",\"args\":{\"task\":" << t.task
        << ",\"epoch\":" << t.epoch << ",\"depth\":" << t.depth << "}}";
     emit(ev.str());
   }
@@ -357,6 +357,86 @@ std::string to_chrome_trace(const std::vector<Record>& records,
   }
 
   os << "\n]\n";
+  return os.str();
+}
+
+std::string to_dot(const std::vector<Record>& records,
+                   const std::vector<std::string>& names,
+                   std::size_t max_tasks) {
+  const std::vector<TaskSpan> tasks = task_spans(records);
+  const std::size_t limit =
+      max_tasks == 0 ? tasks.size() : std::min(max_tasks, tasks.size());
+
+  std::ostringstream os;
+  os << "digraph dfg {\n  rankdir=LR;\n  node [fontsize=9];\n";
+  std::unordered_set<std::uint64_t> included;
+  for (std::size_t i = 0; i < limit; ++i) {
+    const TaskSpan& t = tasks[i];
+    included.insert(t.task);
+    const bool control = is_class(t, sre::TaskClass::Control);
+    const char* shape = control ? "diamond" : "box";
+    // The paper draws speculation dashed.
+    const char* style =
+        is_class(t, sre::TaskClass::Speculative) ? "dashed" : "solid";
+    const char* color = t.aborted ? "red" : control ? "blue" : "black";
+    os << "  t" << t.task << " [label=\""
+       << json_escape(name_of(names, t.name, "task")) << "\",shape=" << shape
+       << ",style=" << style << ",color=" << color << "];\n";
+  }
+  for (const Record& r : records) {
+    if (r.kind == Kind::Edge && included.contains(r.a) &&
+        included.contains(r.task)) {
+      os << "  t" << r.a << " -> t" << r.task << ";\n";
+    }
+  }
+  os << "}\n";
+  return os.str();
+}
+
+std::string utilization_timeline(const std::vector<Record>& records,
+                                 std::size_t width) {
+  const std::vector<TaskSpan> tasks = task_spans(records);
+  std::uint64_t start = ~std::uint64_t{0}, end = 0;
+  std::size_t cpus = 0;
+  for (const TaskSpan& t : tasks) {
+    if (!t.ran()) continue;
+    start = std::min(start, t.dispatch_us);
+    end = std::max(end, t.finish_us);
+    cpus = std::max<std::size_t>(cpus, t.cpu + 1u);
+  }
+  if (cpus == 0 || width == 0) return "(no executed tasks)\n";
+  end = std::max(end, start);  // a dump may carry finish < dispatch
+
+  const std::uint64_t span = std::max<std::uint64_t>(end - start, 1);
+  const auto col = [&](std::uint64_t t_us) {
+    return static_cast<std::size_t>((std::clamp(t_us, start, end) - start) *
+                                    width / span);
+  };
+  std::vector<std::string> rows(cpus, std::string(width, '.'));
+  for (const TaskSpan& t : tasks) {
+    if (!t.ran()) continue;
+    char glyph = '#';
+    if (is_class(t, sre::TaskClass::Control)) glyph = 'c';
+    if (is_class(t, sre::TaskClass::Speculative)) glyph = t.aborted ? 'x' : 's';
+    const std::size_t col0 = col(t.dispatch_us);
+    const std::size_t col1 = std::min(std::max(col(t.finish_us), col0 + 1),
+                                      width);
+    for (std::size_t c = col0; c < col1; ++c) rows[t.cpu][c] = glyph;
+  }
+
+  // Header: first and last timestamp, flush with the ends of a
+  // "  cpu N |...|" row (width + 10 columns).
+  std::ostringstream os;
+  const std::string lo = "  " + std::to_string(start) + "us";
+  const std::string hi = std::to_string(end) + "us";
+  const std::size_t gap = width + 10 > lo.size() + hi.size()
+                              ? width + 10 - lo.size() - hi.size()
+                              : 1;
+  os << lo << std::string(gap, ' ') << hi << "\n";
+  for (std::size_t c = 0; c < cpus; ++c) {
+    os << "  cpu" << (c < 10 ? " " : "") << c << " |" << rows[c] << "|\n";
+  }
+  os << "  [#] natural  [s] speculative  [x] aborted  [c] control  [.] idle\n";
   return os.str();
 }
 

@@ -1,6 +1,7 @@
-// Flight-recorder exporters: Chrome/Perfetto trace_event JSON, the compact
-// binary dump (.tvsf, readable by tools/trace_dump --flight), and the
-// causal-slice extraction post-mortems are built from.
+// Flight-recorder exporters: Chrome/Perfetto trace_event JSON, a Graphviz
+// DOT of the observed dynamic DFG, an ASCII per-CPU utilization timeline,
+// the compact binary dump (.tvsf, readable by tools/trace_dump --flight),
+// and the causal-slice extraction post-mortems are built from.
 //
 // All entry points are pure functions over a snapshot of records plus the
 // interner's name table — they never touch live rings, so they can run on
@@ -27,6 +28,33 @@ struct PostMortemInfo {
   std::vector<std::pair<std::string, std::uint64_t>> attribution_us;
 };
 
+/// One task's lifecycle, joined by task id from its TaskCreated,
+/// TaskDispatched and TaskFinished records. Fields whose record is not in
+/// the window stay zero. A task aborted before it ever ran has `finished`
+/// and `aborted` set but no dispatch, so it has no execution interval.
+struct TaskSpan {
+  std::uint64_t task = 0;
+  std::uint32_t name = 0;    ///< interned name stem
+  std::uint64_t stream = 0;
+  std::uint32_t epoch = 0;
+  std::uint32_t cls = 0;     ///< sre::TaskClass value
+  std::uint64_t depth = 0;
+  bool dispatched = false;
+  bool finished = false;
+  bool aborted = false;
+  std::uint64_t dispatch_us = 0;
+  std::uint64_t finish_us = 0;
+  std::uint16_t cpu = 0;
+
+  /// Dispatched and finished: the task has an execution interval.
+  [[nodiscard]] bool ran() const { return dispatched && finished; }
+};
+
+/// The task-lifecycle join every exporter is built on, in order of each
+/// task's first record (creation order for a complete capture).
+[[nodiscard]] std::vector<TaskSpan> task_spans(
+    const std::vector<Record>& records);
+
 /// Chrome trace_event JSON (array form — loads in chrome://tracing and
 /// ui.perfetto.dev). Emits causally-grouped spans: one process per session
 /// (pid = stream id, pid 0 = engine), with the session lifecycle span on
@@ -36,6 +64,21 @@ struct PostMortemInfo {
 [[nodiscard]] std::string to_chrome_trace(
     const std::vector<Record>& records, const std::vector<std::string>& names,
     const PostMortemInfo* post_mortem = nullptr);
+
+/// Graphviz digraph of the observed dynamic DFG, in the paper's notation:
+/// speculative tasks dashed, control (check) tasks as diamonds, aborted
+/// tasks red. Nodes are the joined tasks; edges come from Edge records
+/// between included tasks. `max_tasks` keeps only the first N tasks
+/// (0 = all).
+[[nodiscard]] std::string to_dot(const std::vector<Record>& records,
+                                 const std::vector<std::string>& names,
+                                 std::size_t max_tasks = 0);
+
+/// Per-CPU timeline of `width` columns spanning the first dispatch to the
+/// last finish: '#' natural, 's' speculative, 'x' aborted speculative,
+/// 'c' control, '.' idle.
+[[nodiscard]] std::string utilization_timeline(
+    const std::vector<Record>& records, std::size_t width = 96);
 
 /// Compact binary dump: magic "TVSF", version, interned name table, then
 /// raw 64-byte records. Same-machine format (native endianness).

@@ -64,6 +64,15 @@ void FlightObserver::on_task_created(const sre::TaskInfo& task) {
   rec_.emit(r);
 }
 
+void FlightObserver::on_edge(sre::TaskId producer, sre::TaskId consumer) {
+  Record r;
+  r.kind = Kind::Edge;
+  r.t_us = approx_now_.load(std::memory_order_relaxed);
+  r.task = consumer;
+  r.a = producer;
+  rec_.emit(r);
+}
+
 void FlightObserver::on_dispatched(sre::TaskId task, std::uint64_t now_us,
                                    unsigned cpu) {
   Record r;
@@ -82,13 +91,6 @@ void FlightObserver::on_finished(sre::TaskId task, std::uint64_t now_us,
   r.task = task;
   if (aborted) r.flags |= kFlagAborted;
   rec_.emit(r);
-}
-
-void FlightObserver::on_finished_batch(const FinishedEvent* events,
-                                       std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    on_finished(events[i].task, events[i].now_us, events[i].aborted);
-  }
 }
 
 void FlightObserver::on_epoch_opened(sre::Epoch epoch) {

@@ -6,11 +6,11 @@
 // touches is the name interner (shared-lock fast path, leaf lock) and a
 // relaxed atomic engine clock.
 //
-// Several runtime events carry no timestamp (task creation, epoch edges,
-// speculation decisions). Those are stamped with `approx_now`: the newest
-// engine time seen on any timed event (dispatch/finish/session edges) — good
-// enough for window eviction and trace ordering, and exact for the events
-// the latency math actually uses.
+// Several runtime events carry no timestamp (task creation, dependence
+// edges, epoch edges, speculation decisions). Those are stamped with
+// `approx_now`: the newest engine time seen on any timed event
+// (dispatch/finish/session edges) — good enough for window eviction and
+// trace ordering, and exact for the events the latency math actually uses.
 #pragma once
 
 #include <atomic>
@@ -46,11 +46,11 @@ class FlightObserver final : public sre::Observer {
   // --- sre::Observer ------------------------------------------------------
 
   void on_task_created(const sre::TaskInfo& task) override;
+  void on_edge(sre::TaskId producer, sre::TaskId consumer) override;
   void on_dispatched(sre::TaskId task, std::uint64_t now_us,
                      unsigned cpu) override;
   void on_finished(sre::TaskId task, std::uint64_t now_us,
                    bool aborted) override;
-  void on_finished_batch(const FinishedEvent* events, std::size_t n) override;
   void on_epoch_opened(sre::Epoch epoch) override;
   void on_epoch_committed(sre::Epoch epoch) override;
   void on_epoch_aborted(sre::Epoch epoch) override;

@@ -39,7 +39,33 @@ enum class Kind : std::uint16_t {
   // Serving layer (emitted by serve::SessionManager).
   SessionState = 13,  ///< stream, name=state label ("Queued".."Failed"), t_us
   Attribution = 14,   ///< stream, name=component label, a=microseconds
+  // Dependence graph.
+  Edge = 15,          ///< task=consumer, a=producer
 };
+
+/// Stable lowercase label for a kind ("task-created", "edge", ...); "?" for
+/// values outside the enum (a dump from a newer writer).
+[[nodiscard]] constexpr const char* kind_name(Kind k) {
+  switch (k) {
+    case Kind::None: return "none";
+    case Kind::TaskCreated: return "task-created";
+    case Kind::TaskDispatched: return "task-dispatched";
+    case Kind::TaskFinished: return "task-finished";
+    case Kind::EpochOpened: return "epoch-opened";
+    case Kind::EpochCommitted: return "epoch-committed";
+    case Kind::EpochAborted: return "epoch-aborted";
+    case Kind::RollbackCascade: return "rollback-cascade";
+    case Kind::CheckVerdict: return "check-verdict";
+    case Kind::PredictionScored: return "prediction";
+    case Kind::PredictorCharged: return "predictor-charged";
+    case Kind::SpeculationGated: return "speculation-gated";
+    case Kind::FaultInjected: return "fault-injected";
+    case Kind::SessionState: return "session-state";
+    case Kind::Attribution: return "attribution";
+    case Kind::Edge: return "edge";
+  }
+  return "?";
+}
 
 // Per-kind flag bits.
 inline constexpr std::uint32_t kFlagAborted = 1u;  ///< TaskFinished

@@ -176,10 +176,6 @@ std::string RunReport::to_markdown() const {
   // A terse metrics digest; the full snapshot is in the JSON/prom files.
   os << "\n## Metrics digest\n\n```\n"
      << metrics::dashboard_line(metrics, i.makespan_us) << "\n```\n";
-
-  if (!trace_utilization.empty()) {
-    os << "\n## Utilization timeline\n\n```\n" << trace_utilization << "```\n";
-  }
   return os.str();
 }
 
@@ -209,15 +205,6 @@ std::vector<std::string> write_bundle(const RunReport& report,
   written.push_back(base + ".md");
   write_text(base + ".prom", metrics::to_prometheus(report.metrics));
   written.push_back(base + ".prom");
-
-  if (!report.trace_chrome_json.empty()) {
-    write_text(base + ".chrome.json", report.trace_chrome_json);
-    written.push_back(base + ".chrome.json");
-  }
-  if (!report.trace_utilization.empty()) {
-    write_text(base + ".timeline.txt", report.trace_utilization);
-    written.push_back(base + ".timeline.txt");
-  }
   return written;
 }
 

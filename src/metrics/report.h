@@ -78,11 +78,6 @@ struct RunReport {
   std::vector<metrics::Sampler::Sample> samples;
   std::uint64_t samples_dropped = 0;
 
-  /// Optional trace artifacts (empty = not captured). Stored verbatim and
-  /// written as sibling files by write_bundle.
-  std::string trace_chrome_json;
-  std::string trace_utilization;
-
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] std::string to_markdown() const;
 };
@@ -92,10 +87,9 @@ struct RunReport {
                                     const metrics::Registry* registry,
                                     const metrics::Sampler* sampler);
 
-/// Writes `<dir>/<stem>.json`, `<dir>/<stem>.md`, `<dir>/<stem>.prom` and —
-/// when trace artifacts are present — `<dir>/<stem>.chrome.json` /
-/// `<dir>/<stem>.timeline.txt`. Creates `dir` if needed; returns the paths
-/// written. Throws std::runtime_error on I/O failure.
+/// Writes `<dir>/<stem>.json`, `<dir>/<stem>.md` and `<dir>/<stem>.prom`.
+/// Creates `dir` if needed; returns the paths written. Throws
+/// std::runtime_error on I/O failure.
 std::vector<std::string> write_bundle(const RunReport& report,
                                       const std::string& dir,
                                       const std::string& stem = "report");

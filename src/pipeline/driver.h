@@ -8,8 +8,8 @@
 // the run: a metrics::Registry turns on the MetricsObserver, a
 // metrics::Sampler gets the standard speculation-health series installed
 // and ticked (on virtual time for the simulator, wall clock for threads),
-// and any extra sre::Observer (e.g. tracelog::Recorder) is fanned in beside
-// the metrics bridge.
+// and a flight recorder or any extra sre::Observer is fanned in beside the
+// metrics bridge.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +84,7 @@ struct RunResult {
 /// null; the pointees must outlive the run_* call (the sampler's series
 /// closures are cleared before it returns).
 struct RunOptions {
-  /// Extra observer (e.g. tracelog::Recorder); fanned in after metrics.
+  /// Extra observer (e.g. a test probe); fanned in after metrics.
   sre::Observer* observer = nullptr;
 
   /// Non-null: attach a flight::FlightObserver on this recorder for the run

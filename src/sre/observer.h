@@ -1,9 +1,10 @@
 // Runtime observability: a passive event stream of everything the SRE does.
 //
 // An Observer sees task lifecycle events (creation, dependence edges,
-// dispatch, completion/abort) and speculation epoch events. The trace layer
-// (src/trace) builds Chrome-trace timelines, Graphviz DFG dumps and
-// utilization charts from it; tests use it to assert scheduling behaviour.
+// dispatch, completion/abort) and speculation epoch events. The flight
+// recorder (src/flight) builds Chrome-trace timelines, Graphviz DFG dumps
+// and utilization charts from it; tests use it to assert scheduling
+// behaviour.
 //
 // Contract: callbacks may be invoked while the runtime lock is held — an
 // observer must record and return, never call back into the Runtime.
@@ -58,8 +59,8 @@ class Observer {
   /// Batched form of on_finished: the sharded executor retires a whole
   /// staged batch under one runtime lock hold and reports it in a single
   /// call. The default forwards each event through on_finished, so existing
-  /// observers need no change; observers with per-call locking overhead
-  /// (tracelog::Recorder, flight) override this to pay it once per batch.
+  /// observers need no change; observers with per-call overhead can
+  /// override this to pay it once per batch.
   virtual void on_finished_batch(const FinishedEvent* events, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       on_finished(events[i].task, events[i].now_us, events[i].aborted);
@@ -107,7 +108,7 @@ class Observer {
 };
 
 /// Forwards every event to a set of observers, so a run can attach e.g. a
-/// tracelog::Recorder and a metrics::MetricsObserver at once. The children
+/// flight::FlightObserver and a metrics::MetricsObserver at once. The children
 /// inherit the record-and-return contract; null entries are skipped.
 class FanoutObserver final : public Observer {
  public:

@@ -1,9 +1,11 @@
 // Flight recorder: ring and interner invariants, the TVSF binary format,
 // exporters on hostile inputs (aborted-epoch-only traces, sessions shed
-// while still Queued, out-of-range name ids), and the serving layer's
-// automatic post-mortem path end to end.
+// while still Queued, out-of-range name ids), full-run captures that must
+// agree with the runtime's own counters, the DOT and timeline exporters,
+// and the serving layer's automatic post-mortem path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,12 +16,15 @@
 
 #include "flight/export.h"
 #include "flight/interner.h"
+#include "flight/observer.h"
 #include "flight/record.h"
 #include "flight/recorder.h"
 #include "flight/ring.h"
 #include "pipeline/driver.h"
 #include "pipeline/run_config.h"
 #include "serve/session_manager.h"
+#include "sim/sim_executor.h"
+#include "sre/runtime.h"
 #include "stress/chaos_schedule.h"
 #include "support/json_lite.h"
 
@@ -52,6 +57,62 @@ std::string fresh_dir(const std::string& leaf) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
+}
+
+/// A full sim run captured by a started recorder at default Options.
+struct Capture {
+  pipeline::RunResult result;
+  std::vector<flight::Record> records;
+  std::vector<std::string> names;
+};
+
+Capture capture_sim(const pipeline::RunConfig& cfg) {
+  flight::Recorder rec;
+  rec.start();
+  pipeline::RunOptions opt;
+  opt.flight = &rec;
+  Capture c;
+  c.result = pipeline::run_sim(cfg, opt);
+  c.records = rec.snapshot();
+  c.names = rec.interner().names();
+  EXPECT_EQ(rec.dropped(), 0u) << "a pipeline-sized capture must be complete";
+  return c;
+}
+
+pipeline::RunConfig txt_config(std::size_t bytes) {
+  auto cfg = pipeline::RunConfig::x86_disk(wl::FileKind::Txt,
+                                           sre::DispatchPolicy::Balanced);
+  cfg.bytes = bytes;
+  return cfg;
+}
+
+std::size_t count_kind(const std::vector<flight::Record>& records,
+                       flight::Kind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(),
+                    [kind](const flight::Record& r) { return r.kind == kind; }));
+}
+
+/// Engine time of the last completion with an execution interval.
+std::uint64_t end_time_us(const std::vector<flight::TaskSpan>& tasks) {
+  std::uint64_t end = 0;
+  for (const auto& t : tasks) {
+    if (t.ran()) end = std::max(end, t.finish_us);
+  }
+  return end;
+}
+
+// --- Record -----------------------------------------------------------------
+
+TEST(FlightRecord, EveryKindHasADistinctName) {
+  const auto last = static_cast<std::uint16_t>(flight::Kind::Edge);
+  std::set<std::string> seen;
+  for (std::uint16_t k = 0; k <= last; ++k) {
+    const std::string name = flight::kind_name(static_cast<flight::Kind>(k));
+    EXPECT_NE(name, "?") << "kind " << k << " has no name";
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
+  }
+  EXPECT_STREQ(flight::kind_name(static_cast<flight::Kind>(last + 1)), "?");
 }
 
 // --- Ring -------------------------------------------------------------------
@@ -195,13 +256,245 @@ TEST(FlightChrome, OutOfRangeNameIdsAndHostileStringsStayValid) {
                                 /*name=*/9999));  // beyond the name table
   records.push_back(make_record(flight::Kind::PredictorCharged, 6, 0, 0, 0,
                                 /*name=*/1));
+  // A task that ran under a hostile name, so the span path escapes it too.
+  records.push_back(make_record(flight::Kind::TaskCreated, 7, 1, 2, 0,
+                                /*name=*/2));
+  records.push_back(make_record(flight::Kind::TaskDispatched, 8, 0, 2));
+  records.push_back(make_record(flight::Kind::TaskFinished, 9, 0, 2));
+  // A task whose finish precedes its dispatch, as a corrupt dump may hold.
+  records.push_back(make_record(flight::Kind::TaskDispatched, 50, 0, 3));
+  records.back().cpu = 3;
+  records.push_back(make_record(flight::Kind::TaskFinished, 4, 0, 3));
   // Names with every JSON-hostile byte class: quotes, backslashes, control
   // characters, non-ASCII.
-  const std::vector<std::string> names = {"", "we\"ird\\na\x01me\xc3\xa9"};
+  const std::vector<std::string> names = {
+      "", "we\"ird\\na\x01me\xc3\xa9",
+      "evil\"name\\with\nnewline\tand\x01ctl"};
   const std::string json = flight::to_chrome_trace(records, names);
   EXPECT_TRUE(json_lite::valid(json)) << "bad byte at "
                                       << json_lite::error_at(json);
   EXPECT_NE(json.find("rollback-cause"), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos)
+      << "the hostile-named task's span is missing";
+  EXPECT_NE(flight::utilization_timeline(records).find("cpu 3"),
+            std::string::npos);
+  EXPECT_NE(flight::to_dot(records, names).find("t3 [label="),
+            std::string::npos);
+}
+
+// --- Full-run captures ------------------------------------------------------
+
+TEST(FlightTrace, CapturesASimpleRun) {
+  sre::Runtime rt(sre::DispatchPolicy::Balanced);
+  flight::Recorder rec;
+  flight::FlightObserver obs(rec);
+  rt.set_observer(&obs);
+  sim::SimExecutor ex(rt, sim::PlatformConfig::x86(2));
+
+  auto a = rt.make_task("a", sre::TaskClass::Natural, 0, 1, 100,
+                        [](sre::TaskContext&) {});
+  auto b = rt.make_task("b", sre::TaskClass::Natural, 0, 2, 50,
+                        [](sre::TaskContext&) {});
+  rt.add_dependency(a, b);
+  rt.submit(a);
+  rt.submit(b);
+  ex.run();
+
+  const auto records = rec.snapshot();
+  const auto tasks = flight::task_spans(records);
+  ASSERT_EQ(tasks.size(), 2u);
+  EXPECT_EQ(rec.interner().name(tasks[0].name), "a");
+  EXPECT_EQ(tasks[0].task, a->id());
+  for (const auto& t : tasks) {
+    EXPECT_TRUE(t.ran());
+    EXPECT_FALSE(t.aborted);
+  }
+  EXPECT_EQ(tasks[0].dispatch_us, 0u);
+  EXPECT_EQ(tasks[0].finish_us, 100u);
+  EXPECT_EQ(tasks[1].dispatch_us, 100u);
+  EXPECT_EQ(tasks[1].finish_us, 150u);
+  ASSERT_EQ(count_kind(records, flight::Kind::Edge), 1u);
+  for (const auto& r : records) {
+    if (r.kind != flight::Kind::Edge) continue;
+    EXPECT_EQ(r.a, a->id()) << "producer";
+    EXPECT_EQ(r.task, b->id()) << "consumer";
+  }
+  EXPECT_EQ(end_time_us(tasks), 150u);
+  EXPECT_EQ(rec.dropped(), 0u);
+}
+
+TEST(FlightTrace, TracksEpochLifecycles) {
+  sre::Runtime rt(sre::DispatchPolicy::Balanced);
+  flight::Recorder rec;
+  flight::FlightObserver obs(rec);
+  rt.set_observer(&obs);
+  const auto e1 = rt.open_epoch();
+  const auto e2 = rt.open_epoch();
+  rt.abort_epoch(e1);
+  rt.mark_epoch_committed(e2);
+
+  std::multiset<std::uint32_t> opened, aborted, committed;
+  for (const auto& r : rec.snapshot()) {
+    if (r.kind == flight::Kind::EpochOpened) opened.insert(r.epoch);
+    if (r.kind == flight::Kind::EpochAborted) aborted.insert(r.epoch);
+    if (r.kind == flight::Kind::EpochCommitted) committed.insert(r.epoch);
+  }
+  EXPECT_EQ(opened, (std::multiset<std::uint32_t>{e1, e2}));
+  EXPECT_EQ(aborted, (std::multiset<std::uint32_t>{e1}));
+  EXPECT_EQ(committed, (std::multiset<std::uint32_t>{e2}));
+}
+
+TEST(FlightTrace, FullPipelineRunIsConsistentWithCounters) {
+  auto cfg = pipeline::RunConfig::x86_disk(wl::FileKind::Bmp,
+                                           sre::DispatchPolicy::Balanced);
+  cfg.bytes = 2048 * 1024;  // rollback scenario
+  const Capture c = capture_sim(cfg);
+  const auto tasks = flight::task_spans(c.records);
+  const auto executed = std::count_if(
+      tasks.begin(), tasks.end(),
+      [](const flight::TaskSpan& t) { return t.ran() && !t.aborted; });
+  const auto aborted =
+      std::count_if(tasks.begin(), tasks.end(),
+                    [](const flight::TaskSpan& t) { return t.aborted; });
+  EXPECT_EQ(static_cast<std::uint64_t>(executed),
+            c.result.counters.tasks_executed);
+  EXPECT_EQ(static_cast<std::uint64_t>(aborted),
+            c.result.counters.tasks_aborted);
+  EXPECT_EQ(end_time_us(tasks), c.result.makespan_us);
+  EXPECT_GE(count_kind(c.records, flight::Kind::EpochOpened), 1u);
+  // Exactly one epoch resolves the run as committed.
+  EXPECT_EQ(count_kind(c.records, flight::Kind::EpochCommitted),
+            c.result.spec_committed ? 1u : 0u);
+}
+
+TEST(FlightChrome, PipelineTraceIsWellFormedJson) {
+  const Capture c = capture_sim(txt_config(128 * 1024));
+  const auto json = flight::to_chrome_trace(c.records, c.names);
+  EXPECT_TRUE(json_lite::valid(json))
+      << "chrome trace is not valid JSON; first bad byte at offset "
+      << json_lite::error_at(json);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"count\""), std::string::npos)
+      << "task spans are named by their interned stem";
+}
+
+// A hostile task name taken end to end: runtime -> observer -> interner ->
+// Chrome exporter, rather than a hand-built name table.
+TEST(Exporters, ChromeTraceEscapesHostileTaskNames) {
+  sre::Runtime rt(sre::DispatchPolicy::Balanced);
+  flight::Recorder rec;
+  flight::FlightObserver obs(rec);
+  rt.set_observer(&obs);
+  sim::SimExecutor ex(rt, sim::PlatformConfig::x86(1));
+  auto t = rt.make_task("evil\"name\\with\nnewline\tand\x01ctl",
+                        sre::TaskClass::Natural, 0, 1, 10,
+                        [](sre::TaskContext&) {});
+  rt.submit(t);
+  ex.run();
+  const auto json =
+      flight::to_chrome_trace(rec.snapshot(), rec.interner().names());
+  EXPECT_TRUE(json_lite::valid(json))
+      << "first bad byte at offset " << json_lite::error_at(json);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos)
+      << "the hostile-named task's span is missing";
+  EXPECT_EQ(rec.dropped(), 0u);
+}
+
+// --- DOT and timeline exporters ---------------------------------------------
+
+TEST(FlightDot, DrawsEdgesInThePapersNotation) {
+  // 256 KiB: at least two reduces, so speculative tasks exist.
+  const Capture c = capture_sim(txt_config(256 * 1024));
+  const auto dot = flight::to_dot(c.records, c.names);
+  EXPECT_NE(dot.find("digraph dfg"), std::string::npos);
+  EXPECT_NE(dot.find("->"), std::string::npos);
+  EXPECT_NE(dot.find("style=dashed"), std::string::npos)
+      << "speculative tasks are drawn dashed, as in the paper's figures";
+  EXPECT_NE(dot.find("shape=diamond"), std::string::npos)
+      << "check tasks are diamonds, as in the paper's figures";
+}
+
+TEST(FlightDot, RespectsTaskCap) {
+  const Capture c = capture_sim(txt_config(256 * 1024));
+  const std::size_t created = count_kind(c.records, flight::Kind::TaskCreated);
+  ASSERT_GT(created, 10u);
+  const auto small = flight::to_dot(c.records, c.names, 10);
+  const auto full = flight::to_dot(c.records, c.names, 0);
+  EXPECT_LT(small.size(), full.size());
+
+  // Exactly max_tasks node definitions survive the cap; the full dump has
+  // one per recorded task.
+  const auto count_nodes = [](const std::string& dot) {
+    std::size_t n = 0;
+    for (std::size_t p = dot.find("[label="); p != std::string::npos;
+         p = dot.find("[label=", p + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count_nodes(small), 10u);
+  EXPECT_EQ(count_nodes(full), created);
+}
+
+TEST(FlightTimeline, ShowsSpeculationAndIdle) {
+  auto cfg = txt_config(256 * 1024);
+  cfg.platform = sim::PlatformConfig::x86(4);
+  const Capture c = capture_sim(cfg);
+  const auto timeline = flight::utilization_timeline(c.records, 80);
+  EXPECT_NE(timeline.find("cpu 0"), std::string::npos);
+  EXPECT_NE(timeline.find("cpu 3"), std::string::npos);
+  // Look only inside the per-CPU bars, not the header or legend.
+  std::string bars;
+  std::istringstream lines(timeline);
+  for (std::string line; std::getline(lines, line);) {
+    const auto open = line.find('|');
+    if (line.rfind("  cpu", 0) == 0 && open != std::string::npos) {
+      bars += line.substr(open);
+    }
+  }
+  EXPECT_NE(bars.find('s'), std::string::npos) << "speculative slices";
+  EXPECT_NE(bars.find('#'), std::string::npos) << "natural slices";
+  EXPECT_NE(bars.find('.'), std::string::npos) << "idle slices";
+}
+
+TEST(FlightExport, EmptyCaptureDegradesGracefully) {
+  EXPECT_EQ(flight::utilization_timeline({}), "(no executed tasks)\n");
+  EXPECT_NE(flight::to_dot({}, {}).find("digraph"), std::string::npos);
+  const auto json = flight::to_chrome_trace({}, {});
+  EXPECT_TRUE(json_lite::valid(json));
+  EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+// Regression: an observed-but-never-executed run (tasks created, nothing
+// dispatched — zero end time) must not divide by zero or emit malformed
+// artifacts.
+TEST(FlightExport, CreatedButNeverExecutedRunDegradesGracefully) {
+  sre::Runtime rt(sre::DispatchPolicy::Balanced);
+  flight::Recorder rec;
+  flight::FlightObserver obs(rec);
+  rt.set_observer(&obs);
+  // Created + blocked forever (producer never submitted), so nothing runs.
+  auto producer = rt.make_task("p", sre::TaskClass::Natural, 0, 1, 10,
+                               [](sre::TaskContext&) {});
+  auto consumer = rt.make_task("c", sre::TaskClass::Natural, 0, 1, 10,
+                               [](sre::TaskContext&) {});
+  rt.add_dependency(producer, consumer);
+  rt.submit(consumer);
+
+  const auto records = rec.snapshot();
+  const auto names = rec.interner().names();
+  const auto tasks = flight::task_spans(records);
+  EXPECT_EQ(tasks.size(), 2u);
+  EXPECT_EQ(end_time_us(tasks), 0u);
+  EXPECT_EQ(flight::utilization_timeline(records), "(no executed tasks)\n");
+  const auto json = flight::to_chrome_trace(records, names);
+  EXPECT_TRUE(json_lite::valid(json));
+  EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
+  const auto dot = flight::to_dot(records, names);
+  EXPECT_NE(dot.find("digraph"), std::string::npos);
+  EXPECT_NE(dot.find("t" + std::to_string(producer->id()) + " -> t" +
+                     std::to_string(consumer->id())),
+            std::string::npos);
 }
 
 // --- Causal slice -----------------------------------------------------------
@@ -219,6 +512,7 @@ TEST(FlightSlice, PullsEpochAndTaskClosureForTheSession) {
   // session's task in another epoch.
   window.push_back(make_record(flight::Kind::TaskCreated, 10, 7, 1, 3));
   window.push_back(make_record(flight::Kind::TaskDispatched, 11, 0, 1));
+  window.push_back(make_record(flight::Kind::Edge, 11, 0, /*consumer=*/1));
   window.push_back(make_record(flight::Kind::EpochAborted, 12, 0, 0, 3));
   window.push_back(make_record(flight::Kind::TaskCreated, 10, 8, 2, 4));
   window.push_back(make_record(flight::Kind::EpochCommitted, 12, 0, 0, 4));
@@ -234,6 +528,8 @@ TEST(FlightSlice, PullsEpochAndTaskClosureForTheSession) {
   }
   EXPECT_EQ(kinds.count(flight::Kind::TaskCreated), 1u);
   EXPECT_EQ(kinds.count(flight::Kind::TaskDispatched), 1u);
+  EXPECT_EQ(kinds.count(flight::Kind::Edge), 1u)
+      << "edges join the slice through their consumer task";
   EXPECT_EQ(kinds.count(flight::Kind::EpochAborted), 1u);
   // Global speculation decisions ride along — a post-mortem needs them.
   EXPECT_EQ(kinds.count(flight::Kind::PredictorCharged), 1u);

@@ -14,8 +14,6 @@
 #include "metrics/sampler.h"
 #include "pipeline/driver.h"
 #include "support/json_lite.h"
-#include "trace/exporters.h"
-#include "trace/recorder.h"
 
 namespace {
 
@@ -33,6 +31,32 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// Counts task completions, to check what RunOptions::observer receives.
+struct FinishCounter final : sre::Observer {
+  std::uint64_t executed = 0;
+  std::uint64_t aborted = 0;
+  void on_finished(sre::TaskId, std::uint64_t, bool was_aborted) override {
+    ++(was_aborted ? aborted : executed);
+  }
+};
+
+TEST(MetricsRun, UserObserverSeesEveryTaskBesideTheMetricsBridge) {
+  metrics::Registry reg;
+  FinishCounter counter;
+  pipeline::RunOptions opt;
+  opt.registry = &reg;
+  opt.observer = &counter;  // fanned in beside the metrics bridge
+  const auto res = pipeline::run_sim(small_config(), opt);
+
+  EXPECT_EQ(counter.executed, res.counters.tasks_executed)
+      << "FanoutObserver must forward every event to RunOptions::observer";
+  EXPECT_EQ(counter.aborted, res.counters.tasks_aborted);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                reg.snapshot().scalar("tvs_tasks_finished_total")),
+            res.counters.tasks_executed)
+      << "the metrics bridge still sees the run";
 }
 
 TEST(MetricsRun, ObserverCountersMatchRuntimeCounters) {
@@ -194,35 +218,6 @@ TEST(RunReport, EmitsDispatchSectionForShardedThreadedRuns) {
   EXPECT_NE(json.find("\"dispatch\""), std::string::npos);
   EXPECT_NE(json.find("\"tasks_run\""), std::string::npos);
   EXPECT_NE(rep.to_markdown().find("## Dispatch"), std::string::npos);
-}
-
-TEST(RunReport, CarriesTraceArtifactsWhenProvided) {
-  tracelog::Recorder rec;
-  metrics::Registry reg;
-  pipeline::RunOptions opt;
-  opt.registry = &reg;
-  opt.observer = &rec;  // fanned in beside the metrics bridge
-  const auto cfg = small_config();
-  const auto res = pipeline::run_sim(cfg, opt);
-  EXPECT_EQ(rec.executed_count(), res.counters.tasks_executed)
-      << "FanoutObserver must forward every event to the recorder";
-
-  report::RunReport rep =
-      report::make_report(pipeline::run_info(cfg, res, "sim"), &reg, nullptr);
-  rep.trace_chrome_json = tracelog::to_chrome_trace(rec);
-  const auto dir =
-      (fs::temp_directory_path() / "tvs_report_trace_test").string();
-  fs::remove_all(dir);
-  const auto paths = report::write_bundle(rep, dir);
-  bool chrome = false;
-  for (const auto& p : paths) {
-    if (p.find(".chrome.json") != std::string::npos) {
-      chrome = true;
-      EXPECT_TRUE(json_lite::valid(slurp(p)));
-    }
-  }
-  EXPECT_TRUE(chrome);
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -103,8 +103,7 @@ if [[ "${1:-}" == "flight" ]]; then
   echo "== flight: recorder tests + overhead gate + post-mortem smoke (build/) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS"
-  ctest --test-dir build --output-on-failure -j"$JOBS" \
-    -R 'Flight|TraceRecorder|TraceExport'
+  ctest --test-dir build --output-on-failure -j"$JOBS" -R Flight
   # Overhead gate: flight recorder armed on the threaded sharded executor.
   # The bench enforces 3% on machines that can host the worker fleet and
   # widens its own budget on oversubscribed ones (scheduler churn swamps the
