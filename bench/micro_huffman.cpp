@@ -4,18 +4,22 @@
 // Two modes:
 //   * default: the google-benchmark suite below.
 //   * --kernels [--json FILE]: kernel-variant sweep (scalar/swar/avx2 ×
-//     block size) using paired-ratio medians — interleaved baseline/variant
-//     trials, median of per-pair time ratios — because bare wall-clock on a
-//     shared box cannot resolve sub-10% deltas. Emits BENCH_kernels.json.
+//     block size) using paired ratios — interleaved baseline/variant
+//     trials, median and quartiles of per-pair time ratios — because bare
+//     wall-clock on a shared box cannot resolve sub-10% deltas; plus the
+//     table decoder per 4 KiB block. Emits BENCH_kernels.json with the
+//     shared provenance header (bench_util.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string_view>
+#include <vector>
 
+#include "bench_util.h"
 #include "huffman/canonical.h"
-#include "huffman/decoder.h"
 #include "huffman/encoder.h"
 #include "huffman/fast_decoder.h"
 #include "huffman/length_limited.h"
@@ -120,11 +124,13 @@ void BM_CheckTask(benchmark::State& state) {
 BENCHMARK(BM_CheckTask);
 
 void BM_DecodeBlock(benchmark::State& state) {
+  // Unlimited code lengths, as compress_buffer and the pipeline emit: the
+  // rare over-window codes take FastDecoder's canonical range walk.
   const auto& data = txt_1mb();
   const auto table = huff::CodeTable::from_histogram(huff::Histogram::of(data));
   const auto block = std::span(data).first(4096);
   const auto enc = huff::encode_block(block, table);
-  const huff::Decoder decoder(table);
+  const huff::FastDecoder decoder(table);
   for (auto _ : state) {
     benchmark::DoNotOptimize(decoder.decode(enc.bits, block.size()));
   }
@@ -133,8 +139,8 @@ void BM_DecodeBlock(benchmark::State& state) {
 BENCHMARK(BM_DecodeBlock);
 
 void BM_FastDecodeBlock(benchmark::State& state) {
-  // Table-driven decode with length-limited codes: the production-style
-  // alternative to the canonical bit walker (BM_DecodeBlock).
+  // Length-limited codes: every symbol is one table hit, never the walk
+  // BM_DecodeBlock can take.
   const auto& data = txt_1mb();
   const auto window = static_cast<std::uint8_t>(state.range(0));
   const auto hist = huff::Histogram::of(data);
@@ -192,13 +198,18 @@ double trial_seconds(Fn&& fn, std::size_t reps) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Timed trials per row: paired trials for a SIMD variant, plain trials
+/// for the decoder.
+constexpr std::size_t kTrials = 9;
+
 struct SweepRow {
   const char* kernel;
   const char* variant;
   std::size_t block_size;
-  double mb_per_s;        // best-of-N for the variant
-  double ratio_median;    // median of per-pair scalar_time / variant_time
-  std::size_t pairs;
+  benchutil::Spread mb_per_s;  ///< over the variant's trials
+  /// Per-pair scalar_time / variant_time; unset for a kernel with no
+  /// dispatch levels.
+  std::optional<benchutil::Spread> ratio_vs_scalar;
 };
 
 /// Paired-ratio measurement of `fn` at `lvl` against the same `fn` at
@@ -207,33 +218,59 @@ struct SweepRow {
 template <typename Fn>
 SweepRow sweep_one(const char* kernel, Level lvl, std::size_t block_size,
                    std::size_t bytes_per_trial, Fn&& fn) {
-  constexpr std::size_t kPairs = 9;
   const std::size_t reps = std::max<std::size_t>(1, bytes_per_trial / block_size);
+  const double mb = static_cast<double>(reps * block_size) / (1 << 20);
   std::vector<double> ratios;
-  ratios.reserve(kPairs);
-  double best_variant = 1e300;
+  std::vector<double> mbps;
   // Warm both paths (page in the corpus, prime the freelists).
   tvs::simd::force(Level::Scalar);
   (void)trial_seconds(fn, std::max<std::size_t>(1, reps / 8));
   tvs::simd::force(lvl);
   (void)trial_seconds(fn, std::max<std::size_t>(1, reps / 8));
-  for (std::size_t p = 0; p < kPairs; ++p) {
+  for (std::size_t p = 0; p < kTrials; ++p) {
     tvs::simd::force(Level::Scalar);
     const double base = trial_seconds(fn, reps);
     tvs::simd::force(lvl);
     const double var = trial_seconds(fn, reps);
     ratios.push_back(base / var);
-    best_variant = std::min(best_variant, var);
+    mbps.push_back(mb / var);
   }
   tvs::simd::clear_force();
-  std::sort(ratios.begin(), ratios.end());
-  const double mb = static_cast<double>(reps * block_size) / (1 << 20);
-  return {kernel,
-          tvs::simd::name(lvl),
-          block_size,
-          mb / best_variant,
-          ratios[ratios.size() / 2],
-          kPairs};
+  return {kernel, tvs::simd::name(lvl), block_size, benchutil::spread(mbps),
+          benchutil::spread(ratios)};
+}
+
+/// The decode half of decompress_buffer: FastDecoder::decode_into per
+/// indexed 4 KiB block of a compress_buffer container (unlimited-length
+/// table), each block into its range of one output buffer. Returns nullopt
+/// if the decode is not byte-exact.
+std::optional<SweepRow> decode_row(std::span<const std::uint8_t> data,
+                                   std::size_t bytes_per_trial) {
+  constexpr std::uint32_t kBlock = 4096;
+  const auto s = huff::deserialize(huff::compress_buffer(data, kBlock));
+  const huff::FastDecoder decoder(s.table());
+  std::vector<std::uint8_t> out(data.size());
+  const auto decode_all = [&] {
+    for (std::size_t i = 0; i < s.n_blocks; ++i) {
+      decoder.decode_into(
+          s.payload, s.block_offsets[i],
+          std::span(out).subspan(i * kBlock, s.block_bytes(i)));
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  };
+  decode_all();
+  if (!std::equal(out.begin(), out.end(), data.begin(), data.end())) {
+    return std::nullopt;
+  }
+  const std::size_t reps = std::max<std::size_t>(1, bytes_per_trial / data.size());
+  const double mb = static_cast<double>(reps * data.size()) / (1 << 20);
+  std::vector<double> mbps;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    mbps.push_back(mb / trial_seconds(decode_all, reps));
+  }
+  return SweepRow{"decode", "table", kBlock, benchutil::spread(mbps),
+                  std::nullopt};
 }
 
 /// Steady-state allocation cost of the arena encode path: encode `epochs`
@@ -305,14 +342,27 @@ int run_kernel_sweep(const char* json_path) {
       }));
     }
   }
+  const auto decode = decode_row(data, kBytesPerTrial);
+  if (!decode) {
+    std::fprintf(stderr, "decode: FastDecoder output differs from the input\n");
+    return 1;
+  }
+  rows.push_back(*decode);
   const AllocRow allocs = measure_allocs(data, 4096);
 
-  std::printf("kernel sweep (paired-ratio medians vs scalar, best-of-N MB/s)\n");
-  std::printf("%-10s %-7s %9s %12s %8s\n", "kernel", "variant", "block",
+  std::printf("kernel sweep (median MB/s over %zu trials; paired-ratio "
+              "median vs scalar)\n",
+              kTrials);
+  std::printf("%-12s %-7s %9s %12s %8s\n", "kernel", "variant", "block",
               "MB/s", "ratio");
   for (const auto& r : rows) {
-    std::printf("%-10s %-7s %9zu %12.1f %7.2fx\n", r.kernel, r.variant,
-                r.block_size, r.mb_per_s, r.ratio_median);
+    std::printf("%-12s %-7s %9zu %12.1f", r.kernel, r.variant, r.block_size,
+                r.mb_per_s.median);
+    if (r.ratio_vs_scalar) {
+      std::printf(" %7.2fx\n", r.ratio_vs_scalar->median);
+    } else {
+      std::printf(" %8s\n", "-");
+    }
   }
   std::printf(
       "arena encode path: %.4f chunk mallocs/block, %.2f bump allocs/block "
@@ -328,17 +378,31 @@ int run_kernel_sweep(const char* json_path) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"kernels\",\n"
-                 "  \"method\": \"paired-ratio medians vs scalar; "
-                 "best-of-%d MB/s\",\n  \"results\": [\n",
-                 9);
+                 "  \"method\": \"MB/s median and quartiles over "
+                 "provenance.reps trials of 8 MiB each; SIMD variants "
+                 "interleave each trial with a scalar one and report the "
+                 "per-pair time ratio; decode is FastDecoder::decode_into "
+                 "per indexed 4 KiB block of a compress_buffer container "
+                 "(unlimited code lengths)\",\n");
+    benchutil::write_provenance(f, static_cast<unsigned>(kTrials));
+    std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
       std::fprintf(f,
                    "    {\"kernel\": \"%s\", \"variant\": \"%s\", "
                    "\"block_size\": %zu, \"mb_per_s\": %.1f, "
-                   "\"ratio_vs_scalar_median\": %.3f, \"pairs\": %zu}%s\n",
-                   r.kernel, r.variant, r.block_size, r.mb_per_s,
-                   r.ratio_median, r.pairs, i + 1 < rows.size() ? "," : "");
+                   "\"mb_per_s_p25\": %.1f, \"mb_per_s_p75\": %.1f",
+                   r.kernel, r.variant, r.block_size, r.mb_per_s.median,
+                   r.mb_per_s.p25, r.mb_per_s.p75);
+      if (r.ratio_vs_scalar) {
+        std::fprintf(f,
+                     ", \"ratio_vs_scalar_median\": %.3f, "
+                     "\"ratio_vs_scalar_p25\": %.3f, "
+                     "\"ratio_vs_scalar_p75\": %.3f",
+                     r.ratio_vs_scalar->median, r.ratio_vs_scalar->p25,
+                     r.ratio_vs_scalar->p75);
+      }
+      std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n  \"allocations\": {\"arena_chunk_mallocs_per_block\": "

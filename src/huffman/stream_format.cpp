@@ -4,16 +4,25 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
-#include "huffman/decoder.h"
 #include "huffman/encoder.h"
+#include "huffman/fast_decoder.h"
 #include "huffman/offsets.h"
+#include "sre/runtime.h"
+#include "sre/threaded_executor.h"
 
 namespace huff {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'V', 'S', 'H'};
 constexpr std::uint16_t kVersion = 2;
+
+/// Indexed blocks one decode task covers. A container of at most this many
+/// blocks decodes inline on the caller's thread; above it, executor
+/// start-up is small next to the work, and per-block tasks would cost more
+/// in dispatch than 64-block runs do.
+constexpr std::size_t kBlocksPerTask = 64;
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xFF));
@@ -51,12 +60,12 @@ class Parser {
     for (int i = 7; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
     return v;
   }
-  std::span<const std::uint8_t> take(std::size_t n) {
-    if (pos_ + n > data_.size()) {
+  std::span<const std::uint8_t> take(std::uint64_t n) {
+    if (n > data_.size() - pos_) {
       throw std::runtime_error("CompressedStream: truncated input");
     }
-    auto out = data_.subspan(pos_, n);
-    pos_ += n;
+    auto out = data_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n);
     return out;
   }
 
@@ -64,6 +73,131 @@ class Parser {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+/// A parsed container: every header field, and the payload as a view into
+/// the input (`header.payload` stays empty).
+struct Parsed {
+  CompressedStream header;
+  std::span<const std::uint8_t> payload;
+};
+
+/// The header checks a block-parallel decoder relies on: with them, every
+/// block's output range lies inside original_bytes and together the ranges
+/// cover it, and every index entry points into the payload.
+void check_header(const CompressedStream& s) {
+  if (s.block_size == 0 && s.n_blocks > 0) {
+    throw std::runtime_error("CompressedStream: zero block size");
+  }
+  const std::uint64_t blocks_needed =
+      s.block_size == 0
+          ? (s.original_bytes == 0 ? 0 : ~std::uint64_t{0})
+          : s.original_bytes / s.block_size +
+                (s.original_bytes % s.block_size != 0 ? 1 : 0);
+  if (s.n_blocks != blocks_needed) {
+    throw std::runtime_error(
+        "CompressedStream: block count does not match original size");
+  }
+  const bool codes_nothing = std::all_of(
+      s.lengths.begin(), s.lengths.end(), [](std::uint8_t l) { return l == 0; });
+  if (!kraft_valid(s.lengths) || (s.original_bytes > 0 && codes_nothing)) {
+    throw std::runtime_error("CompressedStream: invalid code lengths");
+  }
+  if (s.has_index() && s.block_offsets.size() != s.n_blocks) {
+    throw std::runtime_error("CompressedStream: index size != block count");
+  }
+  for (std::size_t i = 0; i < s.block_offsets.size(); ++i) {
+    if (s.block_offsets[i] > s.payload_bits ||
+        (i > 0 && s.block_offsets[i] < s.block_offsets[i - 1])) {
+      throw std::runtime_error("CompressedStream: bad block index");
+    }
+  }
+  // Every code is at least one bit long.
+  if (s.original_bytes > s.payload_bits) {
+    throw std::runtime_error("CompressedStream: more bytes than payload bits");
+  }
+}
+
+/// Parses and validates a container without copying its payload.
+Parsed parse(std::span<const std::uint8_t> data) {
+  Parser p(data);
+  auto magic = p.take(4);
+  if (std::memcmp(magic.data(), kMagic, 4) != 0) {
+    throw std::runtime_error("CompressedStream: bad magic");
+  }
+  const std::uint16_t version = p.u16();
+  if (version != kVersion) {
+    throw std::runtime_error("CompressedStream: unsupported version " +
+                             std::to_string(version));
+  }
+  Parsed out;
+  CompressedStream& s = out.header;
+  s.original_bytes = p.u64();
+  s.n_blocks = p.u32();
+  s.block_size = p.u32();
+  auto lens = p.take(kSymbols);
+  std::copy(lens.begin(), lens.end(), s.lengths.begin());
+  const std::uint8_t has_index = p.u8();
+  if (has_index > 1) {
+    throw std::runtime_error("CompressedStream: bad index flag");
+  }
+  if (has_index == 1) {
+    // Taken whole first, so a hostile block count cannot drive the
+    // reserve below past the input's size.
+    Parser index(p.take(std::uint64_t{s.n_blocks} * 8));
+    s.block_offsets.reserve(s.n_blocks);
+    for (std::uint32_t i = 0; i < s.n_blocks; ++i) {
+      s.block_offsets.push_back(index.u64());
+    }
+  }
+  s.payload_bits = p.u64();
+  check_header(s);
+  out.payload = p.take(s.payload_bits / 8 + (s.payload_bits % 8 != 0 ? 1 : 0));
+  return out;
+}
+
+/// Decodes a validated header's payload (see decompress_buffer).
+std::vector<std::uint8_t> decode_payload(const CompressedStream& s,
+                                         std::span<const std::uint8_t> payload) {
+  if (s.original_bytes == 0) return {};
+  const FastDecoder decoder(s.table());
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(s.original_bytes));
+  if (!s.has_index()) {
+    decoder.decode_into(payload, 0, out);
+    return out;
+  }
+  // Blocks [first, first + kBlocksPerTask), each into its own output range.
+  const auto decode_run = [&](std::size_t first) {
+    const std::size_t last =
+        std::min<std::size_t>(first + kBlocksPerTask, s.n_blocks);
+    for (std::size_t i = first; i < last; ++i) {
+      decoder.decode_into(payload, s.block_offsets[i],
+                          std::span(out).subspan(i * s.block_size,
+                                                 s.block_bytes(i)));
+    }
+  };
+  const std::size_t n_tasks =
+      (std::size_t{s.n_blocks} + kBlocksPerTask - 1) / kBlocksPerTask;
+  if (n_tasks == 1) {
+    decode_run(0);
+    return out;
+  }
+  // A plain task graph: no dependencies, no speculation. run() joins every
+  // worker before it returns or rethrows a task's error, so the captures
+  // outlive every task body.
+  sre::Runtime runtime(sre::DispatchPolicy::NonSpeculative);
+  const unsigned workers = static_cast<unsigned>(std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, n_tasks));
+  sre::ThreadedExecutor executor(runtime, {.workers = workers});
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    runtime.submit(runtime.make_task(
+        "decode", sre::TaskClass::Natural, sre::kNaturalEpoch, 1, 0,
+        [&decode_run, t](sre::TaskContext&) {
+          decode_run(t * kBlocksPerTask);
+        }));
+  }
+  executor.run();
+  return out;
+}
 
 }  // namespace
 
@@ -101,39 +235,9 @@ std::vector<std::uint8_t> serialize(const CompressedStream& s) {
 }
 
 CompressedStream deserialize(std::span<const std::uint8_t> data) {
-  Parser p(data);
-  auto magic = p.take(4);
-  if (std::memcmp(magic.data(), kMagic, 4) != 0) {
-    throw std::runtime_error("CompressedStream: bad magic");
-  }
-  const std::uint16_t version = p.u16();
-  if (version != kVersion) {
-    throw std::runtime_error("CompressedStream: unsupported version " +
-                             std::to_string(version));
-  }
-  CompressedStream s;
-  s.original_bytes = p.u64();
-  s.n_blocks = p.u32();
-  s.block_size = p.u32();
-  auto lens = p.take(kSymbols);
-  std::copy(lens.begin(), lens.end(), s.lengths.begin());
-  if (!kraft_valid(s.lengths)) {
-    throw std::runtime_error("CompressedStream: invalid code lengths");
-  }
-  const std::uint8_t has_index = p.u8();
-  if (has_index > 1) {
-    throw std::runtime_error("CompressedStream: bad index flag");
-  }
-  if (has_index == 1) {
-    s.block_offsets.reserve(s.n_blocks);
-    for (std::uint32_t i = 0; i < s.n_blocks; ++i) {
-      s.block_offsets.push_back(p.u64());
-    }
-  }
-  s.payload_bits = p.u64();
-  auto payload = p.take(static_cast<std::size_t>((s.payload_bits + 7) / 8));
-  s.payload.assign(payload.begin(), payload.end());
-  return s;
+  Parsed p = parse(data);
+  p.header.payload.assign(p.payload.begin(), p.payload.end());
+  return std::move(p.header);
 }
 
 std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
@@ -176,10 +280,13 @@ std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
 
 std::vector<std::uint8_t> decompress_buffer(
     std::span<const std::uint8_t> container) {
-  const CompressedStream s = deserialize(container);
-  if (s.original_bytes == 0) return {};
-  const Decoder decoder(s.table());
-  return decoder.decode(s.payload, static_cast<std::size_t>(s.original_bytes));
+  const Parsed p = parse(container);
+  return decode_payload(p.header, p.payload);
+}
+
+std::vector<std::uint8_t> decompress(const CompressedStream& stream) {
+  check_header(stream);
+  return decode_payload(stream, stream.payload);
 }
 
 std::vector<std::uint8_t> decode_block(const CompressedStream& stream,
@@ -190,10 +297,8 @@ std::vector<std::uint8_t> decode_block(const CompressedStream& stream,
   if (i >= stream.n_blocks) {
     throw std::out_of_range("decode_block: block index out of range");
   }
-  const Decoder decoder(stream.table());
-  BitReader reader(stream.payload);
-  reader.seek(stream.block_offsets[i]);
-  return decoder.decode(reader, stream.block_bytes(i));
+  return FastDecoder(stream.table())
+      .decode(stream.payload, stream.block_bytes(i), stream.block_offsets[i]);
 }
 
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {

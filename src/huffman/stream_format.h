@@ -18,6 +18,8 @@
 // long files" use case, and it falls out for free from the pipeline's
 // Offset phase, which computes exactly these positions.
 //
+// The index is also what lets decompress_buffer decode blocks in parallel.
+//
 // The examples write/read this format so a compressed file is an actual
 // artifact, not just an in-memory buffer; the decoder rebuilds the canonical
 // table from the lengths alone.
@@ -58,7 +60,10 @@ struct CompressedStream {
 [[nodiscard]] std::vector<std::uint8_t> serialize(const CompressedStream& s);
 
 /// Parses bytes; throws std::runtime_error on malformed input (bad magic,
-/// truncated payload, invalid code lengths).
+/// truncated payload, invalid code lengths) and on a header whose fields
+/// disagree: a block count other than ceil(original_bytes / block_size), a
+/// zero block size with blocks, a block index entry that decreases or lies
+/// past payload_bits, or more original bytes than payload bits.
 [[nodiscard]] CompressedStream deserialize(std::span<const std::uint8_t> data);
 
 /// Full-buffer convenience: compresses `data` (serial reference path, no
@@ -74,9 +79,23 @@ struct CompressedStream {
 [[nodiscard]] std::vector<std::uint8_t> decode_block(
     const CompressedStream& stream, std::size_t i);
 
-/// Inverse of compress_buffer / of the pipeline's output.
+/// Inverse of compress_buffer / of the pipeline's output. Parses the
+/// container in place (no payload copy) and decodes with FastDecoder into
+/// one preallocated output. An indexed container of more than 64 blocks is
+/// decoded block-parallel: one dependency-free SRE task per 64-block run on
+/// a ThreadedExecutor with hardware_concurrency() workers (at most one per
+/// task), each task writing only its blocks' output ranges. Smaller indexed
+/// containers decode inline on the caller's thread, and a container without
+/// an index decodes serially. Throws std::runtime_error on any malformed
+/// container or corrupt payload.
 [[nodiscard]] std::vector<std::uint8_t> decompress_buffer(
     std::span<const std::uint8_t> container);
+
+/// decompress_buffer for a container deserialize() already parsed: checks
+/// the header fields as deserialize does, then decodes `stream.payload` the
+/// same way.
+[[nodiscard]] std::vector<std::uint8_t> decompress(
+    const CompressedStream& stream);
 
 /// File helpers used by the examples.
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes);

@@ -88,6 +88,84 @@ TEST(StreamFormat, ZeroBlockSizeRejected) {
   EXPECT_THROW(huff::compress_buffer(data, 0), std::invalid_argument);
 }
 
+// --- Header consistency: rejected before any block is decoded -------------
+
+TEST(StreamFormat, BlockCountMismatchThrows) {
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 10000);  // 3 blocks
+  const auto s = huff::deserialize(
+      huff::compress_buffer(data, 4096, /*with_index=*/false));
+  for (const std::uint32_t n_blocks : {2u, 4u}) {
+    auto bad = s;
+    bad.n_blocks = n_blocks;
+    EXPECT_THROW((void)huff::deserialize(huff::serialize(bad)),
+                 std::runtime_error)
+        << n_blocks;
+    EXPECT_THROW((void)huff::decompress(bad), std::runtime_error) << n_blocks;
+  }
+}
+
+TEST(StreamFormat, ZeroBlockSizeWithBlocksThrows) {
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 10000);
+  auto s = huff::deserialize(huff::compress_buffer(data));
+  s.block_size = 0;
+  EXPECT_THROW((void)huff::deserialize(huff::serialize(s)), std::runtime_error);
+  EXPECT_THROW((void)huff::decompress_buffer(huff::serialize(s)),
+               std::runtime_error);
+}
+
+TEST(StreamFormat, BadIndexOffsetThrows) {
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 10000);
+  const auto s = huff::deserialize(huff::compress_buffer(data));
+  ASSERT_EQ(s.n_blocks, 3u);
+  auto decreasing = s;
+  std::swap(decreasing.block_offsets[1], decreasing.block_offsets[2]);
+  auto past_end = s;
+  past_end.block_offsets[2] = s.payload_bits + 1;
+  for (const auto& bad : {decreasing, past_end}) {
+    EXPECT_THROW((void)huff::deserialize(huff::serialize(bad)),
+                 std::runtime_error);
+    EXPECT_THROW((void)huff::decompress(bad), std::runtime_error);
+  }
+}
+
+TEST(StreamFormat, MoreBytesThanPayloadBitsThrows) {
+  // Every code is at least one bit, so original_bytes > payload_bits cannot
+  // decode. The payload left behind the shortened bit count is ignored.
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 10000);
+  auto s = huff::deserialize(
+      huff::compress_buffer(data, 4096, /*with_index=*/false));
+  s.payload_bits = s.original_bytes - 1;
+  EXPECT_THROW((void)huff::deserialize(huff::serialize(s)), std::runtime_error);
+}
+
+// --- Block-parallel decode (more than 64 indexed blocks) -------------------
+
+TEST(StreamFormat, ParallelDecodeIsByteExact) {
+  // 257 blocks, the last one short: five 64-block tasks, the last with one.
+  const auto data = wl::make_corpus(wl::FileKind::Pdf, 256 * 1024 + 100, 5);
+  const auto container = huff::compress_buffer(data, 1024);
+  const auto s = huff::deserialize(container);
+  ASSERT_EQ(s.n_blocks, 257u);
+  ASSERT_EQ(s.block_bytes(256), 100u);
+  EXPECT_EQ(huff::decompress_buffer(container), data);
+  EXPECT_EQ(huff::decompress(s), data);
+  // Without an index the same payload decodes serially.
+  EXPECT_EQ(huff::decompress_buffer(
+                huff::compress_buffer(data, 1024, /*with_index=*/false)),
+            data);
+}
+
+TEST(StreamFormat, ParallelDecodeErrorInATaskThrows) {
+  // The last block's entry points one bit before the payload's end: the
+  // header is consistent, but that block's task runs out of bits. The error
+  // must surface from decompress_buffer, not hang it.
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 256 * 1024 + 100, 6);
+  auto s = huff::deserialize(huff::compress_buffer(data, 1024));
+  s.block_offsets.back() = s.payload_bits - 1;
+  EXPECT_THROW((void)huff::decompress_buffer(huff::serialize(s)),
+               std::runtime_error);
+}
+
 TEST(StreamFormat, FileHelpersRoundTrip) {
   const auto dir = std::filesystem::temp_directory_path() / "tvs_fmt_test";
   std::filesystem::create_directories(dir);
@@ -164,24 +242,27 @@ TEST(RandomAccess, CorruptIndexFlagThrows) {
 }
 
 TEST(RandomAccess, FuzzedCorruptionThrowsButNeverCrashes) {
-  const auto data = wl::make_corpus(wl::FileKind::Bmp, 30000);
-  const auto container = huff::compress_buffer(data);
-  wl::Rng rng(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto bad = container;
-    const std::size_t flips = 1 + rng.below(8);
-    for (std::size_t f = 0; f < flips; ++f) {
-      bad[rng.below(bad.size())] ^=
-          static_cast<std::uint8_t>(1 + rng.below(255));
-    }
-    // Any result is acceptable except memory errors: a clean decode (the
-    // corruption hit padding), a thrown exception, or a wrong-but-bounded
-    // output.
-    try {
-      const auto out = huff::decompress_buffer(bad);
-      EXPECT_LE(out.size(), data.size());
-    } catch (const std::exception&) {
-      // expected for most corruptions
+  // 8 blocks decode inline; 74 blocks take the block-parallel path.
+  for (const std::size_t bytes : {std::size_t{30000}, std::size_t{300000}}) {
+    const auto data = wl::make_corpus(wl::FileKind::Bmp, bytes);
+    const auto container = huff::compress_buffer(data);
+    wl::Rng rng(99);
+    for (int trial = 0; trial < 200; ++trial) {
+      auto bad = container;
+      const std::size_t flips = 1 + rng.below(8);
+      for (std::size_t f = 0; f < flips; ++f) {
+        bad[rng.below(bad.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+      }
+      // Any result is acceptable except memory errors: a clean decode (the
+      // corruption hit padding), a thrown exception, or a wrong-but-bounded
+      // output.
+      try {
+        const auto out = huff::decompress_buffer(bad);
+        EXPECT_LE(out.size(), data.size());
+      } catch (const std::exception&) {
+        // expected for most corruptions
+      }
     }
   }
 }

@@ -7,8 +7,10 @@
 #
 #   tools/ci.sh            # tier-1 + sanitizers
 #   tools/ci.sh tsan       # ThreadSanitizer over the sre_core test label
-#                          # (scheduler, speculation, dispatch concurrency),
-#                          # then a quick micro_dispatch sweep (1..16
+#                          # (scheduler, speculation, dispatch concurrency,
+#                          # block-parallel decode in stream_format_test
+#                          # and fast_decoder_test), then a quick
+#                          # micro_dispatch sweep (1..16
 #                          # workers, flat and chain shapes) under TSan
 #   tools/ci.sh torture    # speculation torture harness under TSan: the
 #                          # fixed seed set plus one time-boxed random-seed
