@@ -7,8 +7,9 @@
 //     block size) using paired ratios — interleaved baseline/variant
 //     trials, median and quartiles of per-pair time ratios — because bare
 //     wall-clock on a shared box cannot resolve sub-10% deltas; plus the
-//     table decoder per 4 KiB block. Emits BENCH_kernels.json with the
-//     shared provenance header (bench_util.h).
+//     table decoder and the commit sink's placement (splice_bits) per
+//     4 KiB block. Emits BENCH_kernels.json with the shared provenance
+//     header (bench_util.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "huffman/bitio.h"
 #include "huffman/canonical.h"
 #include "huffman/encoder.h"
 #include "huffman/fast_decoder.h"
@@ -29,6 +31,7 @@
 #include "simd/simd.h"
 #include "sre/arena.h"
 #include "workload/corpus.h"
+#include "workload/rng.h"
 
 namespace {
 
@@ -273,6 +276,45 @@ std::optional<SweepRow> decode_row(std::span<const std::uint8_t> data,
                   std::nullopt};
 }
 
+/// The commit sink's placement: splice_bits of every encoded 4 KiB block of
+/// `data` into one payload, laid out back to back from a random start bit
+/// so blocks begin at every bit phase. MB/s counts input bytes. Returns
+/// nullopt if the payload differs from huff::assemble's.
+std::optional<SweepRow> place_row(std::span<const std::uint8_t> data,
+                                  const huff::CodeTable& table,
+                                  std::size_t bytes_per_trial) {
+  constexpr std::size_t kBlock = 4096;
+  std::vector<huff::EncodedBlock> blocks;
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t bit = wl::Rng(7).below(8);
+  for (std::size_t b = 0; b + kBlock <= data.size(); b += kBlock) {
+    blocks.push_back(huff::encode_block(data.subspan(b, kBlock), table));
+    offsets.push_back(bit);
+    bit += blocks.back().bit_count;
+  }
+  std::vector<std::uint8_t> payload((bit + 7) / 8, 0);
+  // Later trials splice over the first one's bits: the stores are the same.
+  const auto place_all = [&] {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      huff::splice_bits(payload, offsets[i], blocks[i].bits,
+                        blocks[i].bit_count);
+    }
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  };
+  place_all();
+  if (payload != huff::assemble(blocks, offsets)) return std::nullopt;
+  const std::size_t bytes = blocks.size() * kBlock;
+  const std::size_t reps = std::max<std::size_t>(1, bytes_per_trial / bytes);
+  const double mb = static_cast<double>(reps * bytes) / (1 << 20);
+  std::vector<double> mbps;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    mbps.push_back(mb / trial_seconds(place_all, reps));
+  }
+  return SweepRow{"place", "splice", kBlock, benchutil::spread(mbps),
+                  std::nullopt};
+}
+
 /// Steady-state allocation cost of the arena encode path: encode `epochs`
 /// full epochs of blocks into per-worker lanes and report chunk mallocs per
 /// block after the first (warm-up) epoch.
@@ -348,6 +390,12 @@ int run_kernel_sweep(const char* json_path) {
     return 1;
   }
   rows.push_back(*decode);
+  const auto place = place_row(data, table, kBytesPerTrial);
+  if (!place) {
+    std::fprintf(stderr, "place: splice_bits differs from huff::assemble\n");
+    return 1;
+  }
+  rows.push_back(*place);
   const AllocRow allocs = measure_allocs(data, 4096);
 
   std::printf("kernel sweep (median MB/s over %zu trials; paired-ratio "
@@ -383,7 +431,9 @@ int run_kernel_sweep(const char* json_path) {
                  "interleave each trial with a scalar one and report the "
                  "per-pair time ratio; decode is FastDecoder::decode_into "
                  "per indexed 4 KiB block of a compress_buffer container "
-                 "(unlimited code lengths)\",\n");
+                 "(unlimited code lengths); place is splice_bits of each "
+                 "encoded 4 KiB block into one payload at random bit "
+                 "phases, MB/s of input bytes\",\n");
     benchutil::write_provenance(f, static_cast<unsigned>(kTrials));
     std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -7,7 +7,8 @@
 // verdict, per-block result slots, the block trace, and the bookkeeping
 // around commit, rollback and the natural fallback. The stage owns all of
 // them. The pipeline supplies only what is its own — how to spawn the
-// speculative and natural sub-graphs, and the tolerance predicate — and
+// speculative and natural sub-graphs, the tolerance predicate, and
+// optionally where a committed result goes (Hooks::on_committed) — and
 // hands every block result back through deliver().
 //
 // Lifetime: the stage lives inside the pipeline's shared state, its
@@ -83,6 +84,13 @@ class SpeculativeStage {
     std::function<double(const V& guess, const V& current)> tolerance_margin;
     /// Optional: `epoch` rolled back; its buffered results are dropped.
     std::function<void(sre::Epoch epoch)> on_rollback;
+    /// Optional: block `block`'s committed result, called exactly once per
+    /// block, after its slot is filled and outside the stage lock, on the
+    /// thread whose path commits it: the natural fill, the commit flush or
+    /// pass-through. `now_us` is that commit's engine time.
+    std::function<void(std::size_t block, const R& result,
+                       std::uint64_t now_us)>
+        on_committed;
 
     /// Optional predictor bank: observe sees every offered estimate;
     /// charge_rollback is charged with every rollback and names the
@@ -282,19 +290,6 @@ class SpeculativeStage {
     trace_.record_arrival(block, now_us);
   }
 
-  /// Installs a callback fired once, by whichever thread fills the last
-  /// block slot, with that fill's engine time. Fires at once (now_us = 0)
-  /// if every slot is already filled.
-  void set_on_complete(std::function<void(std::uint64_t)> fn) {
-    std::function<void(std::uint64_t)> fire;
-    {
-      std::scoped_lock lk(mu_);
-      on_complete_ = std::move(fn);
-      if (filled_ == slots_.size()) fire = on_complete_;
-    }
-    if (fire) fire(0);
-  }
-
   // --- Results (read after the run) ---------------------------------------
 
   [[nodiscard]] const stats::BlockTrace& trace() const { return trace_; }
@@ -369,16 +364,22 @@ class SpeculativeStage {
     hooks_.build_natural(final_value);
   }
 
+  /// Commits block `block`'s result. A slot is written once, so the hook
+  /// may read it unlocked; a second commit of one block is a bug.
   void fill(std::size_t block, R&& result, std::uint64_t now_us,
             bool natural_path) {
-    std::function<void(std::uint64_t)> done;
+    const R* committed = nullptr;
     {
       std::scoped_lock lk(mu_);
+      if (slots_[block]) {
+        throw std::logic_error("SpeculativeStage: block " +
+                               std::to_string(block) + " committed twice");
+      }
       if (natural_path) trace_.record_done(block, now_us, /*speculative=*/false);
-      if (!slots_[block] && ++filled_ == slots_.size()) done = on_complete_;
-      slots_[block] = std::move(result);
+      committed = &slots_[block].emplace(std::move(result));
+      ++filled_;
     }
-    if (done) done(now_us);
+    if (hooks_.on_committed) hooks_.on_committed(block, *committed, now_us);
   }
 
   sre::Runtime& rt_;
@@ -389,7 +390,6 @@ class SpeculativeStage {
   mutable std::mutex mu_;
   std::vector<std::optional<R>> slots_;
   std::size_t filled_ = 0;
-  std::function<void(std::uint64_t)> on_complete_;
   stats::BlockTrace trace_;
   std::optional<V> committed_;
   bool spec_committed_ = false;

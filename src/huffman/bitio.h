@@ -10,11 +10,29 @@
 // parallel into one contiguous output (paper §IV-A).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 namespace huff {
+
+/// The 8 bytes at `p` as a big-endian word, and its inverse.
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+inline void store_be64(std::uint8_t* p, std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, 8);
+}
 
 class BitWriter {
  public:
@@ -59,11 +77,12 @@ class BitWriter {
   unsigned pending_bits_ = 0;      ///< < 32 between calls
 };
 
-/// Copies `nbits` bits from the front of `src` into `dst` starting at
-/// absolute bit position `dst_bit_offset`. `dst` must be pre-sized. Existing
-/// bits in partially-overlapping boundary bytes are OR-merged, which is safe
-/// because parallel encoders write disjoint bit ranges into a zero-filled
-/// buffer.
+/// ORs `nbits` bits from the front of `src` into `dst` starting at absolute
+/// bit position `dst_bit_offset`. `dst` must be pre-sized and the target bit
+/// range zeroed. Bytes the range covers whole take plain stores (memcpy when
+/// the offset is byte-aligned); the at most two edge bytes it shares with
+/// neighbouring ranges are OR-merged through std::atomic_ref, so calls on
+/// disjoint bit ranges of one buffer may run concurrently.
 void splice_bits(std::span<std::uint8_t> dst, std::uint64_t dst_bit_offset,
                  std::span<const std::uint8_t> src, std::uint64_t nbits);
 

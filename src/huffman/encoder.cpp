@@ -15,13 +15,6 @@ namespace {
                               " has no code");
 }
 
-void store_be64(std::uint8_t* p, std::uint64_t w) {
-  if constexpr (std::endian::native == std::endian::little) {
-    w = __builtin_bswap64(w);
-  }
-  std::memcpy(p, &w, 8);
-}
-
 /// Branchless packer: codes accumulate MSB-first into a 128-bit staging
 /// register; whole 64-bit words are flushed big-endian, which reproduces
 /// BitWriter's MSB-first byte stream exactly. The invariant between

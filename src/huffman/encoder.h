@@ -3,7 +3,7 @@
 // Each Encode task compresses one input block with a CodeTable. Because the
 // code is variable-length, a block's absolute position in the output is the
 // bit offset computed by the Offset phase (offsets.h); encode_block produces
-// a self-contained bit buffer which the sink splices at that offset.
+// a self-contained bit buffer which the commit sink splices at that offset.
 //
 // Bit emission has two kernels behind the tvs::simd dispatch contract
 // (docs/data-plane.md): the Scalar level is the original BitWriter path,
@@ -52,11 +52,12 @@ struct EncodedBlock {
 [[nodiscard]] std::uint64_t encoded_bit_count(
     std::span<const std::uint8_t> block, const CodeTable& table);
 
-/// Splices pre-encoded blocks into one contiguous bit stream.
+/// Splices pre-encoded blocks into one contiguous bit stream, serially: the
+/// reference for the pipeline's commit sink, which places each block into
+/// the container as it commits (ContainerWriter, stream_format.h).
 ///
 /// `offsets[i]` is the absolute starting bit of block i; the destination is
-/// zero-initialized and sized for the final block's end. This mirrors the
-/// paper's parallel second pass where offset tasks feed encode tasks.
+/// zero-initialized and sized for the final block's end.
 [[nodiscard]] std::vector<std::uint8_t> assemble(
     std::span<const EncodedBlock> blocks,
     std::span<const std::uint64_t> offsets);

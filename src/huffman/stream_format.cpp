@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "huffman/bitio.h"
 #include "huffman/encoder.h"
 #include "huffman/fast_decoder.h"
 #include "huffman/offsets.h"
@@ -199,11 +200,29 @@ std::vector<std::uint8_t> decode_payload(const CompressedStream& s,
   return out;
 }
 
+/// Container bytes before the payload: the fixed header, `index_entries`
+/// index entries, and payload_bits.
+constexpr std::size_t header_bytes(std::size_t index_entries) {
+  return 4 + 2 + 8 + 4 + 4 + kSymbols + 1 + index_entries * 8 + 8;
+}
+
+/// Appends the fixed header, through the index flag.
+void put_header(std::vector<std::uint8_t>& out, std::uint64_t original_bytes,
+                std::uint32_t n_blocks, std::uint32_t block_size,
+                const CodeLengths& lengths, bool has_index) {
+  out.insert(out.end(), kMagic, kMagic + 4);
+  put_u16(out, kVersion);
+  put_u64(out, original_bytes);
+  put_u32(out, n_blocks);
+  put_u32(out, block_size);
+  out.insert(out.end(), lengths.begin(), lengths.end());
+  out.push_back(has_index ? 1 : 0);
+}
+
 }  // namespace
 
 std::size_t CompressedStream::serialized_size() const {
-  return 4 + 2 + 8 + 4 + 4 + kSymbols + 1 + block_offsets.size() * 8 + 8 +
-         payload.size();
+  return header_bytes(block_offsets.size()) + payload.size();
 }
 
 std::size_t CompressedStream::block_bytes(std::size_t i) const {
@@ -215,19 +234,53 @@ std::size_t CompressedStream::block_bytes(std::size_t i) const {
       std::min<std::uint64_t>(block_size, original_bytes - begin));
 }
 
+ContainerWriter::ContainerWriter(std::uint64_t original_bytes,
+                                 std::uint32_t n_blocks,
+                                 std::uint32_t block_size,
+                                 const CodeLengths& lengths,
+                                 std::uint64_t payload_bits, bool with_index)
+    : n_blocks_(n_blocks),
+      payload_bits_(payload_bits),
+      // An empty index is no index (CompressedStream::has_index).
+      with_index_(with_index && n_blocks > 0) {
+  const std::size_t index_entries = with_index_ ? n_blocks : 0;
+  const std::size_t total = header_bytes(index_entries) +
+                            static_cast<std::size_t>((payload_bits + 7) / 8);
+  out_.reserve(total);
+  put_header(out_, original_bytes, n_blocks, block_size, lengths, with_index_);
+  index_at_ = out_.size();
+  out_.resize(index_at_ + index_entries * 8);
+  put_u64(out_, payload_bits);
+  payload_at_ = out_.size();
+  out_.resize(total);
+}
+
+void ContainerWriter::place(std::size_t i, std::uint64_t offset,
+                            const EncodedBlock& block) {
+  if (i >= n_blocks_) {
+    throw std::out_of_range("ContainerWriter::place: block index out of range");
+  }
+  if (offset > payload_bits_ || block.bit_count > payload_bits_ - offset) {
+    throw std::out_of_range("ContainerWriter::place: block past payload_bits");
+  }
+  if (with_index_) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out_[index_at_ + i * 8 + b] =
+          static_cast<std::uint8_t>(offset >> (8 * b));
+    }
+  }
+  splice_bits(std::span(out_).subspan(payload_at_), offset, block.bits,
+              block.bit_count);
+}
+
 std::vector<std::uint8_t> serialize(const CompressedStream& s) {
-  std::vector<std::uint8_t> out;
-  out.reserve(s.serialized_size());
-  out.insert(out.end(), kMagic, kMagic + 4);
-  put_u16(out, kVersion);
-  put_u64(out, s.original_bytes);
-  put_u32(out, s.n_blocks);
-  put_u32(out, s.block_size);
-  out.insert(out.end(), s.lengths.begin(), s.lengths.end());
   if (s.has_index() && s.block_offsets.size() != s.n_blocks) {
     throw std::invalid_argument("serialize: index size != block count");
   }
-  out.push_back(s.has_index() ? 1 : 0);
+  std::vector<std::uint8_t> out;
+  out.reserve(s.serialized_size());
+  put_header(out, s.original_bytes, s.n_blocks, s.block_size, s.lengths,
+             s.has_index());
   for (std::uint64_t off : s.block_offsets) put_u64(out, off);
   put_u64(out, s.payload_bits);
   out.insert(out.end(), s.payload.begin(), s.payload.end());
@@ -246,13 +299,7 @@ std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
   if (block_size == 0) {
     throw std::invalid_argument("compress_buffer: block_size == 0");
   }
-  CompressedStream s;
-  s.original_bytes = data.size();
-  s.block_size = block_size;
-
   const std::size_t n_blocks = (data.size() + block_size - 1) / block_size;
-  s.n_blocks = static_cast<std::uint32_t>(n_blocks);
-
   std::vector<Histogram> hists(n_blocks);
   std::vector<std::span<const std::uint8_t>> blocks(n_blocks);
   for (std::size_t i = 0; i < n_blocks; ++i) {
@@ -264,18 +311,14 @@ std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
 
   const Histogram global = Histogram::merged(hists);
   const CodeTable table = CodeTable::from_histogram(global);
-  s.lengths = table.lengths();
-
   const auto offsets = all_offsets(hists, table);
-  std::vector<EncodedBlock> encoded(n_blocks);
+  ContainerWriter writer(data.size(), static_cast<std::uint32_t>(n_blocks),
+                         block_size, table.lengths(),
+                         table.encoded_bits(global), with_index);
   for (std::size_t i = 0; i < n_blocks; ++i) {
-    encoded[i] = encode_block(blocks[i], table);
+    writer.place(i, offsets[i], encode_block(blocks[i], table));
   }
-  s.payload = assemble(encoded, offsets);
-  s.payload_bits =
-      n_blocks == 0 ? 0 : offsets.back() + encoded.back().bit_count;
-  if (with_index) s.block_offsets = offsets;
-  return serialize(s);
+  return writer.take();
 }
 
 std::vector<std::uint8_t> decompress_buffer(

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "huffman/canonical.h"
+#include "huffman/encoder.h"
 
 namespace huff {
 
@@ -54,6 +55,38 @@ struct CompressedStream {
 
   /// Container size in bytes (header + index + payload).
   [[nodiscard]] std::size_t serialized_size() const;
+};
+
+/// Writes one container in place: the constructor allocates it whole,
+/// zero-filled, and writes the header; place() writes each block's index
+/// entry and payload bits. place() calls for distinct blocks may run
+/// concurrently (splice_bits merges the shared edge bytes atomically); the
+/// caller orders every place() before take().
+class ContainerWriter {
+ public:
+  /// `with_index` embeds the block index; `payload_bits` is the exact
+  /// payload length, which the placed blocks must tile.
+  ContainerWriter(std::uint64_t original_bytes, std::uint32_t n_blocks,
+                  std::uint32_t block_size, const CodeLengths& lengths,
+                  std::uint64_t payload_bits, bool with_index = true);
+
+  /// Writes block `i`, starting at payload bit `offset`. Throws
+  /// std::out_of_range if i >= n_blocks or offset + bit_count >
+  /// payload_bits.
+  void place(std::size_t i, std::uint64_t offset, const EncodedBlock& block);
+
+  [[nodiscard]] std::uint64_t payload_bits() const { return payload_bits_; }
+
+  /// The container; the writer is left empty.
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
+
+ private:
+  std::vector<std::uint8_t> out_;
+  std::uint32_t n_blocks_;
+  std::uint64_t payload_bits_;
+  bool with_index_;
+  std::size_t index_at_ = 0;    ///< byte offset of index entry 0
+  std::size_t payload_at_ = 0;  ///< byte offset of the payload
 };
 
 /// Serializes to bytes. Deterministic.

@@ -61,7 +61,7 @@ void mirror_alloc_stats(metrics::Registry& reg, const sre::ArenaStats& before,
       .add(after.oversize - before.oversize);
 }
 
-RunResult collect(const sio::BlockSource& src, const HuffmanPipeline& pl,
+RunResult collect(const sio::BlockSource& src, HuffmanPipeline& pl,
                   sre::Runtime& rt, stats::Micros makespan) {
   pl.validate_complete();
   RunResult res;
@@ -396,7 +396,7 @@ SharedRun begin_shared_run(const RunConfig& config, sre::Runtime& runtime,
 }
 
 RunResult collect_shared_run(const SharedRun& run, std::uint64_t done_us) {
-  const HuffmanPipeline& pl = *run.pipeline;
+  HuffmanPipeline& pl = *run.pipeline;
   pl.validate_complete();
   RunResult res;
   res.trace = pl.trace();

@@ -157,8 +157,9 @@ struct SharedRun {
 };
 
 /// Starts `config` as a session on a shared engine. `on_complete` fires
-/// exactly once, from an executor thread, when the last block's committed
-/// encoding lands (see HuffmanPipeline::set_on_complete); `on_last_arrival`
+/// exactly once, from an executor thread, when the last committed block is
+/// placed in the container (see HuffmanPipeline::set_on_complete);
+/// `on_last_arrival`
 /// (optional) fires on the feeder thread right after the final block has
 /// been injected — the serving layer's Running → Draining edge. Block
 /// arrival times from the config's ArrivalModel are scaled by

@@ -1,7 +1,10 @@
 #include "pipeline/huffman_pipeline.h"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "huffman/offsets.h"
 #include "huffman/stream_format.h"
@@ -37,6 +40,143 @@ huff::EncodedBlock encode_into_lane(std::span<const std::uint8_t> block,
   return huff::encode_block_into(block, table, out, arenas);
 }
 
+/// One histogram per block, left uninitialized at construction: each count
+/// body constructs its block's histogram in place, so the page faults land
+/// on the workers rather than on the constructing thread. Task dependencies
+/// order every reader (reduce, offset, encode) after its block's count.
+class BlockHistograms {
+ public:
+  static_assert(std::is_trivially_destructible_v<huff::Histogram>);
+
+  explicit BlockHistograms(std::size_t n)
+      : n_(n), hists_(std::allocator<huff::Histogram>().allocate(n)) {}
+  ~BlockHistograms() {
+    std::allocator<huff::Histogram>().deallocate(hists_, n_);
+  }
+  BlockHistograms(const BlockHistograms&) = delete;
+  BlockHistograms& operator=(const BlockHistograms&) = delete;
+
+  /// The count body of block `b`.
+  void count(std::size_t b, std::span<const std::uint8_t> block) {
+    std::construct_at(hists_ + b)->count(block);
+  }
+  [[nodiscard]] const huff::Histogram& operator[](std::size_t b) const {
+    return hists_[b];
+  }
+  [[nodiscard]] std::span<const huff::Histogram> range(std::size_t begin,
+                                                       std::size_t end) const {
+    return {hists_ + begin, end - begin};
+  }
+
+ private:
+  std::size_t n_;
+  huff::Histogram* hists_;
+};
+
+/// The commit sink (docs/data-plane.md, "Commit sink"): every committed
+/// block goes straight to its place in one preallocated container. The
+/// first committed block makes the writer, outside the lock; blocks that
+/// commit meanwhile are parked, and the thread that made the writer places
+/// them. Completion fires once every block is placed.
+class CommitSink {
+ public:
+  using MakeWriter = std::function<huff::ContainerWriter()>;
+
+  CommitSink(std::size_t n_blocks, MakeWriter make)
+      : n_(n_blocks), make_(std::move(make)) {}
+
+  void place(std::size_t block, std::uint64_t offset,
+             const huff::EncodedBlock& enc, std::uint64_t now_us) {
+    std::unique_lock lk(mu_);
+    std::size_t placed = 1;
+    if (writer_) {
+      lk.unlock();
+      put(block, offset, enc);
+    } else {
+      parked_.push_back({block, offset, enc});
+      if (allocating_) return;
+      allocating_ = true;
+      lk.unlock();
+      huff::ContainerWriter writer = make_();
+      lk.lock();
+      writer_.emplace(std::move(writer));
+      // Nothing parks once the writer exists: one batch drains them all.
+      const std::vector<Parked> batch = std::exchange(parked_, {});
+      lk.unlock();
+      for (const Parked& p : batch) put(p.block, p.offset, p.enc);
+      placed = batch.size();
+    }
+    lk.lock();
+    placed_ += placed;
+    if (placed_ != n_ || !on_complete_) return;
+    const auto fire = on_complete_;
+    lk.unlock();
+    fire(now_us);
+  }
+
+  /// See HuffmanPipeline::set_on_complete.
+  void set_on_complete(std::function<void(std::uint64_t)> fn) {
+    std::unique_lock lk(mu_);
+    on_complete_ = std::move(fn);
+    if (placed_ == n_) {
+      const auto fire = on_complete_;
+      lk.unlock();
+      fire(0);
+    }
+  }
+
+  /// The container's payload size; 0 until the writer exists.
+  [[nodiscard]] std::uint64_t payload_bits() const {
+    std::scoped_lock lk(mu_);
+    return writer_ ? writer_->payload_bits() : 0;
+  }
+
+  /// Hands the finished container over; a second call throws.
+  std::vector<std::uint8_t> take() {
+    std::scoped_lock lk(mu_);
+    if (taken_) {
+      throw std::logic_error("assemble_output: container already taken");
+    }
+    if (placed_ != n_) {
+      throw std::logic_error("assemble_output: incomplete run");
+    }
+    // A zero-block run commits nothing, so nothing made the writer.
+    if (!writer_) writer_.emplace(make_());
+    taken_ = true;
+    return writer_->take();
+  }
+
+ private:
+  struct Parked {
+    std::size_t block;
+    std::uint64_t offset;
+    huff::EncodedBlock enc;
+  };
+
+  void put(std::size_t block, std::uint64_t offset,
+           const huff::EncodedBlock& enc) {
+    // The committed table's payload size must be exactly what the blocks
+    // tile: the last block ends on it.
+    if (block + 1 == n_ && offset + enc.bit_count != writer_->payload_bits()) {
+      throw std::logic_error("HuffmanPipeline: blocks end at bit " +
+                             std::to_string(offset + enc.bit_count) +
+                             ", the committed table's payload at " +
+                             std::to_string(writer_->payload_bits()));
+    }
+    writer_->place(block, offset, enc);
+  }
+
+  const std::size_t n_;
+  const MakeWriter make_;
+  mutable std::mutex mu_;
+  std::optional<huff::ContainerWriter> writer_;
+  bool allocating_ = false;
+  bool taken_ = false;
+  std::vector<Parked> parked_;
+  std::size_t placed_ = 0;
+  std::function<void(std::uint64_t)> on_complete_;
+};
+
 }  // namespace
 
 /// Active speculative second pass: one epoch's tree, serial offset chain
@@ -65,7 +205,10 @@ struct HuffmanPipeline::State {
         cfg(std::move(config)),
         root("huffman"),
         first_pass(&root.add_child("first-pass")),
-        second_pass(&root.add_child("second-pass")) {}
+        second_pass(&root.add_child("second-pass")),
+        n_blocks(source.n_blocks()),
+        block_hists(n_blocks),
+        sink(n_blocks, [this] { return make_writer(); }) {}
 
   sre::Runtime& rt;
   const sio::BlockSource& src;
@@ -84,7 +227,7 @@ struct HuffmanPipeline::State {
   sre::SuperTask* first_pass;
   sre::SuperTask* second_pass;
 
-  std::size_t n_blocks = 0;
+  const std::size_t n_blocks;
   std::size_t n_reduces = 0;
 
   std::mutex mu;
@@ -99,7 +242,7 @@ struct HuffmanPipeline::State {
   // strong reference would cycle whenever a run is abandoned with them
   // unrun. An expired count or reduce task has finished (natural tasks are
   // never aborted), so there is no dependency left to declare on it.
-  std::vector<huff::Histogram> block_hists;  ///< written by count bodies
+  BlockHistograms block_hists;
   std::vector<std::weak_ptr<sre::Task>> count_tasks;
   std::weak_ptr<sre::Task> prev_reduce;
   huff::Histogram prefix;  ///< mutated only by the serial reduce chain
@@ -115,6 +258,9 @@ struct HuffmanPipeline::State {
   std::optional<Chain> chain;
   std::unique_ptr<predict::PredictorBank<huff::Histogram>> bank;
   std::unique_ptr<Stage> stage;
+
+  /// Places every committed block into the output container.
+  CommitSink sink;
 
   [[nodiscard]] std::size_t group_begin(std::size_t g) const {
     return g * cfg.ratios.offset_group;
@@ -134,6 +280,18 @@ struct HuffmanPipeline::State {
     std::scoped_lock lk(mu);
     return natural_lengths;
   }
+
+  /// The output container for the committed table, zero-filled with its
+  /// header written. Its payload is the committed table's size of the final
+  /// prefix histogram, which every block's offset was computed against.
+  [[nodiscard]] huff::ContainerWriter make_writer() {
+    const huff::CodeLengths lengths = committed_lengths();
+    const std::uint64_t payload_bits =
+        n_reduces == 0 ? 0 : huff::encoded_bits(lengths, *snapshots.back());
+    return {src.total_bytes(), static_cast<std::uint32_t>(n_blocks),
+            static_cast<std::uint32_t>(src.block_size()), lengths,
+            payload_bits};
+  }
 };
 
 HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
@@ -141,13 +299,11 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
                                  const RunConfig& config)
     : st_(std::make_shared<State>(runtime, source, config)) {
   State& st = *st_;
-  st.n_blocks = source.n_blocks();
   const std::size_t R = config.ratios.reduce_ratio;
   if (R == 0 || config.ratios.offset_group == 0) {
     throw std::invalid_argument("HuffmanPipeline: zero ratio");
   }
   st.n_reduces = (st.n_blocks + R - 1) / R;
-  st.block_hists.resize(st.n_blocks);
   st.count_tasks.resize(st.n_blocks);
   st.snapshots.resize(st.n_reduces);
 
@@ -223,6 +379,10 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
     const auto stp = w.lock();
     std::scoped_lock lk(stp->mu);
     if (stp->chain && stp->chain->epoch == epoch) stp->chain.reset();
+  };
+  hooks.on_committed = [w](std::size_t b, const BlockResult& r,
+                           std::uint64_t now_us) {
+    w.lock()->sink.place(b, r.offset, r.enc, now_us);
   };
   if (st.bank) {
     hooks.observe = [bank = st.bank.get()](std::uint32_t k,
@@ -341,7 +501,7 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
 }
 
 void HuffmanPipeline::set_on_complete(std::function<void(std::uint64_t)> fn) {
-  st_->stage->set_on_complete(std::move(fn));
+  st_->sink.set_on_complete(std::move(fn));
 }
 
 void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
@@ -358,7 +518,7 @@ void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
         "count[" + std::to_string(i) + "]", sre::TaskClass::Natural,
         sre::kNaturalEpoch, /*depth=*/1, st->cost(TaskKind::Count),
         [st, i](sre::TaskContext&) {
-          st->block_hists[i] = huff::Histogram::of(st->src.block(i));
+          st->block_hists.count(i, st->src.block(i));
         },
         st->cfg.stream_id);
     count->set_mem_bytes(st->src.block_size() + sizeof(huff::Histogram));
@@ -457,9 +617,7 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
             sre::TaskContext&) {
           const std::uint64_t start = prev_end ? prev_end->get() : 0;
           const huff::OffsetGroup og = huff::compute_offsets(
-              std::span<const huff::Histogram>(st->block_hists)
-                  .subspan(begin, end - begin),
-              *table, start);
+              st->block_hists.range(begin, end), *table, start);
           for (std::size_t b = begin; b < end; ++b) {
             (*offsets)[b] = og.block_offsets[b - begin];
           }
@@ -555,9 +713,7 @@ void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
               sre::TaskContext&) {
             const std::uint64_t start = prev_end_cap ? prev_end_cap->get() : 0;
             const huff::OffsetGroup og = huff::compute_offsets(
-                std::span<const huff::Histogram>(st->block_hists)
-                    .subspan(begin, end - begin),
-                *table, start);
+                st->block_hists.range(begin, end), *table, start);
             for (std::size_t b = begin; b < end; ++b) {
               (*offsets)[b] = og.block_offsets[b - begin];
             }
@@ -671,38 +827,11 @@ void HuffmanPipeline::validate_complete() const {
 }
 
 std::uint64_t HuffmanPipeline::output_bits() const {
-  return st_->stage->with_results([](const auto& slots) {
-    std::uint64_t end = 0;
-    for (const auto& slot : slots) {
-      if (slot) end = std::max(end, slot->offset + slot->enc.bit_count);
-    }
-    return end;
-  });
+  return st_->sink.payload_bits();
 }
 
-std::vector<std::uint8_t> HuffmanPipeline::assemble_output() const {
-  huff::CompressedStream s;
-  s.original_bytes = st_->src.total_bytes();
-  s.n_blocks = static_cast<std::uint32_t>(st_->n_blocks);
-  s.block_size = static_cast<std::uint32_t>(st_->src.block_size());
-  s.lengths = st_->committed_lengths();
-
-  std::vector<huff::EncodedBlock> blocks;
-  blocks.reserve(st_->n_blocks);
-  // The Offset phase computed every block's position anyway: embed the
-  // random-access index for free.
-  s.block_offsets.reserve(st_->n_blocks);
-  st_->stage->with_results([&](const auto& slots) {
-    for (const auto& slot : slots) {
-      if (!slot) throw std::logic_error("assemble_output: incomplete run");
-      blocks.push_back(slot->enc);
-      s.block_offsets.push_back(slot->offset);
-      s.payload_bits =
-          std::max(s.payload_bits, slot->offset + slot->enc.bit_count);
-    }
-  });
-  s.payload = huff::assemble(blocks, s.block_offsets);
-  return huff::serialize(s);
+std::vector<std::uint8_t> HuffmanPipeline::assemble_output() {
+  return st_->sink.take();
 }
 
 }  // namespace pipeline

@@ -78,11 +78,12 @@ class HuffmanPipeline {
   /// schedule) when block `i`'s bytes become available.
   void on_block_arrival(std::size_t i, std::uint64_t now_us);
 
-  /// Installs a callback fired exactly once, when the last block's committed
-  /// encoding lands (all blocks filled and the code table chosen) — i.e. the
-  /// moment validate_complete() would first pass. Runs on whichever executor
-  /// thread fills the last block, with the engine time of that fill; fires
-  /// immediately (now_us = 0) if the run is already complete when installed.
+  /// Installs a callback fired exactly once, when the last committed block
+  /// is placed in the output container — from then on validate_complete()
+  /// passes and assemble_output() hands the container over. Runs on
+  /// whichever executor thread places the last block, with the engine time
+  /// of the commit that placed it; fires immediately (now_us = 0) if the
+  /// run is already complete when installed.
   /// The serving layer uses this to detect session completion without
   /// waiting for global runtime quiescence.
   void set_on_complete(std::function<void(std::uint64_t now_us)> fn);
@@ -134,10 +135,15 @@ class HuffmanPipeline {
   /// that loses blocks is a correctness bug.
   void validate_complete() const;
 
-  /// Assembles the complete compressed container (header + spliced payload).
-  [[nodiscard]] std::vector<std::uint8_t> assemble_output() const;
+  /// Hands over the compressed container. Nothing is assembled here: each
+  /// block was written to its final bit position in one preallocated
+  /// container when it committed (docs/data-plane.md, "Commit sink"), so
+  /// this moves the finished container out. Throws std::logic_error if a
+  /// block is not placed yet, or on a second call.
+  [[nodiscard]] std::vector<std::uint8_t> assemble_output();
 
-  /// Compressed payload size in bits of the committed output.
+  /// Compressed payload size in bits of the committed output (0 before the
+  /// container exists).
   [[nodiscard]] std::uint64_t output_bits() const;
 
   /// The pipeline's SuperTask hierarchy (paper §III-A/B): the root routes

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
+#include "huffman/bitio.h"
+#include "huffman/encoder.h"
 #include "workload/corpus.h"
 #include "workload/rng.h"
 
@@ -265,6 +270,113 @@ TEST(RandomAccess, FuzzedCorruptionThrowsButNeverCrashes) {
       }
     }
   }
+}
+
+// --- ContainerWriter -------------------------------------------------------
+
+TEST(ContainerWriter, RejectsABlockOutsideTheContainer) {
+  huff::ContainerWriter writer(8192, 2, 4096, huff::CodeLengths{}, 100);
+  const huff::EncodedBlock block{std::vector<std::uint8_t>(8, 0xFF), 60};
+  EXPECT_THROW(writer.place(2, 0, block), std::out_of_range) << "i >= n_blocks";
+  EXPECT_THROW(writer.place(1, 41, block), std::out_of_range)
+      << "offset + bits > payload_bits";
+  EXPECT_THROW(writer.place(1, ~std::uint64_t{0}, block), std::out_of_range)
+      << "offset past payload_bits";
+  writer.place(0, 0, block);
+  writer.place(1, 60, {std::vector<std::uint8_t>(5, 0xFF), 40});
+  // 100 payload bits: 12 whole bytes and the top half of a 13th.
+  const auto out = writer.take();
+  EXPECT_TRUE(std::all_of(out.end() - 13, out.end() - 1,
+                          [](std::uint8_t b) { return b == 0xFF; }));
+  EXPECT_EQ(out.back(), 0xF0);
+}
+
+TEST(ContainerWriter, ZeroBlocksIsHeaderOnly) {
+  // What compress_buffer and the pipeline write for an empty file: no
+  // index flag, no payload.
+  CompressedStream header;
+  header.block_size = 4096;
+  const auto empty = huff::serialize(header);
+  EXPECT_EQ(huff::ContainerWriter(0, 0, 4096, huff::CodeLengths{}, 0).take(),
+            empty);
+  EXPECT_EQ(huff::compress_buffer({}), empty);
+  EXPECT_TRUE(huff::decompress_buffer(empty).empty());
+}
+
+/// Blocks of random bits (with garbage past each bit count, which placement
+/// must mask) whose offsets cover every bit phase 0-7, including blocks of
+/// fewer than 8 bits that share one byte with both neighbours.
+struct PlacementCase {
+  std::vector<huff::EncodedBlock> blocks;
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t payload_bits = 0;
+};
+
+PlacementCase placement_case(std::uint64_t seed) {
+  wl::Rng rng(seed);
+  PlacementCase c;
+  bool phase_seen[8] = {};
+  for (std::size_t i = 0; i < 512; ++i) {
+    const std::uint64_t bits =
+        i % 5 == 0 ? 1 + rng.below(7) : 1 + rng.below(400);
+    std::vector<std::uint8_t> bytes((bits + 7) / 8);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+    phase_seen[c.payload_bits % 8] = true;
+    c.offsets.push_back(c.payload_bits);
+    c.blocks.push_back({std::move(bytes), bits});
+    c.payload_bits += bits;
+  }
+  for (const bool seen : phase_seen) EXPECT_TRUE(seen);
+  return c;
+}
+
+TEST(ContainerWriter, ConcurrentPlacementEqualsSerialAssemble) {
+  constexpr unsigned kThreads = 4;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const PlacementCase c = placement_case(seed);
+    const auto n = static_cast<std::uint32_t>(c.blocks.size());
+    CompressedStream expected;
+    expected.original_bytes = n;
+    expected.n_blocks = n;
+    expected.block_size = 1;
+    expected.block_offsets = c.offsets;
+    expected.payload_bits = c.payload_bits;
+    expected.payload = huff::assemble(c.blocks, c.offsets);
+
+    // Adjacent blocks land on different threads in shuffled order, so
+    // shared edge bytes are merged concurrently.
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    wl::Rng rng(seed * 77);
+    for (std::size_t i = n - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.below(i + 1)]);
+    }
+    huff::ContainerWriter writer(n, n, 1, expected.lengths, c.payload_bits);
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (std::size_t k; (k = next.fetch_add(1)) < n;) {
+          const std::size_t i = order[k];
+          writer.place(i, c.offsets[i], c.blocks[i]);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(writer.take(), huff::serialize(expected)) << "seed " << seed;
+  }
+}
+
+TEST(ContainerWriter, SerialPlacementMatchesBitWriter) {
+  const PlacementCase c = placement_case(9);
+  huff::BitWriter seq;
+  for (const auto& block : c.blocks) {
+    huff::BitReader in(block.bits);
+    for (std::uint64_t b = 0; b < block.bit_count; ++b) {
+      seq.put(in.get_bit(), 1);
+    }
+  }
+  EXPECT_EQ(huff::assemble(c.blocks, c.offsets), seq.take());
 }
 
 }  // namespace

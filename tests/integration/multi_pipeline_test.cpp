@@ -19,7 +19,7 @@ sio::BlockSource make_src(wl::FileKind kind, std::size_t kib,
                           std::make_shared<sio::DiskArrival>());
 }
 
-void verify(const pipeline::HuffmanPipeline& pl, const sio::BlockSource& src) {
+void verify(pipeline::HuffmanPipeline& pl, const sio::BlockSource& src) {
   pl.validate_complete();
   const auto out = pl.assemble_output();
   const auto decoded = huff::decompress_buffer(out);

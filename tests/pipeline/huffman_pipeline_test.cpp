@@ -5,10 +5,18 @@
 // no stray tasks; traces are complete.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <filesystem>
+
+#include <unistd.h>
+
+#include "huffman/stream_format.h"
 #include "io/block_source.h"
 #include "pipeline/driver.h"
 #include "pipeline/huffman_pipeline.h"
 #include "sim/sim_executor.h"
+#include "sre/chaos_point.h"
 #include "workload/corpus.h"
 
 namespace {
@@ -218,6 +226,104 @@ TEST(Pipeline, StateIsFreedWithHandleAndRuntime) {
     EXPECT_GT(pl.rollbacks(), 0u) << "the run should exercise rollback";
   }
   EXPECT_TRUE(weak_source.expired());
+}
+
+// --- Commit sink ------------------------------------------------------------
+
+/// Round trip, and the committed tree within tolerance of the exact one.
+void expect_committed_output_ok(const RunConfig& cfg, const RunResult& res) {
+  pipeline::verify_roundtrip(res);
+  EXPECT_EQ(res.output_bits, huff::deserialize(res.container).payload_bits);
+  const double overhead = pipeline::size_overhead_vs_optimal(res);
+  EXPECT_GE(overhead, -1e-9);
+  EXPECT_LT(overhead, cfg.spec.tolerance + 0.005);
+}
+
+TEST(CommitSink, NonSpecOutputEqualsSerialReference) {
+  // perfbench compares NonSpeculative containers with compress_buffer's
+  // bytes before it decodes them.
+  for (const auto file :
+       {wl::FileKind::Txt, wl::FileKind::Bmp, wl::FileKind::Pdf}) {
+    const RunConfig cfg = small(file, sre::DispatchPolicy::NonSpeculative);
+    const auto sim = pipeline::run_sim(cfg);
+    EXPECT_EQ(sim.container, huff::compress_buffer(sim.input))
+        << wl::to_string(file) << " sim";
+    const auto threaded = pipeline::run_threaded(cfg, 4, /*time_scale=*/0.02);
+    EXPECT_EQ(threaded.container, huff::compress_buffer(threaded.input))
+        << wl::to_string(file) << " threaded";
+  }
+}
+
+/// Counts crossings of the wait buffer's flush and pass-through windows.
+struct CommitPathCounter final : sre::chaos::Hook {
+  std::atomic<int> flushes{0};
+  std::atomic<int> passthroughs{0};
+  void on_point(const char* site) noexcept override {
+    if (std::strcmp(site, "wait_buffer.flush_window") == 0) ++flushes;
+    if (std::strcmp(site, "wait_buffer.passthrough_window") == 0) {
+      ++passthroughs;
+    }
+  }
+};
+
+TEST(CommitSink, SpeculativeCommitPlacesParkedThenPassThroughBlocks) {
+  // Blocks encoded before the final check park in the wait buffer and are
+  // placed by the commit flush; the encodes of the last offset groups still
+  // run at commit and are placed on pass-through.
+  const RunConfig cfg = small(wl::FileKind::Txt, sre::DispatchPolicy::Balanced);
+  CommitPathCounter counter;
+  RunResult res;
+  {
+    sre::chaos::ScopedHook guard(&counter);
+    res = pipeline::run_sim(cfg);
+  }
+  ASSERT_TRUE(res.spec_committed);
+  EXPECT_GT(counter.flushes.load(), 0);
+  EXPECT_GT(counter.passthroughs.load(), 0);
+  expect_committed_output_ok(cfg, res);
+}
+
+TEST(CommitSink, RollbackThenNaturalPathRoundTrips) {
+  // A PDF/TXT splice on real threads: the text fills only the last reduce
+  // group, so the final check fails against the tree guessed from the PDF,
+  // and the run falls back to the natural path, whose blocks are placed by
+  // the workers that encode them. Socket pacing keeps the estimates in
+  // order whatever the load.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tvs_commit_sink_splice_" + std::to_string(::getpid()));
+  auto bytes = wl::make_corpus(wl::FileKind::Pdf, 960 * 1024, 3);
+  const auto txt = wl::make_corpus(wl::FileKind::Txt, 64 * 1024, 4);
+  bytes.insert(bytes.end(), txt.begin(), txt.end());
+  huff::write_file(path.string(), bytes);
+  auto cfg = pipeline::RunConfig::x86_socket(wl::FileKind::Pdf,
+                                             sre::DispatchPolicy::Balanced);
+  cfg.input_path = path.string();
+  const auto res = pipeline::run_threaded(cfg, 4, /*time_scale=*/0.05);
+  std::filesystem::remove(path);
+  EXPECT_GE(res.rollbacks, 1u);
+  EXPECT_FALSE(res.spec_committed);
+  expect_committed_output_ok(cfg, res);
+}
+
+TEST(CommitSink, SecondAssembleOutputThrows) {
+  const auto cfg = small(wl::FileKind::Txt, sre::DispatchPolicy::Balanced, 64);
+  sio::BlockSource src(wl::make_corpus(cfg.file, cfg.bytes, cfg.seed), 4096,
+                       std::make_shared<sio::DiskArrival>());
+  sre::Runtime rt(cfg.policy);
+  sim::SimExecutor ex(rt, cfg.platform);
+  pipeline::HuffmanPipeline pl(rt, src, cfg);
+  src.for_each_arrival([&](std::size_t i, sio::Micros at) {
+    ex.schedule_arrival(at, [&pl, i](sim::Micros now) {
+      pl.on_block_arrival(i, now);
+    });
+  });
+  ex.run();
+  pl.validate_complete();
+  const auto container = pl.assemble_output();
+  EXPECT_EQ(huff::decompress_buffer(container),
+            std::vector<std::uint8_t>(src.bytes().begin(), src.bytes().end()));
+  EXPECT_THROW((void)pl.assemble_output(), std::logic_error);
+  EXPECT_EQ(pl.output_bits(), huff::deserialize(container).payload_bits);
 }
 
 TEST(RunResult, LatencyHelpers) {

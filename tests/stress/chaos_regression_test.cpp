@@ -9,11 +9,15 @@
 // a legal interleaving of the concurrent one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/speculative_stage.h"
@@ -22,8 +26,13 @@
 #include "filter/filter_pipeline.h"
 #include "filter/fir.h"
 #include "filter/iterative_design.h"
+#include "huffman/stream_format.h"
+#include "io/block_source.h"
+#include "pipeline/huffman_pipeline.h"
 #include "sre/chaos_point.h"
 #include "sre/runtime.h"
+#include "sre/threaded_executor.h"
+#include "workload/corpus.h"
 
 namespace {
 
@@ -180,9 +189,14 @@ TEST(ChaosRegression, StaleBuilderAfterNewerCommitIsANoOp) {
   using Stage = SpeculativeStage<double, double>;
   auto owner = std::make_shared<int>(0);
   std::vector<sre::Epoch> built;
+  std::vector<std::size_t> committed_blocks;
   Stage* stage_ptr = nullptr;
   Stage::Hooks hooks;
   hooks.map = {"blk", 1, [](const double& v, std::size_t) { return v; }};
+  hooks.on_committed = [&](std::size_t block, const double& v, std::uint64_t) {
+    EXPECT_DOUBLE_EQ(v, 5.0);
+    committed_blocks.push_back(block);
+  };
   hooks.build_chain = [&](const double& guess, sre::Epoch e, std::uint32_t) {
     built.push_back(e);
     stage_ptr->map_blocks(guess, e);
@@ -219,6 +233,9 @@ TEST(ChaosRegression, StaleBuilderAfterNewerCommitIsANoOp) {
   stage.with_results([](const auto& slots) {
     for (const auto& slot : slots) EXPECT_DOUBLE_EQ(*slot, 5.0);
   });
+  std::sort(committed_blocks.begin(), committed_blocks.end());
+  EXPECT_EQ(committed_blocks, (std::vector<std::size_t>{0, 1, 2, 3}))
+      << "the commit hook sees each block once";
 }
 
 // The same interleaving through FilterPipeline (three CG iterates, a check at
@@ -315,6 +332,80 @@ TEST(ChaosRegression, ReentrantSinkAddQueuesBehindFlush) {
 
   EXPECT_EQ(order, (std::vector<int>{1, 2, 101, 102}));
   EXPECT_EQ(buf.total_pending(), 0u);
+}
+
+// The same race on real threads, through HuffmanPipeline's commit sink: the
+// commit flush places parked blocks into the output container while
+// workers keep finishing encodes of the committing epoch. The last offset
+// group's encodes are slowed, so they are still running at commit, and the
+// first flush batch is held until one of their results has queued behind
+// it; the committer must place that in a follow-up batch, so every block
+// lands once, in place.
+TEST(ChaosRegression, HuffmanDeliveryQueuedBehindCommitFlushIsPlaced) {
+  /// Delays the speculative encodes of blocks >= `first`.
+  struct SlowTail final : sre::FaultPlan {
+    std::size_t first = 0;
+    sre::FaultDecision before_task(const sre::Task& task) noexcept override {
+      const std::string_view name = task.name();
+      constexpr std::string_view kEncode = "spec-encode[";
+      if (name.substr(0, kEncode.size()) != kEncode ||
+          std::stoul(std::string(name.substr(kEncode.size()))) < first) {
+        return sre::FaultDecision::none();
+      }
+      return sre::FaultDecision::delay(5000);
+    }
+  };
+  /// Holds the first flush batch until a delivery has queued behind it.
+  struct QueueBehindFlush final : sre::chaos::Hook {
+    const pipeline::HuffmanPipeline* pl = nullptr;
+    std::atomic<int> flushes{0};
+    void on_point(const char* site) noexcept override {
+      if (std::string_view(site) != "wait_buffer.flush_window" ||
+          flushes.fetch_add(1) != 0) {
+        return;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (pl->wait_pending() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  };
+
+  auto cfg = pipeline::RunConfig::x86_disk(wl::FileKind::Txt,
+                                           DispatchPolicy::Balanced);
+  const sio::BlockSource src(wl::make_corpus(cfg.file, 512 * 1024, cfg.seed),
+                             cfg.ratios.block_size,
+                             std::make_shared<sio::DiskArrival>());
+  SlowTail slow;
+  slow.first = src.n_blocks() - cfg.ratios.offset_group;
+  Runtime rt(cfg.policy);
+  rt.set_fault_plan(&slow);
+  sre::ThreadedExecutor ex(rt, {.workers = 4, .arrival_time_scale = 0.005});
+  pipeline::HuffmanPipeline pl(rt, src, cfg);
+  src.for_each_arrival([&](std::size_t i, sio::Micros at) {
+    ex.schedule_arrival(at, [&pl, i](std::uint64_t now) {
+      pl.on_block_arrival(i, now);
+    });
+  });
+  QueueBehindFlush hook;
+  hook.pl = &pl;
+  {
+    sre::chaos::ScopedHook guard(&hook);
+    ex.run();
+  }
+  pl.validate_complete();
+  ASSERT_TRUE(pl.speculation_committed());
+  EXPECT_GE(hook.flushes.load(), 2) << "no delivery queued behind the flush";
+  const auto back = huff::decompress_buffer(pl.assemble_output());
+  EXPECT_TRUE(std::equal(back.begin(), back.end(), src.bytes().begin(),
+                         src.bytes().end()));
+  // The committed tree passed the final check at the configured tolerance.
+  const double optimal = static_cast<double>(
+      huff::deserialize(huff::compress_buffer(back)).payload_bits);
+  EXPECT_LT(static_cast<double>(pl.output_bits()),
+            optimal * (1 + cfg.spec.tolerance + 0.005));
 }
 
 // --- Race 3: unbounded per-epoch bookkeeping --------------------------------
