@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
     pipeline::verify_roundtrip(res);
     arms.push_back({"adaptive(controller)", res.avg_latency_us(),
                     res.makespan_us, res.rollbacks,
-                    controller.stream(1, 0.0, 1).retunes()});
+                    controller.stream(1, 1).retunes()});
   }
 
   std::printf("%-30s %12s %12s %10s %8s\n", "arm", "latency-us", "makespan",

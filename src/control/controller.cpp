@@ -34,11 +34,8 @@ bool Knob::lower(std::uint64_t now_us, std::uint64_t dwell_us) {
   return step_by(-step_, now_us, dwell_us);
 }
 
-SpecTuner::SpecTuner(const ControlConfig& cfg, double base_gate,
-                     std::uint32_t base_step)
+SpecTuner::SpecTuner(const ControlConfig& cfg, std::uint32_t base_step)
     : cfg_(cfg),
-      gate_(base_gate, base_gate, std::max(base_gate, cfg.gate_max),
-            cfg.gate_step),
       defer_(0.0, 0.0, static_cast<double>(cfg.defer_max),
              static_cast<double>(std::max<std::uint32_t>(1, cfg.defer_step))),
       step_(static_cast<double>(base_step), static_cast<double>(base_step),
@@ -59,7 +56,6 @@ std::vector<Action> SpecTuner::sample(double rollback_rate,
                                : k.lower(now_us, cfg_.min_dwell_us);
     if (changed) out.push_back({name, k.value(), c, reason});
   };
-  move(gate_, "confidence_gate");
   move(defer_, "restart_min_defer");
   move(step_, "step_size");
   if (!out.empty()) ++retunes_;
@@ -75,8 +71,7 @@ std::uint32_t SpecTuner::step_size() const {
 }
 
 bool SpecTuner::tightened() const {
-  return gate_.value() > gate_.lo() || defer_.value() > defer_.lo() ||
-         step_.value() > step_.lo();
+  return defer_.value() > defer_.lo() || step_.value() > step_.lo();
 }
 
 AdmissionTuner::AdmissionTuner(const ControlConfig& cfg, AdmissionLimits base)
@@ -130,11 +125,10 @@ AdmissionLimits AdmissionTuner::limits() const {
 Controller::Controller(ControlConfig cfg, AdmissionLimits base_admission)
     : cfg_(cfg), admission_(cfg, base_admission) {}
 
-SpecTuner& Controller::stream(std::uint64_t id, double base_gate,
-                              std::uint32_t base_step) {
+SpecTuner& Controller::stream(std::uint64_t id, std::uint32_t base_step) {
   auto it = streams_.find(id);
   if (it == streams_.end()) {
-    it = streams_.emplace(id, SpecTuner(cfg_, base_gate, base_step)).first;
+    it = streams_.emplace(id, SpecTuner(cfg_, base_step)).first;
   }
   return it->second;
 }

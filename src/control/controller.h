@@ -46,14 +46,10 @@ struct ControlConfig {
 
   // --- Speculation knobs (per stream; signal: rollbacks per second) ------
   /// Hysteresis band on the rollback rate. Above high: tighten (raise the
-  /// confidence gate, raise the restart defer floor, stretch the step).
-  /// Below low: relax one step back toward the configured baseline.
+  /// restart defer floor, stretch the step). Below low: relax one step back
+  /// toward the configured baseline.
   double rollback_rate_high = 4.0;
   double rollback_rate_low = 0.5;
-  /// Confidence-gate increment per move and its ceiling (only bites when a
-  /// predictor hook is installed; harmless otherwise).
-  double gate_step = 0.15;
-  double gate_max = 0.9;
   /// Restart-defer-floor increment (estimate indices) and ceiling.
   std::uint32_t defer_step = 4;
   std::uint32_t defer_max = 64;
@@ -81,7 +77,7 @@ struct ControlConfig {
 /// One applied knob movement — the attribution record the host logs
 /// through the flight recorder / metrics path. All strings are literals.
 struct Action {
-  const char* knob = "";    ///< "confidence_gate", "max_concurrent", ...
+  const char* knob = "";    ///< "step_size", "max_concurrent", ...
   double value = 0.0;       ///< the knob's value after the move
   int direction = 0;        ///< +1 tightened/widened, -1 relaxed/reclaimed
   const char* reason = "";  ///< the signal edge that triggered it
@@ -122,17 +118,15 @@ class Knob {
 
 /// Per-stream speculation tuner. Signal: that stream's rollback rate
 /// (rollbacks per second over the last interval). Tightening raises the
-/// confidence gate and the restart defer floor and stretches the step
-/// size; relaxing walks each knob one step back toward its baseline.
+/// restart defer floor and stretches the step size; relaxing walks each
+/// knob one step back toward its baseline.
 class SpecTuner {
  public:
-  SpecTuner(const ControlConfig& cfg, double base_gate,
-            std::uint32_t base_step);
+  SpecTuner(const ControlConfig& cfg, std::uint32_t base_step);
 
   /// One control sample. Returns the movements applied (empty = hold).
   std::vector<Action> sample(double rollback_rate, std::uint64_t now_us);
 
-  [[nodiscard]] double confidence_gate() const { return gate_.value(); }
   [[nodiscard]] std::uint32_t restart_min_defer() const;
   [[nodiscard]] std::uint32_t step_size() const;
   /// True iff any knob differs from its baseline (the host can skip the
@@ -142,7 +136,6 @@ class SpecTuner {
 
  private:
   ControlConfig cfg_;
-  Knob gate_;
   Knob defer_;
   Knob step_;
   std::uint64_t retunes_ = 0;
@@ -184,9 +177,8 @@ class Controller {
   Controller(ControlConfig cfg, AdmissionLimits base_admission);
 
   /// The tuner for stream `id`, created on first use with the given
-  /// baselines (subsequent calls ignore the baselines).
-  SpecTuner& stream(std::uint64_t id, double base_gate,
-                    std::uint32_t base_step);
+  /// baseline step (subsequent calls ignore it).
+  SpecTuner& stream(std::uint64_t id, std::uint32_t base_step);
   /// Forgets a finished stream's tuner (bounds memory in a long service).
   void drop_stream(std::uint64_t id);
   [[nodiscard]] std::size_t streams() const { return streams_.size(); }

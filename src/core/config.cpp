@@ -13,14 +13,6 @@ std::string to_string(VerifyMode m) {
   return "?";
 }
 
-std::string to_string(PredictorMode m) {
-  switch (m) {
-    case PredictorMode::Baseline: return "baseline";
-    case PredictorMode::Bank: return "bank";
-  }
-  return "?";
-}
-
 std::string SpecConfig::to_string() const {
   std::ostringstream os;
   os << "step=" << step_size << " verify=" << tvs::to_string(verify.mode);
@@ -28,10 +20,6 @@ std::string SpecConfig::to_string() const {
   os << " tol=" << tolerance * 100.0 << "%";
   if (adaptive_restart) os << " adaptive";
   if (restart_min_defer > 0) os << " defer>=" << restart_min_defer;
-  if (predictor != PredictorMode::Baseline) {
-    os << " pred=" << tvs::to_string(predictor);
-    if (confidence_gate > 0.0) os << " gate=" << confidence_gate;
-  }
   return os.str();
 }
 

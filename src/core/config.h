@@ -54,12 +54,6 @@ struct VerificationPolicy {
   }
 };
 
-/// Where a pipeline's speculation guesses come from.
-enum class PredictorMode : std::uint8_t {
-  Baseline,  ///< hand-rolled: adopt the newest estimate (the paper's path)
-  Bank,      ///< race a predict::PredictorBank and adopt its best guess
-};
-
 struct SpecConfig {
   /// Open a new speculation at estimates step_size, 2·step_size, … (while
   /// none is active). step_size == 0 disables speculation.
@@ -87,15 +81,6 @@ struct SpecConfig {
   /// spikes and relaxes it back to 0 when accuracy recovers.
   std::uint32_t restart_min_defer = 0;
 
-  /// Estimate source for pipelines that support the predictor subsystem
-  /// (src/predict). Baseline reproduces the paper's figures exactly.
-  PredictorMode predictor = PredictorMode::Baseline;
-
-  /// Confidence gate: with a predictor hook installed, an epoch only opens
-  /// when the predicted confidence (in [0,1]) reaches this threshold.
-  /// 0 disables gating; the hook-less baseline always passes.
-  double confidence_gate = 0.0;
-
   [[nodiscard]] bool speculation_enabled() const { return step_size != 0; }
 
   /// True when estimate `index` should open a fresh speculation (given none
@@ -110,6 +95,5 @@ struct SpecConfig {
 };
 
 [[nodiscard]] std::string to_string(VerifyMode m);
-[[nodiscard]] std::string to_string(PredictorMode m);
 
 }  // namespace tvs

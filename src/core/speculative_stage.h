@@ -91,12 +91,6 @@ class SpeculativeStage {
     std::function<void(std::size_t block, const R& result,
                        std::uint64_t now_us)>
         on_committed;
-
-    /// Optional predictor bank: observe sees every offered estimate;
-    /// charge_rollback is charged with every rollback and names the
-    /// predictor it charged (reported to the runtime observer).
-    std::function<void(std::uint32_t index, const V& value)> observe;
-    std::function<std::string()> charge_rollback;
   };
 
   /// `spec` = nullopt runs without speculation: the final estimate builds
@@ -158,12 +152,6 @@ class SpeculativeStage {
       }
       buffer_.drop(epoch);
       if (hooks_.on_rollback) hooks_.on_rollback(epoch);
-      if (hooks_.charge_rollback) {
-        const std::string charged = hooks_.charge_rollback();
-        if (sre::Observer* obs = rt_.observer()) {
-          obs->on_predictor_charged(charged);
-        }
-      }
     };
     cb.build_natural = [this](const V& final_value, std::uint64_t) {
       natural(final_value);
@@ -176,12 +164,10 @@ class SpeculativeStage {
     spec_->set_stream(stream);
   }
 
-  using PredictorHook = typename Speculator<V>::PredictorHook;
-
   SpeculativeStage(const SpeculativeStage&) = delete;
   SpeculativeStage& operator=(const SpeculativeStage&) = delete;
 
-  /// The live Speculator (retune, predictor hook, introspection); null
+  /// The live Speculator (retune, introspection); null
   /// without speculation.
   [[nodiscard]] Speculator<V>* speculator() const { return spec_.get(); }
 
@@ -193,14 +179,12 @@ class SpeculativeStage {
 
   // --- Estimates -------------------------------------------------------
 
-  /// Shows estimate `index` to the predictor bank and asks whether the
-  /// speculator wants it materialized (false without speculation). A
-  /// caller that materializes an accepted estimate in a task hands it over
-  /// with estimate_on_done(..., offered = true).
-  bool offer(std::uint32_t index, bool is_final, const V& value) {
-    if (!spec_) return false;
-    if (hooks_.observe) hooks_.observe(index, value);
-    return spec_->wants_estimate(index, is_final);
+  /// Asks whether the speculator wants estimate `index` materialized
+  /// (false without speculation). A caller that materializes an accepted
+  /// estimate in a task hands it over with estimate_on_done(..., offered =
+  /// true).
+  [[nodiscard]] bool offer(std::uint32_t index, bool is_final) const {
+    return spec_ && spec_->wants_estimate(index, is_final);
   }
 
   /// Feeds estimate `index` (1-based). Without speculation the final
@@ -211,7 +195,7 @@ class SpeculativeStage {
       if (is_final) natural(value);
       return;
     }
-    if (offer(index, is_final, value)) {
+    if (offer(index, is_final)) {
       spec_->on_estimate(std::move(value), index, is_final, now_us);
     }
   }

@@ -91,22 +91,6 @@ class Speculator {
         build_natural;
   };
 
-  /// Optional hook into a value predictor (src/predict). Both members may
-  /// be null independently; installing the hook never changes behaviour
-  /// unless config.confidence_gate > 0 (gating) or refine_guess returns a
-  /// value (guess substitution).
-  struct PredictorHook {
-    /// Predicted confidence, in [0,1], that a guess opened at estimate
-    /// `index` would survive its checks. Compared against
-    /// SpecConfig::confidence_gate before an epoch opens.
-    std::function<double(std::uint32_t index)> confidence;
-
-    /// A refined guess to adopt instead of the raw estimate when the epoch
-    /// opens (e.g. the bank's extrapolation to the final value). Returning
-    /// nullopt keeps the raw estimate.
-    std::function<std::optional<V>(std::uint32_t index)> refine_guess;
-  };
-
   Speculator(sre::Runtime& runtime, SpecConfig config, Callbacks callbacks,
              std::uint64_t check_cost_us = 12)
       : runtime_(runtime),
@@ -117,13 +101,6 @@ class Speculator {
         !cb_.on_rollback || !cb_.build_natural) {
       throw std::invalid_argument("Speculator: all callbacks are required");
     }
-  }
-
-  /// Installs the predictor hook (see PredictorHook). Install before the
-  /// first estimate arrives; not thread-safe against on_estimate.
-  void set_predictor_hook(PredictorHook hook) {
-    std::scoped_lock lk(mu_);
-    hook_ = std::move(hook);
   }
 
   /// Pins `owner` — typically the pipeline state that owns this Speculator —
@@ -154,8 +131,7 @@ class Speculator {
     if (terminal_locked()) return false;
     if (is_final) return true;
     if (state_ == State::Idle) {
-      return index >= defer_until_ && config_.should_speculate(index) &&
-             clears_gate_locked(index);
+      return index >= defer_until_ && config_.should_speculate(index);
     }
     return config_.verify.should_check(index, false);
   }
@@ -187,8 +163,7 @@ class Speculator {
         cb_.build_natural(final_copy, now_us);
         return;
       }
-      if (index >= defer_until_ && config_.should_speculate(index) &&
-          clears_gate_locked(index)) {
+      if (index >= defer_until_ && config_.should_speculate(index)) {
         open_epoch_locked(lk, now_us);
       }
       return;
@@ -225,18 +200,16 @@ class Speculator {
 
   /// Runtime retune entry point for the control plane (src/control).
   /// Atomically swaps the tuning knobs — step_size, verification policy,
-  /// confidence_gate, adaptive_restart, restart_min_defer — under the same
-  /// mutex that guards every state transition, so a retune is totally
-  /// ordered against estimates, verdicts and unlock-window continuations:
-  /// it either happens-before an estimate (which then sees the new knobs)
-  /// or after (the estimate ran under the old ones); it can never tear.
-  /// Structural fields are pinned to their construction values: `predictor`
-  /// (the hook/bank was wired at build time) and `tolerance` (pipelines
-  /// capture the tolerance into their check predicate by value — swapping
-  /// it here would silently diverge from the installed callback).
+  /// adaptive_restart, restart_min_defer — under the same mutex that
+  /// guards every state transition, so a retune is totally ordered against
+  /// estimates, verdicts and unlock-window continuations: it either
+  /// happens-before an estimate (which then sees the new knobs) or after
+  /// (the estimate ran under the old ones); it can never tear.
+  /// The one structural field, `tolerance`, is pinned to its construction
+  /// value: pipelines capture it into their check predicate by value, so
+  /// swapping it here would silently diverge from the installed callback.
   void retune(SpecConfig next) {
     std::scoped_lock lk(mu_);
-    next.predictor = config_.predictor;
     next.tolerance = config_.tolerance;
     config_ = next;
     ++retunes_;
@@ -256,12 +229,6 @@ class Speculator {
     return generation_;
   }
 
-  /// Epoch-opens withheld because predicted confidence missed the gate.
-  [[nodiscard]] std::uint64_t gate_denials() const {
-    std::scoped_lock lk(mu_);
-    return gate_denials_;
-  }
-
  private:
   struct Active {
     sre::Epoch epoch;
@@ -273,23 +240,6 @@ class Speculator {
     return state_ == State::Committed || state_ == State::Natural;
   }
 
-  /// Would a guess at `index` clear the confidence gate? Counts denials
-  /// (once per index) and reports them to the runtime observer. Caller
-  /// holds the lock; the hook and observer must not call back in.
-  [[nodiscard]] bool clears_gate_locked(std::uint32_t index) const {
-    if (config_.confidence_gate <= 0.0 || !hook_.confidence) return true;
-    const double conf = hook_.confidence(index);
-    if (conf >= config_.confidence_gate) return true;
-    if (index != last_denied_index_) {
-      last_denied_index_ = index;
-      ++gate_denials_;
-      if (sre::Observer* obs = runtime_.observer()) {
-        obs->on_speculation_gated(index, conf);
-      }
-    }
-    return false;
-  }
-
   /// Opens a fresh epoch from the newest estimate. Caller holds the lock;
   /// the lock is released around the user callback and re-acquired. The
   /// caller must not touch state after this returns without re-validating
@@ -297,13 +247,7 @@ class Speculator {
   void open_epoch_locked(std::unique_lock<std::mutex>& lk,
                          std::uint64_t /*now_us*/) {
     const sre::Epoch epoch = runtime_.open_epoch();
-    V guess_value = *latest_;
-    if (hook_.refine_guess) {
-      if (std::optional<V> refined = hook_.refine_guess(latest_index_)) {
-        guess_value = std::move(*refined);
-      }
-    }
-    active_ = Active{epoch, std::move(guess_value), latest_index_};
+    active_ = Active{epoch, *latest_, latest_index_};
     state_ = State::Active;
     ++generation_;
     const V guess = active_->guess;
@@ -443,7 +387,6 @@ class Speculator {
   sre::Runtime& runtime_;
   SpecConfig config_;
   Callbacks cb_;
-  PredictorHook hook_;
   std::weak_ptr<const void> task_keepalive_;  ///< see set_task_keepalive
   std::uint64_t check_cost_us_;
   std::uint64_t stream_ = 0;  ///< see set_stream
@@ -460,11 +403,6 @@ class Speculator {
   std::uint64_t generation_ = 0;
   std::uint32_t defer_until_ = 0;  ///< adaptive restart: no guesses below this
   std::uint64_t retunes_ = 0;      ///< retune() calls applied
-
-  // Gate bookkeeping is mutable: wants_estimate (const) is where a denied
-  // index is usually first seen, and each index counts at most once.
-  mutable std::uint64_t gate_denials_ = 0;
-  mutable std::uint32_t last_denied_index_ = 0;
 };
 
 }  // namespace tvs

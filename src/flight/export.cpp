@@ -291,26 +291,6 @@ std::string to_chrome_trace(const std::vector<Record>& records,
            << ",\"margin\":" << json_num(as_double(r.a)) << "}}";
         break;
       }
-      case Kind::PredictionScored:
-        ev << "{\"name\":\"scored:"
-           << json_escape(name_of(names, r.name, "predictor"))
-           << "\",\"cat\":\"speculation\",\"ph\":\"i\",\"ts\":" << r.t_us
-           << ",\"s\":\"g\",\"pid\":0,\"tid\":1,\"args\":{\"hit\":"
-           << ((r.flags & kFlagHit) != 0 ? "true" : "false")
-           << ",\"rel_error\":" << json_num(as_double(r.a)) << "}}";
-        break;
-      case Kind::PredictorCharged:
-        ev << "{\"name\":\"rollback-cause:"
-           << json_escape(name_of(names, r.name, "predictor"))
-           << "\",\"cat\":\"speculation\",\"ph\":\"i\",\"ts\":" << r.t_us
-           << ",\"s\":\"g\",\"pid\":0,\"tid\":1,\"args\":{}}";
-        break;
-      case Kind::SpeculationGated:
-        ev << "{\"name\":\"gated\",\"cat\":\"speculation\",\"ph\":\"i\","
-           << "\"ts\":" << r.t_us << ",\"s\":\"g\",\"pid\":0,\"tid\":1,"
-           << "\"args\":{\"estimate\":" << r.a
-           << ",\"confidence\":" << json_num(as_double(r.b)) << "}}";
-        break;
       case Kind::EpochAborted:
         ev << "{\"name\":\"rollback e" << r.epoch
            << "\",\"cat\":\"speculation\",\"ph\":\"i\",\"ts\":" << r.t_us
@@ -522,21 +502,14 @@ std::vector<Record> session_slice(const std::vector<Record>& window,
     }
   }
   // Pass 3: collect, tracking the slice's newest timestamp for the window
-  // bound. Global speculation decisions ride along — they are the "why"
-  // behind the session's rollbacks.
+  // bound.
   std::vector<Record> out;
   std::uint64_t t_end = 0;
-  auto global_decision = [](Kind k) {
-    return k == Kind::PredictionScored || k == Kind::PredictorCharged ||
-           k == Kind::SpeculationGated;
-  };
   for (const Record& r : window) {
-    const bool owned = r.stream == session ||
-                       (r.epoch != 0 && epochs.contains(r.epoch)) ||
-                       (r.task != 0 && task_ids.contains(r.task));
-    if (owned || global_decision(r.kind)) {
+    if (r.stream == session || (r.epoch != 0 && epochs.contains(r.epoch)) ||
+        (r.task != 0 && task_ids.contains(r.task))) {
       out.push_back(r);
-      if (owned) t_end = std::max(t_end, r.t_us);
+      t_end = std::max(t_end, r.t_us);
     }
   }
   if (last_window_us > 0 && t_end > last_window_us) {

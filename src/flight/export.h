@@ -59,8 +59,8 @@ struct TaskSpan {
 /// ui.perfetto.dev). Emits causally-grouped spans: one process per session
 /// (pid = stream id, pid 0 = engine), with the session lifecycle span on
 /// tid 0, epoch spans on tid 1 and task spans on tid 2+cpu, plus instant
-/// events for speculation decisions (check verdicts, rollback causes,
-/// predictor charges, gating) and attribution records.
+/// events for speculation decisions (check verdicts, rollbacks) and
+/// attribution records.
 [[nodiscard]] std::string to_chrome_trace(
     const std::vector<Record>& records, const std::vector<std::string>& names,
     const PostMortemInfo* post_mortem = nullptr);
@@ -96,11 +96,10 @@ struct Dump {
 /// The causal slice for one session: every record owned by the session's
 /// stream, everything in the speculation epochs those records touch
 /// (check verdicts, epoch lifecycle, rollback cascades), the full lifecycle
-/// of every task so reached, and global speculation-decision records
-/// (prediction scores, predictor charges, gate denials). When
-/// `last_window_us` > 0, timed records older than that window before the
-/// slice's newest timestamp are dropped — the post-mortem's "last N
-/// seconds" contract. Clock-less records (t_us == 0) always survive.
+/// of every task so reached. When `last_window_us` > 0, timed records older
+/// than that window before the slice's newest timestamp are dropped — the
+/// post-mortem's "last N seconds" contract. Clock-less records (t_us == 0)
+/// always survive.
 [[nodiscard]] std::vector<Record> session_slice(
     const std::vector<Record>& window, std::uint64_t session,
     std::uint64_t last_window_us = 0);

@@ -1,9 +1,10 @@
 // NameInterner: string → stable u32 id, collision-safe.
 //
 // Records carry no strings; the variable-length names (task-name stems,
-// predictor names, session-state labels) are interned once and referenced
-// by id. Interning happens where the string already exists — task creation,
-// session lifecycle edges — never inside a per-task-completion hot path.
+// session-state labels, attribution components) are interned once and
+// referenced by id. Interning happens where the string already exists —
+// task creation, session lifecycle edges — never inside a
+// per-task-completion hot path.
 //
 // Lookups take a shared lock (the common case: every stem after the first
 // occurrence); only a first-seen string takes the exclusive lock. Ids are

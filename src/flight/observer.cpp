@@ -139,35 +139,6 @@ void FlightObserver::on_check_verdict(sre::Epoch epoch, bool within,
   rec_.emit(r);
 }
 
-void FlightObserver::on_prediction_scored(const std::string& predictor,
-                                          bool hit, double rel_error) {
-  Record r;
-  r.kind = Kind::PredictionScored;
-  r.t_us = approx_now_.load(std::memory_order_relaxed);
-  r.name = rec_.intern(predictor);
-  if (hit) r.flags |= kFlagHit;
-  r.a = bits(rel_error);
-  rec_.emit(r);
-}
-
-void FlightObserver::on_predictor_charged(const std::string& predictor) {
-  Record r;
-  r.kind = Kind::PredictorCharged;
-  r.t_us = approx_now_.load(std::memory_order_relaxed);
-  r.name = rec_.intern(predictor);
-  rec_.emit(r);
-}
-
-void FlightObserver::on_speculation_gated(std::uint32_t estimate_index,
-                                          double confidence) {
-  Record r;
-  r.kind = Kind::SpeculationGated;
-  r.t_us = approx_now_.load(std::memory_order_relaxed);
-  r.a = estimate_index;
-  r.b = bits(confidence);
-  rec_.emit(r);
-}
-
 void FlightObserver::on_fault_injected(sre::TaskId task, bool failed,
                                        std::uint64_t delay_us) {
   Record r;

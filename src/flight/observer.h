@@ -7,7 +7,7 @@
 // relaxed atomic engine clock.
 //
 // Several runtime events carry no timestamp (task creation, dependence
-// edges, epoch edges, speculation decisions). Those are stamped with
+// edges, epoch edges, check verdicts). Those are stamped with
 // `approx_now`: the newest engine time seen on any timed event
 // (dispatch/finish/session edges) — good enough for window eviction and
 // trace ordering, and exact for the events the latency math actually uses.
@@ -58,11 +58,6 @@ class FlightObserver final : public sre::Observer {
                            std::size_t tasks_destroyed) override;
   void on_check_verdict(sre::Epoch epoch, bool within, bool is_final,
                         double margin) override;
-  void on_prediction_scored(const std::string& predictor, bool hit,
-                            double rel_error) override;
-  void on_predictor_charged(const std::string& predictor) override;
-  void on_speculation_gated(std::uint32_t estimate_index,
-                            double confidence) override;
   void on_fault_injected(sre::TaskId task, bool failed,
                          std::uint64_t delay_us) override;
 

@@ -1,8 +1,8 @@
 // Flight-recorder record: the fixed-size binary event every hot-path write
 // produces. 64 bytes, POD, no strings, no heap — a worker emitting one does
 // a struct copy into its SPSC ring and nothing else. Variable-length data
-// (task-name stems, predictor names, session-state labels, rollback causes)
-// is interned once off the hot path and referenced by id (see interner.h).
+// (task-name stems, session-state labels, attribution components) is
+// interned once off the hot path and referenced by id (see interner.h).
 //
 // Field meaning is per-kind (see the Kind table below); unused fields are
 // zero. Times are engine microseconds (executor steady-clock time under the
@@ -15,7 +15,9 @@
 namespace flight {
 
 /// What a record describes. Values are stable across versions — the binary
-/// dump format (export.h) stores them raw.
+/// dump format (export.h) stores them raw — so a retired kind leaves its
+/// value as a gap: 9..11 once carried value-predictor scores, charges and
+/// confidence-gate denials, and older dumps may still hold them.
 enum class Kind : std::uint16_t {
   None = 0,
   // Task lifecycle (joined by `task` id at export time).
@@ -31,10 +33,6 @@ enum class Kind : std::uint16_t {
   // Speculation decisions.
   CheckVerdict = 8,     ///< epoch, flags&(kFlagWithin|kFlagFinal),
                         ///< a=bit-cast double tolerance margin
-  PredictionScored = 9, ///< name=predictor, flags&kFlagHit,
-                        ///< a=bit-cast double rel_error
-  PredictorCharged = 10,///< name=predictor (a rollback was charged to it)
-  SpeculationGated = 11,///< a=estimate index, b=bit-cast double confidence
   FaultInjected = 12,   ///< task, flags&kFlagFailed, a=delay_us
   // Serving layer (emitted by serve::SessionManager).
   SessionState = 13,  ///< stream, name=state label ("Queued".."Failed"), t_us
@@ -44,7 +42,7 @@ enum class Kind : std::uint16_t {
 };
 
 /// Stable lowercase label for a kind ("task-created", "edge", ...); "?" for
-/// values outside the enum (a dump from a newer writer).
+/// a retired value or one outside the enum (a dump from a newer writer).
 [[nodiscard]] constexpr const char* kind_name(Kind k) {
   switch (k) {
     case Kind::None: return "none";
@@ -56,9 +54,6 @@ enum class Kind : std::uint16_t {
     case Kind::EpochAborted: return "epoch-aborted";
     case Kind::RollbackCascade: return "rollback-cascade";
     case Kind::CheckVerdict: return "check-verdict";
-    case Kind::PredictionScored: return "prediction";
-    case Kind::PredictorCharged: return "predictor-charged";
-    case Kind::SpeculationGated: return "speculation-gated";
     case Kind::FaultInjected: return "fault-injected";
     case Kind::SessionState: return "session-state";
     case Kind::Attribution: return "attribution";
@@ -71,7 +66,6 @@ enum class Kind : std::uint16_t {
 inline constexpr std::uint32_t kFlagAborted = 1u;  ///< TaskFinished
 inline constexpr std::uint32_t kFlagWithin = 1u;   ///< CheckVerdict
 inline constexpr std::uint32_t kFlagFinal = 2u;    ///< CheckVerdict
-inline constexpr std::uint32_t kFlagHit = 1u;      ///< PredictionScored
 inline constexpr std::uint32_t kFlagFailed = 1u;   ///< FaultInjected
 
 struct Record {

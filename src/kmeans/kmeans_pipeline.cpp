@@ -4,10 +4,6 @@
 #include <stdexcept>
 
 #include "core/speculative_stage.h"
-#include "predict/bank.h"
-#include "predict/ewma.h"
-#include "predict/last_value.h"
-#include "predict/stride.h"
 
 namespace km {
 
@@ -28,7 +24,6 @@ struct KmeansPipeline::State {
   Centroids iterate;  ///< mutated by the serial iteration chain only
   std::vector<std::shared_ptr<const Centroids>> snapshots;
 
-  std::unique_ptr<predict::PredictorBank<Centroids>> bank;
   std::unique_ptr<Stage> stage;
 };
 
@@ -56,25 +51,6 @@ KmeansPipeline::KmeansPipeline(sre::Runtime& runtime, const Dataset& data,
   st.snapshots.resize(st.cfg.iterations);
 
   // State-owned closures hold a raw State*: the stage's tasks pin State.
-  if (speculation && st.cfg.spec.predictor == tvs::PredictorMode::Bank) {
-    // Score with the pipeline's own tolerance predicate: the fraction of
-    // sample points a predicted iterate would assign differently.
-    st.bank = std::make_unique<predict::PredictorBank<Centroids>>(
-        st.cfg.spec.tolerance,
-        [s = &st](const Centroids& pred, const Centroids& actual) {
-          return assignment_disagreement(pred, actual, s->sample);
-        });
-    st.bank->add(std::make_unique<predict::LastValue<Centroids>>());
-    st.bank->add(std::make_unique<predict::Stride<Centroids>>());
-    st.bank->add(std::make_unique<predict::Ewma<Centroids>>());
-    st.bank->set_score_hook(
-        [rt = &st.rt](const std::string& name, bool hit, double err) {
-          if (sre::Observer* obs = rt->observer()) {
-            obs->on_prediction_scored(name, hit, err);
-          }
-        });
-  }
-
   Stage::Hooks hooks;
   hooks.map = {"label", st.cfg.label_cost_us,
                [s = &st](const Centroids& centroids, std::size_t b) {
@@ -88,37 +64,10 @@ KmeansPipeline::KmeansPipeline(sre::Runtime& runtime, const Dataset& data,
     return assignment_disagreement(guess, current, s->sample) <=
            s->cfg.spec.tolerance;
   };
-  if (st.bank) {
-    // The bank sees every iterate (scoring needs the full stream), even the
-    // ones the speculator will not consume.
-    hooks.observe = [bank = st.bank.get()](std::uint32_t index,
-                                           const Centroids& c) {
-      bank->observe(index, c);
-    };
-    hooks.charge_rollback = [bank = st.bank.get()] {
-      return bank->charge_rollback();
-    };
-  }
   st.stage = std::make_unique<Stage>(
       runtime, st.n_blocks,
       speculation ? std::optional(st.cfg.spec) : std::nullopt,
       st.cfg.check_cost_us, st_, std::move(hooks));
-
-  if (st.bank) {
-    Stage::PredictorHook hook;
-    const auto target = static_cast<std::uint32_t>(st.cfg.iterations);
-    hook.confidence = [bank = st.bank.get(), target](std::uint32_t) {
-      return bank->confidence(target);
-    };
-    // Adopt the bank's extrapolation toward the converged centroids
-    // instead of the raw early iterate (Stride reaches further down the
-    // Lloyd trajectory; the checks still judge it against real iterates).
-    hook.refine_guess =
-        [bank = st.bank.get(), target](std::uint32_t) -> std::optional<Centroids> {
-      return bank->predict(target).guess;
-    };
-    st.stage->speculator()->set_predictor_hook(std::move(hook));
-  }
 }
 
 void KmeansPipeline::start() {
@@ -167,19 +116,6 @@ bool KmeansPipeline::speculation_committed() const {
 
 std::uint64_t KmeansPipeline::rollbacks() const {
   return st_->stage->rollbacks();
-}
-
-stats::PredictorScoreboard KmeansPipeline::predictor_scoreboard() const {
-  return st_->bank ? st_->bank->scoreboard() : stats::PredictorScoreboard{};
-}
-
-std::uint64_t KmeansPipeline::gate_denials() const {
-  const auto* spec = st_->stage->speculator();
-  return spec ? spec->gate_denials() : 0;
-}
-
-std::string KmeansPipeline::best_predictor() const {
-  return st_->bank ? st_->bank->best_name() : std::string{};
 }
 
 void KmeansPipeline::validate_complete() const {

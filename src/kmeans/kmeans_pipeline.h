@@ -12,35 +12,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/config.h"
 #include "kmeans/kmeans.h"
-#include "predict/predictor.h"
 #include "sre/runtime.h"
-#include "stats/predictor_stats.h"
 #include "stats/trace.h"
-
-namespace predict {
-
-/// Flat view of centroids so the generic predictors (LastValue, Stride,
-/// Ewma) can extrapolate Lloyd iterates per coordinate.
-template <>
-struct ValueTraits<km::Centroids> {
-  static void flatten(const km::Centroids& c, std::vector<double>& out) {
-    out = c.values;
-  }
-  [[nodiscard]] static km::Centroids unflatten(const km::Centroids& like,
-                                               std::span<const double> flat) {
-    km::Centroids c;
-    c.dims = like.dims;
-    c.values.assign(flat.begin(), flat.end());
-    return c;
-  }
-};
-
-}  // namespace predict
 
 namespace km {
 
@@ -76,15 +53,6 @@ class KmeansPipeline {
   [[nodiscard]] bool speculation_committed() const;
   [[nodiscard]] std::uint64_t rollbacks() const;
   void validate_complete() const;
-
-  /// Per-predictor accuracy counters (empty under PredictorMode::Baseline).
-  [[nodiscard]] stats::PredictorScoreboard predictor_scoreboard() const;
-
-  /// Epoch-opens withheld by the confidence gate (0 without a gate).
-  [[nodiscard]] std::uint64_t gate_denials() const;
-
-  /// Name of the bank's current best predictor ("" under Baseline).
-  [[nodiscard]] std::string best_predictor() const;
 
  private:
   struct State;

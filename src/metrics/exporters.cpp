@@ -207,24 +207,13 @@ std::string dashboard_line(const Snapshot& snapshot, std::uint64_t now_us) {
       snapshot.scalar("tvs_check_verdicts_total", "verdict=\"pass\"");
   const double fail =
       snapshot.scalar("tvs_check_verdicts_total", "verdict=\"fail\"");
-  double hits = 0, scored = 0;
-  for (const auto& c : snapshot.counters) {
-    if (c.name != "tvs_predictions_scored_total") continue;
-    scored += c.value;
-    if (c.labels.find("hit=\"true\"") != std::string::npos) hits += c.value;
-  }
-  const double gated = snapshot.scalar("tvs_speculation_gated_total");
 
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "t=%.1fs tasks=%.0f (spec %.0f%%) epochs %.0f/%.0f/%.0f "
-                "open=%.0f checks %.0fp/%.0ff hit=%s gated=%.0f",
+                "open=%.0f checks %.0fp/%.0ff",
                 static_cast<double>(now_us) / 1e6, finished, spec_share,
-                opened, committed, aborted, open, pass, fail,
-                scored > 0
-                    ? (std::to_string(hits / scored).substr(0, 4)).c_str()
-                    : "-",
-                gated);
+                opened, committed, aborted, open, pass, fail);
   return buf;
 }
 

@@ -30,7 +30,6 @@ namespace metrics {
 
 /// One terminal line summarizing speculation health from the snapshot, e.g.
 ///   t=1.2s tasks=1234 (spec 40%) epochs 3/2/1 open=0 checks 5p/1f
-///   hit=0.83 gated=2 cascade~12
 [[nodiscard]] std::string dashboard_line(const Snapshot& snapshot,
                                          std::uint64_t now_us);
 

@@ -38,10 +38,7 @@ MetricsObserver::MetricsObserver(Registry& registry)
           registry.counter("tvs_check_verdicts_total", "verdict=\"pass\"")),
       checks_failed_(
           registry.counter("tvs_check_verdicts_total", "verdict=\"fail\"")),
-      check_margin_ppm_(registry.histogram("tvs_check_margin_ppm")),
-      prediction_error_ppm_(
-          registry.histogram("tvs_prediction_rel_error_ppm")),
-      gated_(registry.counter("tvs_speculation_gated_total")) {
+      check_margin_ppm_(registry.histogram("tvs_check_margin_ppm")) {
   for (std::size_t c = 0; c < kClasses; ++c) {
     const std::string labels = class_labels(c);
     created_[c] = &registry.counter("tvs_tasks_created_total", labels);
@@ -122,28 +119,6 @@ void MetricsObserver::on_check_verdict(sre::Epoch, bool within,
                                        bool /*is_final*/, double margin) {
   (within ? checks_passed_ : checks_failed_).add();
   if (margin >= 0.0) check_margin_ppm_.observe(to_ppm(margin));
-}
-
-void MetricsObserver::on_prediction_scored(const std::string& predictor,
-                                           bool hit, double rel_error) {
-  // Per-predictor handles go through the registry map (mutex); prediction
-  // scoring happens once per estimate, not per task, so this stays cold.
-  reg_.counter("tvs_predictions_scored_total",
-               "predictor=\"" + predictor + "\",hit=\"" +
-                   (hit ? "true" : "false") + "\"")
-      .add();
-  prediction_error_ppm_.observe(to_ppm(rel_error));
-}
-
-void MetricsObserver::on_predictor_charged(const std::string& predictor) {
-  reg_.counter("tvs_predictor_charged_total",
-               "predictor=\"" + predictor + "\"")
-      .add();
-}
-
-void MetricsObserver::on_speculation_gated(std::uint32_t /*estimate_index*/,
-                                           double /*confidence*/) {
-  gated_.add();
 }
 
 }  // namespace metrics

@@ -2,7 +2,7 @@
 // metrics registry.
 //
 // Attach one (directly or through a FanoutObserver) and every task, epoch
-// and predictor event lands in always-on counters and histograms:
+// and check event lands in always-on counters and histograms:
 //
 //   tvs_tasks_created_total{class=}      tvs_tasks_finished_total{class=}
 //   tvs_tasks_aborted_total{class=}      tvs_edges_total
@@ -13,10 +13,6 @@
 //   tvs_open_epochs                      (gauge)
 //   tvs_rollback_cascade_tasks           (histogram: tasks killed per abort)
 //   tvs_check_verdicts_total{verdict=}   tvs_check_margin_ppm (histogram)
-//   tvs_predictions_scored_total{predictor=,hit=}
-//   tvs_prediction_rel_error_ppm         (histogram)
-//   tvs_predictor_charged_total{predictor=}
-//   tvs_speculation_gated_total
 //
 // Counter/histogram writes are sharded and lock-free; the only lock here
 // guards the live-task map (class + dispatch time, erased on completion,
@@ -50,11 +46,6 @@ class MetricsObserver final : public sre::Observer {
   void on_rollback_cascade(sre::Epoch epoch, std::size_t tasks) override;
   void on_check_verdict(sre::Epoch epoch, bool within, bool is_final,
                         double margin) override;
-  void on_prediction_scored(const std::string& predictor, bool hit,
-                            double rel_error) override;
-  void on_predictor_charged(const std::string& predictor) override;
-  void on_speculation_gated(std::uint32_t estimate_index,
-                            double confidence) override;
 
   [[nodiscard]] Registry& registry() { return reg_; }
 
@@ -84,8 +75,6 @@ class MetricsObserver final : public sre::Observer {
   Counter& checks_passed_;
   Counter& checks_failed_;
   Histogram& check_margin_ppm_;
-  Histogram& prediction_error_ppm_;
-  Counter& gated_;
 
   struct Live {
     sre::TaskClass cls = sre::TaskClass::Natural;

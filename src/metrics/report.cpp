@@ -40,12 +40,10 @@ std::string RunReport::to_json() const {
      << "  \"spec_committed\": " << (i.spec_committed ? "true" : "false")
      << ",\n"
      << "  \"rollbacks\": " << i.rollbacks << ",\n"
-     << "  \"gate_denials\": " << i.gate_denials << ",\n"
      << "  \"wasted_encodes\": " << i.wasted_encodes << ",\n"
      << "  \"wait_discarded\": " << i.wait_discarded << ",\n"
      << "  \"input_bytes\": " << i.input_bytes << ",\n"
      << "  \"output_bits\": " << i.output_bits << ",\n"
-     << "  \"best_predictor\": \"" << json_escape(i.best_predictor) << "\",\n"
      << "  \"counters\": {"
      << "\"tasks_executed\": " << i.counters.tasks_executed
      << ", \"tasks_aborted\": " << i.counters.tasks_aborted
@@ -53,19 +51,7 @@ std::string RunReport::to_json() const {
      << ", \"checks_executed\": " << i.counters.checks_executed
      << ", \"rollbacks\": " << i.counters.rollbacks
      << ", \"epochs_opened\": " << i.counters.epochs_opened
-     << ", \"epochs_committed\": " << i.counters.epochs_committed << "},\n"
-     << "  \"predictors\": [";
-  bool first = true;
-  for (const auto& row : i.predictors.rows()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << json_escape(row.name)
-       << "\", \"scored\": " << row.scored << ", \"hits\": " << row.hits
-       << ", \"hit_rate\": " << fmt(row.hit_rate())
-       << ", \"supplied\": " << row.guesses_supplied
-       << ", \"rollbacks_charged\": " << row.rollbacks_charged << "}";
-  }
-  os << "],\n";
+     << ", \"epochs_committed\": " << i.counters.epochs_committed << "},\n";
 
   if (!i.dispatch.empty()) {
     const auto& d = i.dispatch;
@@ -119,8 +105,7 @@ std::string RunReport::to_markdown() const {
      << i.p95_latency_us << " / " << i.max_latency_us << " µs |\n";
   os << "| speculation committed | " << (i.spec_committed ? "yes" : "no")
      << " |\n";
-  os << "| rollbacks / gate denials | " << i.rollbacks << " / "
-     << i.gate_denials << " |\n";
+  os << "| rollbacks | " << i.rollbacks << " |\n";
   os << "| wasted encodes / wait discarded | " << i.wasted_encodes << " / "
      << i.wait_discarded << " |\n";
   if (i.input_bytes > 0) {
@@ -147,18 +132,6 @@ std::string RunReport::to_markdown() const {
        << d.completion_fallbacks << " |\n";
     os << "| inline finishes / worker retires | " << d.inline_finishes << " / "
        << d.worker_retires << " |\n";
-  }
-
-  if (!i.predictors.rows().empty()) {
-    os << "\n## Predictors";
-    if (!i.best_predictor.empty()) os << " (best: " << i.best_predictor << ")";
-    os << "\n\n| predictor | scored | hit rate | supplied | charged |\n"
-       << "|---|---|---|---|---|\n";
-    for (const auto& row : i.predictors.rows()) {
-      os << "| " << row.name << " | " << row.scored << " | "
-         << fmt(100.0 * row.hit_rate()) << "% | " << row.guesses_supplied
-         << " | " << row.rollbacks_charged << " |\n";
-    }
   }
 
   if (!samples.empty()) {

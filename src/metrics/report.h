@@ -2,10 +2,10 @@
 //
 // Merges (a) the run's headline numbers (latency, makespan, speculation
 // outcome), (b) the final metrics snapshot, (c) the sampler's time series,
-// (d) the predictor scoreboard, and (e) optional trace artifacts into a
-// JSON document plus a human Markdown summary. tvsc and every figure bench
-// write one, so any run — benchmark or production compress — leaves the
-// same auditable artifact behind.
+// and (d) optional trace artifacts into a JSON document plus a human
+// Markdown summary. tvsc and every figure bench write one, so any run —
+// benchmark or production compress — leaves the same auditable artifact
+// behind.
 //
 // The RunInfo struct is deliberately plain data: application layers
 // (pipeline::run_info, tvsc) fill it from whatever result type they have,
@@ -18,7 +18,6 @@
 
 #include "metrics/registry.h"
 #include "metrics/sampler.h"
-#include "stats/predictor_stats.h"
 #include "stats/trace.h"
 
 namespace report {
@@ -60,14 +59,11 @@ struct RunInfo {
   std::uint64_t max_latency_us = 0;
   bool spec_committed = false;
   std::uint64_t rollbacks = 0;
-  std::uint64_t gate_denials = 0;
   std::uint64_t wasted_encodes = 0;
   std::size_t wait_discarded = 0;
   std::size_t input_bytes = 0;
   std::uint64_t output_bits = 0;
-  std::string best_predictor;
   stats::RunCounters counters;
-  stats::PredictorScoreboard predictors;
   DispatchInfo dispatch;  ///< omitted from output when empty()
 };
 

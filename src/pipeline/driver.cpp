@@ -75,9 +75,6 @@ RunResult collect(const sio::BlockSource& src, HuffmanPipeline& pl,
   res.natural_dispatches = rt.pool().natural_pops();
   res.spec_dispatches = rt.pool().speculative_pops();
   res.control_dispatches = rt.pool().control_pops();
-  res.predictors = pl.predictor_scoreboard();
-  res.best_predictor = pl.best_predictor();
-  res.gate_denials = pl.gate_denials();
   res.input.assign(src.bytes().begin(), src.bytes().end());
   res.container = pl.assemble_output();
   return res;
@@ -147,12 +144,6 @@ void install_standard_series(metrics::Sampler& s, sre::Runtime& rt,
 
   // counter_sum is one registry lock + a handful of counter reads; a full
   // snapshot() would copy every histogram's shards on every tick.
-  s.add_series("predictor_hit_rate", [reg] {
-    const double total = reg->counter_sum("tvs_predictions_scored_total");
-    const double hits =
-        reg->counter_sum("tvs_predictions_scored_total", "hit=\"true\"");
-    return total == 0.0 ? 0.0 : hits / total;
-  });
   s.add_series("spec_cpu_share", [reg] {
     const double spec =
         reg->counter_sum("tvs_cpu_time_us_total", "class=\"speculative\"");
@@ -236,11 +227,9 @@ RunResult run_sim(const RunConfig& config, const RunOptions& options) {
                         static_cast<double>(dt);
       *last_rb = rb;
       *last_t = now;
-      control::SpecTuner& tuner = ctl->stream(1, config.spec.confidence_gate,
-                                              config.spec.step_size);
+      control::SpecTuner& tuner = ctl->stream(1, config.spec.step_size);
       if (!tuner.sample(rate, now).empty()) {
         tvs::SpecConfig next = config.spec;
-        next.confidence_gate = tuner.confidence_gate();
         next.restart_min_defer = tuner.restart_min_defer();
         next.step_size = tuner.step_size();
         pl.retune_spec(next);
@@ -405,9 +394,6 @@ RunResult collect_shared_run(const SharedRun& run, std::uint64_t done_us) {
   res.rollbacks = pl.rollbacks();
   res.wait_discarded = pl.wait_discarded();
   res.output_bits = pl.output_bits();
-  res.predictors = pl.predictor_scoreboard();
-  res.best_predictor = pl.best_predictor();
-  res.gate_denials = pl.gate_denials();
   res.input.assign(run.source->bytes().begin(), run.source->bytes().end());
   res.container = pl.assemble_output();
   return res;
@@ -426,14 +412,11 @@ report::RunInfo run_info(const RunConfig& config, const RunResult& result,
   info.max_latency_us = lat.max;
   info.spec_committed = result.spec_committed;
   info.rollbacks = result.rollbacks;
-  info.gate_denials = result.gate_denials;
   info.wasted_encodes = result.trace.wasted_encodes();
   info.wait_discarded = result.wait_discarded;
   info.input_bytes = result.input.size();
   info.output_bits = result.output_bits;
-  info.best_predictor = result.best_predictor;
   info.counters = result.counters;
-  info.predictors = result.predictors;
   // All-zero under run_sim (see RunResult::dispatch);
   // the report layer omits the section in that case rather than printing
   // a wall of zeros that looks like a measurement.

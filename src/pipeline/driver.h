@@ -25,7 +25,6 @@
 #include "pipeline/run_config.h"
 #include "sre/observer.h"
 #include "sre/threaded_executor.h"
-#include "stats/predictor_stats.h"
 #include "stats/summary.h"
 #include "stats/trace.h"
 
@@ -65,11 +64,6 @@ struct RunResult {
   /// Dispatch section in that case instead of printing zeros.
   sre::ThreadedExecutor::DispatchStats dispatch;
 
-  /// Predictor racing results (PredictorMode::Bank only; empty otherwise).
-  stats::PredictorScoreboard predictors;
-  std::string best_predictor;             ///< bank's winner ("" = baseline)
-  std::uint64_t gate_denials = 0;         ///< epoch-opens the gate withheld
-
   std::vector<std::uint8_t> input;      ///< the generated workload bytes
   std::vector<std::uint8_t> container;  ///< assembled compressed stream
 
@@ -95,9 +89,9 @@ struct RunOptions {
   metrics::Registry* registry = nullptr;
 
   /// Non-null: install the standard speculation-health series (ready-pool
-  /// depths, open epochs, wait-buffer occupancy, predictor hit rate,
-  /// speculative CPU share) and tick them every sample_interval_us —
-  /// virtual time under run_sim, a background thread under run_threaded.
+  /// depths, open epochs, wait-buffer occupancy, speculative CPU share) and
+  /// tick them every sample_interval_us — virtual time under run_sim, a
+  /// background thread under run_threaded.
   metrics::Sampler* sampler = nullptr;
   std::uint64_t sample_interval_us = 10'000;
 
@@ -183,11 +177,11 @@ struct SharedRun {
 /// Registers the standard speculation-health series on `sampler`: ready-pool
 /// depths per class, blocked/running tasks, open epochs and their live task
 /// count, wait-buffer occupancy, and — when `registry` is non-null —
-/// predictor hit rate, speculative CPU share and rollback count derived from
-/// the registry's counters. Series closures reference `runtime` and
-/// `pipeline`; call sampler.clear_series() before those die. run_sim /
-/// run_threaded do all of this automatically; this entry point is for
-/// callers that drive their own executor (e.g. tvsc).
+/// speculative CPU share and rollback count derived from the registry's
+/// counters. Series closures reference `runtime` and `pipeline`; call
+/// sampler.clear_series() before those die. run_sim / run_threaded do all
+/// of this automatically; this entry point is for callers that drive their
+/// own executor (e.g. tvsc).
 void install_standard_series(metrics::Sampler& sampler, sre::Runtime& runtime,
                              const HuffmanPipeline& pipeline,
                              metrics::Registry* registry);

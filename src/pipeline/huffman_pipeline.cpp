@@ -10,11 +10,6 @@
 #include "huffman/stream_format.h"
 #include "huffman/tree.h"
 #include "sre/arena.h"
-#include "predict/bank.h"
-#include "predict/ewma.h"
-#include "predict/histogram_morph.h"
-#include "predict/last_value.h"
-#include "predict/stride.h"
 #include "sim/cost_model.h"
 
 namespace pipeline {
@@ -252,11 +247,8 @@ struct HuffmanPipeline::State {
   /// is spawned. All-zero (a valid empty table) for a zero-block run.
   huff::CodeLengths natural_lengths{};
 
-  // Speculation: the live epoch's second pass (guarded by mu), the
-  // predictor bank (PredictorMode::Bank: observes every prefix histogram,
-  // supplies the speculation basis and the gate confidence), and the stage.
+  // Speculation: the live epoch's second pass (guarded by mu) and the stage.
   std::optional<Chain> chain;
-  std::unique_ptr<predict::PredictorBank<huff::Histogram>> bank;
   std::unique_ptr<Stage> stage;
 
   /// Places every committed block into the output container.
@@ -308,36 +300,6 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
   st.snapshots.resize(st.n_reduces);
 
   const bool speculating = config.speculation_enabled();
-  if (speculating && config.spec.predictor == tvs::PredictorMode::Bank) {
-    // Score predictions in the same units as the speculation check: the
-    // relative compressed-size delta between the predicted tree and the
-    // best tree for the data actually seen, so hit rate estimates "would
-    // this predictor's guess have survived a check".
-    st.bank = std::make_unique<predict::PredictorBank<huff::Histogram>>(
-        config.spec.tolerance,
-        [](const huff::Histogram& pred, const huff::Histogram& actual) {
-          const auto t_pred = huff::CodeTable::from_lengths(
-              huff::HuffmanTree::build(pred.with_floor(1)).lengths());
-          const auto t_act = huff::CodeTable::from_lengths(
-              huff::HuffmanTree::build(actual.with_floor(1)).lengths());
-          const double pb = static_cast<double>(t_pred.encoded_bits(actual));
-          const double ab = static_cast<double>(t_act.encoded_bits(actual));
-          return ab <= 0.0 ? 0.0 : std::abs(pb - ab) / ab;
-        });
-    // Registration order is the tie-break: the paper-equivalent baseline
-    // predictor stays the safe default until another one earns the lead.
-    st.bank->add(std::make_unique<predict::LastValue<huff::Histogram>>());
-    st.bank->add(std::make_unique<predict::HistogramMorph>());
-    st.bank->add(std::make_unique<predict::Stride<huff::Histogram>>());
-    st.bank->add(std::make_unique<predict::Ewma<huff::Histogram>>());
-    st.bank->set_score_hook(
-        [rt = &st.rt](const std::string& name, bool hit, double err) {
-          if (sre::Observer* obs = rt->observer()) {
-            obs->on_prediction_scored(name, hit, err);
-          }
-        });
-  }
-
   // State-owned closures (stage hooks, SuperTask subscribers) hold only a
   // weak reference: each is called from a task that pins State, and a
   // strong one would keep State alive through itself.
@@ -384,26 +346,10 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
                            std::uint64_t now_us) {
     w.lock()->sink.place(b, r.offset, r.enc, now_us);
   };
-  if (st.bank) {
-    hooks.observe = [bank = st.bank.get()](std::uint32_t k,
-                                           const TreeEstimate& est) {
-      bank->observe(k, *est.hist);
-    };
-    hooks.charge_rollback = [bank = st.bank.get()] {
-      return bank->charge_rollback();
-    };
-  }
   st.stage = std::make_unique<State::Stage>(
       runtime, st.n_blocks,
       speculating ? std::optional(config.spec) : std::nullopt,
       st.cost(TaskKind::Check), st_, std::move(hooks), config.stream_id);
-  if (st.bank) {
-    State::Stage::PredictorHook hook;
-    hook.confidence = [bank = st.bank.get(),
-                       n = static_cast<std::uint32_t>(st.n_reduces)](
-                          std::uint32_t) { return bank->confidence(n); };
-    st.stage->speculator()->set_predictor_hook(std::move(hook));
-  }
 
   // --- SuperTask wiring ------------------------------------------------
   // Normal-execution subscriber: every new prefix histogram advances the
@@ -446,39 +392,22 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
           const std::size_t r = msg.reduce_index;
           const bool is_final = (r + 1 == stp->n_reduces);
           const auto k = static_cast<std::uint32_t>(r + 1);
-          auto snapshot = stp->snapshots[r];
-          // The bank sees every estimate (scoring needs the full stream),
-          // even the ones the speculator will not consume.
-          if (!stp->stage->offer(k, is_final, TreeEstimate{snapshot, nullptr})) {
-            return;
-          }
+          if (!stp->stage->offer(k, is_final)) return;
 
           // "trees are created with every new histogram that in turn
           // generate checking tasks" (paper Fig. 2 caption) — here, only
-          // for estimates the speculator will actually consume. Under
-          // PredictorMode::Bank the tree's basis is the bank's
-          // extrapolation to the *final* histogram — the distribution the
-          // final check will actually judge the guess against; the final
-          // estimate always uses the exact histogram.
-          std::shared_ptr<const huff::Histogram> basis = snapshot;
-          if (stp->bank && !is_final) {
-            basis = std::make_shared<const huff::Histogram>(
-                stp->bank
-                    ->predict(static_cast<std::uint32_t>(stp->n_reduces))
-                    .guess);
-          }
+          // for estimates the speculator will actually consume.
+          auto snapshot = stp->snapshots[r];
           auto cell = std::make_shared<TreeEstimate>();
           auto tree_task = stp->rt.make_task(
               "tree[" + std::to_string(k) + (is_final ? ",final]" : "]"),
               sre::TaskClass::Control, sre::kNaturalEpoch, /*depth=*/1000,
               stp->cost(TaskKind::TreeBuild),
-              [snapshot, basis, cell](sre::TaskContext&) {
+              [snapshot, cell](sre::TaskContext&) {
                 // Flooring guarantees every byte value has a code, so a
                 // tree built from a prefix can encode later symbols too.
                 const huff::HuffmanTree tree =
-                    huff::HuffmanTree::build(basis->with_floor(1));
-                // The estimate's histogram stays the *actual* prefix: the
-                // tolerance check judges trees on data really seen.
+                    huff::HuffmanTree::build(snapshot->with_floor(1));
                 cell->hist = snapshot;
                 cell->table = std::make_shared<const huff::CodeTable>(
                     huff::CodeTable::from_lengths(tree.lengths()));
@@ -792,19 +721,6 @@ tvs::SpecConfig HuffmanPipeline::spec_config() const {
 std::uint64_t HuffmanPipeline::spec_retunes() const {
   const auto* spec = st_->stage->speculator();
   return spec ? spec->retunes() : 0;
-}
-
-stats::PredictorScoreboard HuffmanPipeline::predictor_scoreboard() const {
-  return st_->bank ? st_->bank->scoreboard() : stats::PredictorScoreboard{};
-}
-
-std::uint64_t HuffmanPipeline::gate_denials() const {
-  const auto* spec = st_->stage->speculator();
-  return spec ? spec->gate_denials() : 0;
-}
-
-std::string HuffmanPipeline::best_predictor() const {
-  return st_->bank ? st_->bank->best_name() : std::string{};
 }
 
 void HuffmanPipeline::validate_complete() const {

@@ -30,7 +30,6 @@
 #include "sre/runtime.h"
 #include "sre/slot.h"
 #include "sre/supertask.h"
-#include "stats/predictor_stats.h"
 #include "stats/trace.h"
 
 namespace pipeline {
@@ -106,8 +105,8 @@ class HuffmanPipeline {
   [[nodiscard]] std::uint64_t rollbacks() const;
 
   /// Control-plane entry: atomically retunes the live Speculator's knobs
-  /// (tvs::Speculator::retune — step_size, verify, confidence_gate,
-  /// adaptive_restart, restart_min_defer; structural fields are pinned).
+  /// (tvs::Speculator::retune — step_size, verify, adaptive_restart,
+  /// restart_min_defer; the tolerance is pinned).
   /// Thread-safe and callable mid-run from any thread; the new knobs
   /// govern every estimate that arrives after the call. Returns false
   /// (and does nothing) when the pipeline runs without speculation.
@@ -121,15 +120,6 @@ class HuffmanPipeline {
 
   /// retune_spec calls applied to the live Speculator.
   [[nodiscard]] std::uint64_t spec_retunes() const;
-
-  /// Per-predictor accuracy counters (empty under PredictorMode::Baseline).
-  [[nodiscard]] stats::PredictorScoreboard predictor_scoreboard() const;
-
-  /// Epoch-opens withheld by the confidence gate (0 without a gate).
-  [[nodiscard]] std::uint64_t gate_denials() const;
-
-  /// Name of the bank's current best predictor ("" under Baseline).
-  [[nodiscard]] std::string best_predictor() const;
 
   /// Throws std::logic_error if any block has no committed encoding — a run
   /// that loses blocks is a correctness bug.

@@ -96,7 +96,6 @@ struct SessionStats {
   /// All zeros when the controller is disabled or never acted.
   struct Control {
     std::uint32_t spec_retunes = 0;      ///< knob movements applied
-    double confidence_gate = 0.0;        ///< gate after the last retune
     std::uint32_t restart_min_defer = 0; ///< defer floor after the last retune
     std::uint32_t step_size = 0;         ///< step after the last retune
   };

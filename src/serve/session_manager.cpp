@@ -410,18 +410,16 @@ void SessionManager::control_tick_locked(std::uint64_t now_us) {
     if (interval == 0) continue;  // first tick: no rate yet
     const double rate =
         static_cast<double>(rb - prev) * 1e6 / static_cast<double>(interval);
-    control::SpecTuner& tuner = controller_->stream(
-        id, s->cfg.run.spec.confidence_gate, s->cfg.run.spec.step_size);
+    control::SpecTuner& tuner =
+        controller_->stream(id, s->cfg.run.spec.step_size);
     const auto actions = tuner.sample(rate, now_us);
     if (actions.empty()) continue;
     tvs::SpecConfig next = s->cfg.run.spec;
-    next.confidence_gate = tuner.confidence_gate();
     next.restart_min_defer = tuner.restart_min_defer();
     next.step_size = tuner.step_size();
     if (!s->run.pipeline->retune_spec(next)) continue;
     auto& c = s->stats.control;
     c.spec_retunes += static_cast<std::uint32_t>(actions.size());
-    c.confidence_gate = next.confidence_gate;
     c.restart_min_defer = next.restart_min_defer;
     c.step_size = next.step_size;
     for (const auto& a : actions) note_control_action_locked(id, a, now_us);

@@ -83,20 +83,6 @@ class Observer {
   virtual void on_check_verdict(Epoch /*epoch*/, bool /*within*/,
                                 bool /*is_final*/, double /*margin*/) {}
 
-  // --- Value-prediction events (src/predict) -----------------------------
-
-  /// A predictor's one-step-ahead prediction was scored against the actual
-  /// estimate; `hit` means the error cleared the tolerance predicate.
-  virtual void on_prediction_scored(const std::string& /*predictor*/,
-                                    bool /*hit*/, double /*rel_error*/) {}
-
-  /// A rollback was charged to the predictor that supplied the failed guess.
-  virtual void on_predictor_charged(const std::string& /*predictor*/) {}
-
-  /// An epoch-open was withheld: predicted confidence missed the gate.
-  virtual void on_speculation_gated(std::uint32_t /*estimate_index*/,
-                                    double /*confidence*/) {}
-
   // --- Fault injection (src/sre/fault.h) ----------------------------------
 
   /// A FaultPlan acted on a task: `failed` means the body was suppressed and
@@ -148,21 +134,6 @@ class FanoutObserver final : public Observer {
                         double margin) override {
     for (Observer* o : children_) {
       o->on_check_verdict(epoch, within, is_final, margin);
-    }
-  }
-  void on_prediction_scored(const std::string& predictor, bool hit,
-                            double rel_error) override {
-    for (Observer* o : children_) {
-      o->on_prediction_scored(predictor, hit, rel_error);
-    }
-  }
-  void on_predictor_charged(const std::string& predictor) override {
-    for (Observer* o : children_) o->on_predictor_charged(predictor);
-  }
-  void on_speculation_gated(std::uint32_t estimate_index,
-                            double confidence) override {
-    for (Observer* o : children_) {
-      o->on_speculation_gated(estimate_index, confidence);
     }
   }
   void on_fault_injected(TaskId task, bool failed,

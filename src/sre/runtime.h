@@ -127,7 +127,7 @@ class Runtime {
   void set_observer(Observer* observer) { observer_ = observer; }
 
   /// The installed observer (null if none). The speculation layer uses it
-  /// to report predictor events; the record-and-return contract applies.
+  /// to report check verdicts; the record-and-return contract applies.
   [[nodiscard]] Observer* observer() const { return observer_; }
 
   /// Installs a fault-injection plan (see fault.h; nullptr uninstalls).

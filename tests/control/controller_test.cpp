@@ -96,26 +96,24 @@ TEST(KnobTest, OscillatingInputMovesAtMostOncePerDwell) {
 // --- SpecTuner -------------------------------------------------------------
 
 TEST(SpecTunerTest, HoldsInsideTheBand) {
-  SpecTuner t(fast_cfg(), 0.0, 4);
+  SpecTuner t(fast_cfg(), 4);
   EXPECT_TRUE(t.sample(2.0, 0).empty());
   EXPECT_TRUE(t.sample(2.0, 100'000).empty());
   EXPECT_FALSE(t.tightened());
   EXPECT_EQ(t.retunes(), 0u);
 }
 
-TEST(SpecTunerTest, HighRollbackRateTightensAllThreeKnobs) {
+TEST(SpecTunerTest, HighRollbackRateTightensBothKnobs) {
   const auto cfg = fast_cfg();
-  SpecTuner t(cfg, 0.0, 4);
+  SpecTuner t(cfg, 4);
   const auto actions = t.sample(10.0, 0);
-  ASSERT_EQ(actions.size(), 3u);
-  EXPECT_STREQ(actions[0].knob, "confidence_gate");
-  EXPECT_STREQ(actions[1].knob, "restart_min_defer");
-  EXPECT_STREQ(actions[2].knob, "step_size");
+  ASSERT_EQ(actions.size(), 2u);
+  EXPECT_STREQ(actions[0].knob, "restart_min_defer");
+  EXPECT_STREQ(actions[1].knob, "step_size");
   for (const Action& a : actions) {
     EXPECT_EQ(a.direction, 1);
     EXPECT_STREQ(a.reason, "rollback_rate_high");
   }
-  EXPECT_DOUBLE_EQ(t.confidence_gate(), cfg.gate_step);
   EXPECT_EQ(t.restart_min_defer(), cfg.defer_step);
   EXPECT_EQ(t.step_size(), 8u) << "step stretches by one base step";
   EXPECT_TRUE(t.tightened());
@@ -124,14 +122,14 @@ TEST(SpecTunerTest, HighRollbackRateTightensAllThreeKnobs) {
 
 TEST(SpecTunerTest, LowRateRelaxesBackToBaselineAndStops) {
   const auto cfg = fast_cfg();
-  SpecTuner t(cfg, 0.2, 4);
+  SpecTuner t(cfg, 3);
   ASSERT_FALSE(t.sample(10.0, 0).empty());
+  ASSERT_EQ(t.step_size(), 6u);
   // Relax one step per dwell until every knob is back at its baseline.
   std::uint64_t now = cfg.min_dwell_us;
   while (!t.sample(0.0, now).empty()) now += cfg.min_dwell_us;
-  EXPECT_DOUBLE_EQ(t.confidence_gate(), 0.2) << "baseline, not zero";
   EXPECT_EQ(t.restart_min_defer(), 0u);
-  EXPECT_EQ(t.step_size(), 4u);
+  EXPECT_EQ(t.step_size(), 3u) << "the configured base step, not the floor";
   EXPECT_FALSE(t.tightened());
   // A persistently quiet signal never pushes any knob below its baseline.
   EXPECT_TRUE(t.sample(0.0, now + 10 * cfg.min_dwell_us).empty());
@@ -139,19 +137,18 @@ TEST(SpecTunerTest, LowRateRelaxesBackToBaselineAndStops) {
 
 TEST(SpecTunerTest, DwellFreezesBetweenSamples) {
   const auto cfg = fast_cfg();
-  SpecTuner t(cfg, 0.0, 4);
-  EXPECT_EQ(t.sample(10.0, 0).size(), 3u);
+  SpecTuner t(cfg, 4);
+  EXPECT_EQ(t.sample(10.0, 0).size(), 2u);
   EXPECT_TRUE(t.sample(10.0, cfg.interval_us).empty()) << "inside the dwell";
-  EXPECT_EQ(t.sample(10.0, cfg.min_dwell_us).size(), 3u);
+  EXPECT_EQ(t.sample(10.0, cfg.min_dwell_us).size(), 2u);
   EXPECT_EQ(t.retunes(), 2u);
 }
 
 TEST(SpecTunerTest, KnobsSaturateAtTheirCeilings) {
   const auto cfg = fast_cfg();
-  SpecTuner t(cfg, 0.0, 2);
+  SpecTuner t(cfg, 2);
   std::uint64_t now = 0;
   for (int i = 0; i < 100; ++i, now += cfg.min_dwell_us) t.sample(100.0, now);
-  EXPECT_LE(t.confidence_gate(), cfg.gate_max);
   EXPECT_EQ(t.restart_min_defer(), cfg.defer_max);
   EXPECT_EQ(t.step_size(), 2 * cfg.step_max_mult);
   EXPECT_TRUE(t.sample(100.0, now).empty()) << "saturated: no wind-up";
@@ -223,10 +220,10 @@ TEST(AdmissionTunerTest, TwoLoopsAreIndependent) {
 
 TEST(ControllerTest, StreamsAreCreatedOnFirstUseAndDroppable) {
   Controller c(fast_cfg(), {.max_concurrent = 4, .bulk_queue_cap = 64});
-  SpecTuner& a = c.stream(1, 0.0, 4);
-  SpecTuner& b = c.stream(2, 0.5, 8);
+  SpecTuner& a = c.stream(1, 4);
+  SpecTuner& b = c.stream(2, 8);
   EXPECT_EQ(c.streams(), 2u);
-  EXPECT_EQ(&c.stream(1, 0.9, 16), &a) << "baselines ignored on reuse";
+  EXPECT_EQ(&c.stream(1, 16), &a) << "baseline ignored on reuse";
   EXPECT_EQ(a.step_size(), 4u);
   EXPECT_EQ(b.step_size(), 8u);
   c.drop_stream(1);
@@ -237,9 +234,9 @@ TEST(ControllerTest, StreamsAreCreatedOnFirstUseAndDroppable) {
 
 TEST(ControllerTest, StreamsTuneIndependently) {
   Controller c(fast_cfg(), {.max_concurrent = 4, .bulk_queue_cap = 64});
-  c.stream(1, 0.0, 4).sample(100.0, 0);
-  EXPECT_TRUE(c.stream(1, 0.0, 4).tightened());
-  EXPECT_FALSE(c.stream(2, 0.0, 4).tightened())
+  c.stream(1, 4).sample(100.0, 0);
+  EXPECT_TRUE(c.stream(1, 4).tightened());
+  EXPECT_FALSE(c.stream(2, 4).tightened())
       << "stream 2's knobs must not move on stream 1's signal";
 }
 

@@ -446,72 +446,6 @@ TEST_F(SpeculatorFixture, FailedCheckWithFinalKnownGoesNaturalNotReSpec) {
   EXPECT_FALSE(spec.wants_estimate(5, false));
 }
 
-TEST_F(SpeculatorFixture, ConfidenceGateWithholdsEpochs) {
-  auto spec = make({.step_size = 1, .confidence_gate = 0.6});
-  double confidence = 0.2;
-  Speculator<double>::PredictorHook hook;
-  hook.confidence = [&confidence](std::uint32_t) { return confidence; };
-  spec.set_predictor_hook(std::move(hook));
-
-  EXPECT_FALSE(spec.wants_estimate(1, false));
-  spec.on_estimate(1.0, 1, false, 0);
-  EXPECT_TRUE(probe.chains.empty()) << "low confidence: no epoch opens";
-  EXPECT_EQ(spec.gate_denials(), 1u);
-
-  // Repeated queries for the same index count one denial.
-  EXPECT_FALSE(spec.wants_estimate(1, false));
-  EXPECT_EQ(spec.gate_denials(), 1u);
-
-  confidence = 0.9;
-  spec.on_estimate(1.1, 2, false, 1);
-  ASSERT_EQ(probe.chains.size(), 1u) << "confident estimate opens the epoch";
-  EXPECT_DOUBLE_EQ(probe.chains[0].guess, 1.1);
-  EXPECT_EQ(spec.gate_denials(), 1u);
-}
-
-TEST_F(SpeculatorFixture, GateNeverBlocksTheNaturalPath) {
-  auto spec = make({.step_size = 1, .confidence_gate = 0.99});
-  Speculator<double>::PredictorHook hook;
-  hook.confidence = [](std::uint32_t) { return 0.0; };
-  spec.set_predictor_hook(std::move(hook));
-  spec.on_estimate(1.0, 1, false, 0);
-  EXPECT_TRUE(spec.wants_estimate(2, true)) << "the final is always wanted";
-  spec.on_estimate(1.0, 2, true, 1);
-  drain(rt);
-  EXPECT_TRUE(probe.chains.empty());
-  ASSERT_TRUE(probe.natural_from.has_value());
-  EXPECT_DOUBLE_EQ(*probe.natural_from, 1.0);
-  EXPECT_EQ(spec.gate_denials(), 1u);
-}
-
-TEST_F(SpeculatorFixture, RefineGuessOverridesTheRawEstimate) {
-  auto spec = make({.step_size = 1});
-  Speculator<double>::PredictorHook hook;
-  hook.refine_guess = [](std::uint32_t index) -> std::optional<double> {
-    return 100.0 + index;
-  };
-  spec.set_predictor_hook(std::move(hook));
-  spec.on_estimate(1.0, 1, false, 0);
-  ASSERT_EQ(probe.chains.size(), 1u);
-  EXPECT_DOUBLE_EQ(probe.chains[0].guess, 101.0)
-      << "the chain builds from the refined guess, not the raw estimate";
-  // The check still judges the refined guess against real estimates.
-  probe.tolerance = 1000.0;
-  spec.on_estimate(2.0, 2, true, 1);
-  drain(rt);
-  EXPECT_TRUE(spec.committed());
-}
-
-TEST_F(SpeculatorFixture, HookWithoutGateChangesNothing) {
-  auto spec = make({.step_size = 1});  // confidence_gate defaults to 0
-  Speculator<double>::PredictorHook hook;
-  hook.confidence = [](std::uint32_t) { return 0.0; };
-  spec.set_predictor_hook(std::move(hook));
-  spec.on_estimate(1.0, 1, false, 0);
-  EXPECT_EQ(probe.chains.size(), 1u) << "gate 0 admits everything";
-  EXPECT_EQ(spec.gate_denials(), 0u);
-}
-
 TEST_F(SpeculatorFixture, ChecksRunAtControlPriority) {
   auto spec = make({.step_size = 1});
   spec.on_estimate(1.0, 1, false, 0);

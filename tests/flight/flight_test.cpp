@@ -104,11 +104,19 @@ std::uint64_t end_time_us(const std::vector<flight::TaskSpan>& tasks) {
 
 // --- Record -----------------------------------------------------------------
 
+/// Kind values an older writer emitted and this one no longer does; dumps
+/// may still hold them, so their numbers stay unused.
+const std::set<std::uint16_t> kRetiredKinds = {9, 10, 11};
+
 TEST(FlightRecord, EveryKindHasADistinctName) {
   const auto last = static_cast<std::uint16_t>(flight::Kind::Edge);
   std::set<std::string> seen;
   for (std::uint16_t k = 0; k <= last; ++k) {
     const std::string name = flight::kind_name(static_cast<flight::Kind>(k));
+    if (kRetiredKinds.contains(k)) {
+      EXPECT_EQ(name, "?") << "retired kind " << k << " still has a name";
+      continue;
+    }
     EXPECT_NE(name, "?") << "kind " << k << " has no name";
     EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
   }
@@ -254,7 +262,7 @@ TEST(FlightChrome, OutOfRangeNameIdsAndHostileStringsStayValid) {
   std::vector<flight::Record> records;
   records.push_back(make_record(flight::Kind::TaskCreated, 5, 1, 1, 0,
                                 /*name=*/9999));  // beyond the name table
-  records.push_back(make_record(flight::Kind::PredictorCharged, 6, 0, 0, 0,
+  records.push_back(make_record(flight::Kind::SessionState, 6, 0, 0, 0,
                                 /*name=*/1));
   // A task that ran under a hostile name, so the span path escapes it too.
   records.push_back(make_record(flight::Kind::TaskCreated, 7, 1, 2, 0,
@@ -273,7 +281,8 @@ TEST(FlightChrome, OutOfRangeNameIdsAndHostileStringsStayValid) {
   const std::string json = flight::to_chrome_trace(records, names);
   EXPECT_TRUE(json_lite::valid(json)) << "bad byte at "
                                       << json_lite::error_at(json);
-  EXPECT_NE(json.find("rollback-cause"), std::string::npos);
+  EXPECT_NE(json.find("state:we"), std::string::npos)
+      << "the hostile-named session state is missing";
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos)
       << "the hostile-named task's span is missing";
   EXPECT_NE(flight::utilization_timeline(records).find("cpu 3"),
@@ -516,7 +525,6 @@ TEST(FlightSlice, PullsEpochAndTaskClosureForTheSession) {
   window.push_back(make_record(flight::Kind::EpochAborted, 12, 0, 0, 3));
   window.push_back(make_record(flight::Kind::TaskCreated, 10, 8, 2, 4));
   window.push_back(make_record(flight::Kind::EpochCommitted, 12, 0, 0, 4));
-  window.push_back(make_record(flight::Kind::PredictorCharged, 13, 0, 0, 0, 1));
   window.push_back(make_record(flight::Kind::SessionState, 14, 7, 0, 0, 2));
 
   const auto slice = flight::session_slice(window, 7);
@@ -531,9 +539,40 @@ TEST(FlightSlice, PullsEpochAndTaskClosureForTheSession) {
   EXPECT_EQ(kinds.count(flight::Kind::Edge), 1u)
       << "edges join the slice through their consumer task";
   EXPECT_EQ(kinds.count(flight::Kind::EpochAborted), 1u);
-  // Global speculation decisions ride along — a post-mortem needs them.
-  EXPECT_EQ(kinds.count(flight::Kind::PredictorCharged), 1u);
   EXPECT_EQ(kinds.count(flight::Kind::SessionState), 1u);
+}
+
+TEST(FlightSlice, RetiredKindsFromAnOlderDumpAreSkipped) {
+  // Session 7's task beside the engine-wide records an older writer
+  // emitted under the retired kind 10 (a named, stream-less instant).
+  std::vector<flight::Record> window;
+  window.push_back(make_record(flight::Kind::TaskCreated, 10, 7, 1, 3, 1));
+  window.push_back(make_record(flight::Kind::TaskDispatched, 11, 0, 1));
+  window.push_back(make_record(flight::Kind::TaskFinished, 12, 0, 1));
+  for (std::uint64_t t : {13, 14}) {
+    window.push_back(make_record(static_cast<flight::Kind>(10), t, 0, 0, 0, 2));
+  }
+  const std::vector<std::string> names = {"", "encode", "last-value"};
+
+  // The dump still loads, retired records and all.
+  const auto dump = flight::read_binary(flight::write_binary(window, names));
+  ASSERT_EQ(dump.records.size(), window.size());
+
+  const std::string json = flight::to_chrome_trace(dump.records, dump.names);
+  EXPECT_TRUE(json_lite::valid(json)) << "bad byte at "
+                                      << json_lite::error_at(json);
+  EXPECT_EQ(json.find("last-value"), std::string::npos)
+      << "a retired record was rendered";
+
+  const auto slice = flight::session_slice(dump.records, 7);
+  EXPECT_EQ(slice.size(), 3u) << "the task's lifecycle, nothing else";
+  for (const auto& r : slice) {
+    EXPECT_FALSE(kRetiredKinds.contains(static_cast<std::uint16_t>(r.kind)))
+        << "retired kind " << static_cast<int>(r.kind) << " in the slice";
+  }
+  const std::string sliced = flight::to_chrome_trace(slice, dump.names);
+  EXPECT_TRUE(json_lite::valid(sliced)) << "bad byte at "
+                                        << json_lite::error_at(sliced);
 }
 
 TEST(FlightSlice, TimeBoundDropsOldRecordsButKeepsClockless) {
@@ -642,7 +681,7 @@ TEST(FlightServe, DoneSessionGetsAttributionBreakdown) {
   EXPECT_TRUE(saw_task);
 }
 
-TEST(FlightServe, ForcedFailureWritesPostMortemWithRollbackCause) {
+TEST(FlightServe, ForcedFailureWritesPostMortemBesideARollingNeighbor) {
   const std::string dir = fresh_dir("pm_serve");
   flight::Recorder::Options fopts;
   fopts.post_mortem_dir = dir;
@@ -663,11 +702,9 @@ TEST(FlightServe, ForcedFailureWritesPostMortemWithRollbackCause) {
   cfg.fault_plan = &chaos;
   serve::SessionManager mgr(cfg);
 
-  // 1. A zero-tolerance session: every verification fails, so a rollback —
-  //    and its PredictorCharged record (rollbacks are only charged to a
-  //    predictor under Bank mode) — lands in the window.
+  // 1. A zero-tolerance session: every verification fails, so rollbacks
+  //    land in the window.
   serve::SessionConfig rolling = tiny_session("rollback", /*tolerance=*/0.0);
-  rolling.run.spec.predictor = tvs::PredictorMode::Bank;
   const auto roll = mgr.submit(std::move(rolling));
   ASSERT_TRUE(roll.accepted);
   const pipeline::RunResult* rr = mgr.wait(roll.id);
@@ -692,9 +729,6 @@ TEST(FlightServe, ForcedFailureWritesPostMortemWithRollbackCause) {
                                       << json_lite::error_at(json);
   EXPECT_NE(json.find("failed:"), std::string::npos);
   EXPECT_NE(json.find("attribution"), std::string::npos);
-  // The neighbor's rollback happened strictly before the doomed session was
-  // submitted, so the causal slice's global speculation context carries it.
-  EXPECT_NE(json.find("rollback-cause"), std::string::npos);
 }
 
 TEST(FlightServe, ShedWhileQueuedWritesSpanlessPostMortem) {

@@ -35,11 +35,43 @@
 #                          # router over two tvsc served subprocesses on
 #                          # loopback asserting byte-identity and
 #                          # spill-before-shed
+#   tools/ci.sh sim <ref-build-dir>
+#                          # sim identity gate: runs fig3..fig9,
+#                          # applications_summary and headline_summary from
+#                          # build/ and from a build of the reference commit,
+#                          # and fails on any byte difference in their stdout
 #   TVS_SKIP_ASAN=1 tools/ci.sh   # tier-1 only (fast pre-push check)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+
+if [[ "${1:-}" == "sim" ]]; then
+  REF="${2:?usage: tools/ci.sh sim <ref-build-dir>}"
+  echo "== sim: bench stdout identity, build/ vs ${REF} =="
+  cmake -B build -S . >/dev/null
+  cmake --build build -j"$JOBS"
+  OUT="$(mktemp -d)"
+  trap 'rm -rf "$OUT"' EXIT
+  status=0
+  # The simulator is deterministic: any byte difference is a behaviour change.
+  for b in fig3_x86_policies fig4_cell_policies fig5_step_size \
+           fig6_verification fig7_socket fig8_cpu_scaling fig9_tolerance \
+           applications_summary headline_summary; do
+    ./build/bench/"$b" >"$OUT/$b.new"
+    "$REF/bench/$b" >"$OUT/$b.ref"
+    if cmp -s "$OUT/$b.ref" "$OUT/$b.new"; then
+      echo "  $b: identical"
+    else
+      echo "!! $b: stdout differs from the reference" >&2
+      diff "$OUT/$b.ref" "$OUT/$b.new" | head -20 >&2 || true
+      status=1
+    fi
+  done
+  if [[ "$status" != 0 ]]; then exit "$status"; fi
+  echo "== sim identical =="
+  exit 0
+fi
 
 if [[ "${1:-}" == "tsan" ]]; then
   echo "== tsan: sre_core label under ThreadSanitizer (build-tsan/) =="

@@ -22,6 +22,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flight/export.h"
@@ -59,8 +60,11 @@ void render(const std::string& source,
   std::size_t unknown = 0;
   std::uint64_t t_min = ~std::uint64_t{0}, t_max = 0;
   for (const auto& r : records) {
+    // Retired kinds (a dump from an older writer) count as unknown too.
     const auto k = static_cast<std::size_t>(r.kind);
-    ++(k < kKinds ? by_kind[k] : unknown);
+    const bool known =
+        k < kKinds && std::string_view(flight::kind_name(r.kind)) != "?";
+    ++(known ? by_kind[k] : unknown);
     if (r.t_us != 0) {
       t_min = std::min(t_min, r.t_us);
       t_max = std::max(t_max, r.t_us);

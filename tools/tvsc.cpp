@@ -226,14 +226,11 @@ int compress_file(const std::string& in_path, const std::string& out_path,
     info.max_latency_us = lat.max;
     info.spec_committed = pl.speculation_committed();
     info.rollbacks = pl.rollbacks();
-    info.gate_denials = pl.gate_denials();
     info.wasted_encodes = pl.trace().wasted_encodes();
     info.wait_discarded = pl.wait_discarded();
     info.input_bytes = original;
     info.output_bits = pl.output_bits();
-    info.best_predictor = pl.best_predictor();
     info.counters = rt.counters();
-    info.predictors = pl.predictor_scoreboard();
     const report::RunReport rep = report::make_report(info, &reg, &sampler);
     for (const auto& path : report::write_bundle(rep, cli.report_dir)) {
       std::fprintf(stderr, "report: %s\n", path.c_str());
