@@ -26,9 +26,11 @@
 // ~±10%, so the closed-loop sweep reports *paired-ratio medians* — each
 // repetition runs the conc=1 baseline and the conc=N cell back to back and
 // the speedup is the median of the per-rep wall ratios — plus rollback
-// counts, instead of leaning on raw wall-clock deltas.
+// counts, instead of leaning on raw wall-clock deltas. Every closed-loop
+// figure is the median over the reps with its quartiles.
 //
-// Results go to BENCH_serve.json (--out <path>). --quick shrinks the
+// Results go to BENCH_serve.json (--out <path>), with the provenance header
+// every BENCH_*.json carries (bench_util.h). --quick shrinks the
 // sweep; --smoke runs only a short low-rate open-loop check and asserts
 // zero sheds (the CI gate).
 #include <algorithm>
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "flight/recorder.h"
 #include "io/arrival_model.h"
 #include "pipeline/driver.h"
@@ -79,9 +82,18 @@ struct ClosedRow {
   double sessions_per_sec = 0.0;
   std::uint64_t p50_us = 0, p95_us = 0, p99_us = 0;
   std::uint64_t rollbacks = 0;
-  /// Median over reps of wall(conc=1) / wall(conc=N), paired per rep.
-  /// 0 = this row *is* the baseline (or a single-run smoke path).
-  double speedup_x = 0.0;
+};
+
+/// One window size over the reps: each figure's median and quartiles.
+struct ClosedCell {
+  unsigned workers = 0;
+  std::size_t concurrent = 0;
+  std::size_t sessions = 0;
+  benchutil::Spread wall_ms, sessions_per_sec, p50_us, p95_us, p99_us,
+      rollbacks;
+  /// wall(conc=1) / wall(conc=N), paired per rep. All zero for the
+  /// baseline row itself.
+  benchutil::Spread speedup_x;
 };
 
 struct OpenRow {
@@ -96,12 +108,6 @@ struct OpenRow {
   std::uint64_t rollbacks = 0;
   bool drained_clean = false;
 };
-
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Runs S sessions closed-loop; also returns each session's container when
 /// `containers` is non-null (the identity check reuses this path).
@@ -266,8 +272,8 @@ bool run_identity(unsigned workers, std::size_t sessions, std::size_t bytes) {
   return true;
 }
 
-void write_json(const std::string& path, bool identity_ok,
-                const std::vector<ClosedRow>& closed,
+void write_json(const std::string& path, unsigned reps, bool identity_ok,
+                const std::vector<ClosedCell>& closed,
                 const std::vector<OpenRow>& open) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -277,22 +283,36 @@ void write_json(const std::string& path, bool identity_ok,
   std::fprintf(f, "{\n  \"benchmark\": \"serve_load\",\n");
   std::fprintf(f,
                "  \"description\": \"multi-session serving layer: closed- "
-               "and open-loop load over one shared worker fleet\",\n");
+               "and open-loop load over one shared worker fleet; each "
+               "closed-loop figure is the median over the reps with its "
+               "quartiles (speedup_x: paired wall ratio against "
+               "conc=1)\",\n");
+  benchutil::write_provenance(f, reps);
   std::fprintf(f, "  \"closed_loop\": [\n");
   for (std::size_t i = 0; i < closed.size(); ++i) {
-    const ClosedRow& c = closed[i];
+    const ClosedCell& c = closed[i];
     std::fprintf(f,
                  "    {\"workers\": %u, \"concurrent\": %zu, \"sessions\": "
-                 "%zu, \"wall_ms\": %.3f, \"sessions_per_sec\": %.2f, "
-                 "\"speedup_x_median\": %.3f, \"rollbacks\": %llu, "
-                 "\"p50_us\": %llu, \"p95_us\": %llu, \"p99_us\": %llu}%s\n",
-                 c.workers, c.concurrent, c.sessions, c.wall_ms,
-                 c.sessions_per_sec, c.speedup_x,
-                 static_cast<unsigned long long>(c.rollbacks),
-                 static_cast<unsigned long long>(c.p50_us),
-                 static_cast<unsigned long long>(c.p95_us),
-                 static_cast<unsigned long long>(c.p99_us),
-                 i + 1 < closed.size() ? "," : "");
+                 "%zu",
+                 c.workers, c.concurrent, c.sessions);
+    // Each figure as "name" (median), "name_p25" and "name_p75".
+    struct Figure {
+      const char* name;
+      const benchutil::Spread& s;
+      int digits;
+    };
+    for (const Figure& fig : {Figure{"wall_ms", c.wall_ms, 3},
+                              Figure{"sessions_per_sec", c.sessions_per_sec, 2},
+                              Figure{"speedup_x", c.speedup_x, 3},
+                              Figure{"rollbacks", c.rollbacks, 0},
+                              Figure{"p50_us", c.p50_us, 0},
+                              Figure{"p95_us", c.p95_us, 0},
+                              Figure{"p99_us", c.p99_us, 0}}) {
+      std::fprintf(f, ", \"%s\": %.*f, \"%s_p25\": %.*f, \"%s_p75\": %.*f",
+                   fig.name, fig.digits, fig.s.median, fig.name, fig.digits,
+                   fig.s.p25, fig.name, fig.digits, fig.s.p75);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < closed.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"open_loop\": [\n");
   for (std::size_t i = 0; i < open.size(); ++i) {
@@ -401,15 +421,25 @@ int main(int argc, char** argv) {
                                      sre::DispatchPolicy::Balanced, nullptr));
     }
   }
-  std::vector<ClosedRow> closed;
+  std::vector<ClosedCell> closed;
   for (std::size_t ci = 0; ci < concs.size(); ++ci) {
-    // Representative row: the rep with the median wall time.
-    std::vector<ClosedRow> by_wall = cells[ci];
-    std::sort(by_wall.begin(), by_wall.end(),
-              [](const ClosedRow& a, const ClosedRow& b) {
-                return a.wall_ms < b.wall_ms;
-              });
-    ClosedRow row = by_wall[by_wall.size() / 2];
+    const auto over_reps = [&cells, ci](auto field) {
+      std::vector<double> v;
+      for (const ClosedRow& r : cells[ci]) {
+        v.push_back(static_cast<double>(r.*field));
+      }
+      return benchutil::spread(std::move(v));
+    };
+    ClosedCell cell;
+    cell.workers = cells[ci][0].workers;
+    cell.concurrent = cells[ci][0].concurrent;
+    cell.sessions = cells[ci][0].sessions;
+    cell.wall_ms = over_reps(&ClosedRow::wall_ms);
+    cell.sessions_per_sec = over_reps(&ClosedRow::sessions_per_sec);
+    cell.p50_us = over_reps(&ClosedRow::p50_us);
+    cell.p95_us = over_reps(&ClosedRow::p95_us);
+    cell.p99_us = over_reps(&ClosedRow::p99_us);
+    cell.rollbacks = over_reps(&ClosedRow::rollbacks);
     if (ci > 0) {
       std::vector<double> ratios;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -417,24 +447,25 @@ int main(int argc, char** argv) {
           ratios.push_back(cells[0][rep].wall_ms / cells[ci][rep].wall_ms);
         }
       }
-      row.speedup_x = median(std::move(ratios));
+      cell.speedup_x = benchutil::spread(std::move(ratios));
     }
     std::printf(
-        "  conc=%zu  %7.1f ms  %6.2f sess/s  speedup(med)=%.2fx  "
-        "p50=%llu p95=%llu p99=%llu us  rollbacks=%llu\n",
-        row.concurrent, row.wall_ms, row.sessions_per_sec, row.speedup_x,
-        static_cast<unsigned long long>(row.p50_us),
-        static_cast<unsigned long long>(row.p95_us),
-        static_cast<unsigned long long>(row.p99_us),
-        static_cast<unsigned long long>(row.rollbacks));
-    closed.push_back(row);
+        "  conc=%zu  %7.1f ms [%.1f, %.1f]  %6.2f sess/s  speedup(med)=%.2fx  "
+        "p50=%.0f p95=%.0f p99=%.0f us  rollbacks=%.0f\n",
+        cell.concurrent, cell.wall_ms.median, cell.wall_ms.p25,
+        cell.wall_ms.p75, cell.sessions_per_sec.median,
+        cell.speedup_x.median, cell.p50_us.median, cell.p95_us.median,
+        cell.p99_us.median, cell.rollbacks.median);
+    closed.push_back(cell);
   }
 
   // Capacity estimate from the conc=4 cell: sessions/sec the service
   // actually sustained; the open-loop gap is its inverse.
   double capacity_sps = 1.0;
   for (const auto& c : closed) {
-    if (c.concurrent == 4) capacity_sps = std::max(c.sessions_per_sec, 0.01);
+    if (c.concurrent == 4) {
+      capacity_sps = std::max(c.sessions_per_sec.median, 0.01);
+    }
   }
   const auto gap_1x =
       static_cast<std::uint64_t>(std::max(1.0, 1e6 / capacity_sps));
@@ -463,7 +494,7 @@ int main(int argc, char** argv) {
     open.push_back(row);
   }
 
-  write_json(out, identity_ok, closed, open);
+  write_json(out, static_cast<unsigned>(reps), identity_ok, closed, open);
 
   bool ok = identity_ok;
   for (const auto& o : open) {

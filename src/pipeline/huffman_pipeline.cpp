@@ -172,11 +172,26 @@ class CommitSink {
   std::function<void(std::uint64_t)> on_complete_;
 };
 
+/// The paper's check quantity (§IV-B): the compressed size of the data seen
+/// so far under the newer tree, and how far the guess's size is from it.
+struct SizeDelta {
+  std::uint64_t cur_bits = 0;
+  std::uint64_t diff = 0;
+};
+
+SizeDelta size_delta(const TreeEstimate& guess, const TreeEstimate& cur) {
+  const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
+  const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
+  return {cur_bits,
+          guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits};
+}
+
 }  // namespace
 
-/// Active speculative second pass: one epoch's tree, serial offset chain
-/// tail, and per-block offset store. Destroyed on rollback; survives commit
-/// (later arrivals pass through the wait buffer).
+/// The live second pass: one epoch's tree, serial offset chain tail, and
+/// per-block offset store. A speculative chain is destroyed on rollback and
+/// survives commit (later arrivals pass through the wait buffer); the
+/// natural chain (epoch sre::kNaturalEpoch) is built last and never replaced.
 struct HuffmanPipeline::Chain {
   sre::Epoch epoch = 0;
   std::shared_ptr<const huff::CodeTable> table;
@@ -198,9 +213,6 @@ struct HuffmanPipeline::State {
       : rt(runtime),
         src(source),
         cfg(std::move(config)),
-        root("huffman"),
-        first_pass(&root.add_child("first-pass")),
-        second_pass(&root.add_child("second-pass")),
         n_blocks(source.n_blocks()),
         block_hists(n_blocks),
         sink(n_blocks, [this] { return make_writer(); }) {}
@@ -212,15 +224,6 @@ struct HuffmanPipeline::State {
   /// its reference once results are collected.
   std::shared_ptr<const sio::BlockSource> src_keepalive;
   RunConfig cfg;
-
-  // SuperTask hierarchy (paper §III-A): the root directs data between the
-  // two passes. The first pass's histogram port is flagged as a speculation
-  // basis (§III-B), so each publication both advances normal execution
-  // (chain bookkeeping, natural path at the final estimate) and triggers
-  // the speculative side (prediction tasks).
-  sre::SuperTask root;
-  sre::SuperTask* first_pass;
-  sre::SuperTask* second_pass;
 
   const std::size_t n_blocks;
   std::size_t n_reduces = 0;
@@ -243,11 +246,7 @@ struct HuffmanPipeline::State {
   huff::Histogram prefix;  ///< mutated only by the serial reduce chain
   std::vector<std::shared_ptr<const huff::Histogram>> snapshots;
 
-  /// The natural path's exact code lengths, set before any natural encode
-  /// is spawned. All-zero (a valid empty table) for a zero-block run.
-  huff::CodeLengths natural_lengths{};
-
-  // Speculation: the live epoch's second pass (guarded by mu) and the stage.
+  // The live second pass (guarded by mu) and the speculation stage.
   std::optional<Chain> chain;
   std::unique_ptr<Stage> stage;
 
@@ -264,13 +263,12 @@ struct HuffmanPipeline::State {
     return cfg.platform.cost.cost(kind, n);
   }
 
-  /// Code lengths of the committed output's table.
+  /// Code lengths of the committed output's table. A block commits only
+  /// from the live chain's epoch, so the live chain holds that table; a
+  /// zero-block run has no chain and an all-zero (valid empty) table.
   [[nodiscard]] huff::CodeLengths committed_lengths() {
-    if (stage->speculation_committed()) {
-      return stage->committed()->table->lengths();
-    }
     std::scoped_lock lk(mu);
-    return natural_lengths;
+    return chain ? chain->table->lengths() : huff::CodeLengths{};
   }
 
   /// The output container for the committed table, zero-filled with its
@@ -300,9 +298,9 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
   st.snapshots.resize(st.n_reduces);
 
   const bool speculating = config.speculation_enabled();
-  // State-owned closures (stage hooks, SuperTask subscribers) hold only a
-  // weak reference: each is called from a task that pins State, and a
-  // strong one would keep State alive through itself.
+  // State-owned closures (the stage hooks) hold only a weak reference: each
+  // is called from a task that pins State, and a strong one would keep State
+  // alive through itself.
   const std::weak_ptr<State> w = st_;
   State::Stage::Hooks hooks;
   hooks.build_chain = [w](const TreeEstimate& guess, sre::Epoch epoch,
@@ -315,27 +313,20 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
   hooks.within_tolerance = [tol = config.spec.tolerance](
                                const TreeEstimate& guess,
                                const TreeEstimate& cur) {
-    // The paper's check (§IV-B): compare the compressed size of the data
-    // seen so far under both trees; reject when the difference exceeds the
-    // tolerance fraction of the newer tree's size.
-    const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
-    const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
-    const std::uint64_t diff =
-        guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits;
-    return static_cast<double>(diff) <= tol * static_cast<double>(cur_bits);
+    // The paper's check (§IV-B): reject when the size difference exceeds
+    // the tolerance fraction of the newer tree's size.
+    const SizeDelta d = size_delta(guess, cur);
+    return static_cast<double>(d.diff) <= tol * static_cast<double>(d.cur_bits);
   };
   hooks.tolerance_margin = [tol = config.spec.tolerance](
                                const TreeEstimate& guess,
                                const TreeEstimate& cur) {
     // Headroom ratio for observability: observed relative size delta over
     // the allowed delta. < 1 passes the check above; ~0 = perfect guess.
-    const std::uint64_t cur_bits = cur.table->encoded_bits(*cur.hist);
-    const std::uint64_t guess_bits = guess.table->encoded_bits(*cur.hist);
-    const std::uint64_t diff =
-        guess_bits > cur_bits ? guess_bits - cur_bits : cur_bits - guess_bits;
-    const double allowed = tol * static_cast<double>(cur_bits);
-    return allowed <= 0.0 ? (diff == 0 ? 0.0 : 1e9)
-                          : static_cast<double>(diff) / allowed;
+    const SizeDelta d = size_delta(guess, cur);
+    const double allowed = tol * static_cast<double>(d.cur_bits);
+    return allowed <= 0.0 ? (d.diff == 0 ? 0.0 : 1e9)
+                          : static_cast<double>(d.diff) / allowed;
   };
   hooks.on_rollback = [w](sre::Epoch epoch) {
     const auto stp = w.lock();
@@ -350,76 +341,6 @@ HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
       runtime, st.n_blocks,
       speculating ? std::optional(config.spec) : std::nullopt,
       st.cost(TaskKind::Check), st_, std::move(hooks), config.stream_id);
-
-  // --- SuperTask wiring ------------------------------------------------
-  // Normal-execution subscriber: every new prefix histogram advances the
-  // first pass's bookkeeping; the final one feeds the natural second pass
-  // when no speculation is running.
-  st.first_pass->subscribe_value<EstimateMsg>(
-      "histogram",
-      [w, speculating](const EstimateMsg& msg, std::uint64_t now_us) {
-        const auto stp = w.lock();
-        {
-          std::scoped_lock lk(stp->mu);
-          const std::size_t counted = std::min(
-              (msg.reduce_index + 1) * stp->cfg.ratios.reduce_ratio,
-              stp->n_blocks);
-          stp->counted_blocks = std::max(stp->counted_blocks, counted);
-          if (stp->chain) {
-            stp->chain->counted_blocks =
-                std::max(stp->chain->counted_blocks, stp->counted_blocks);
-            extend_chain_locked(stp);
-          }
-        }
-        if (!speculating) {
-          stp->stage->estimate(
-              static_cast<std::uint32_t>(msg.reduce_index + 1),
-              msg.reduce_index + 1 == stp->n_reduces,
-              TreeEstimate{stp->snapshots[msg.reduce_index], nullptr}, now_us);
-        }
-      });
-
-  if (speculating) {
-    // Speculative side: the histogram port is a flagged speculation basis;
-    // each publication may spawn a Control-class prediction task that
-    // builds the prefix tree and feeds the Speculator.
-    st.first_pass->mark_speculation_basis("histogram");
-    st.first_pass->set_speculation_trigger(
-        [w](const sre::SuperTask::Payload& payload, std::uint64_t) {
-          const auto stp = w.lock();
-          const auto& msg =
-              *std::static_pointer_cast<const EstimateMsg>(payload);
-          const std::size_t r = msg.reduce_index;
-          const bool is_final = (r + 1 == stp->n_reduces);
-          const auto k = static_cast<std::uint32_t>(r + 1);
-          if (!stp->stage->offer(k, is_final)) return;
-
-          // "trees are created with every new histogram that in turn
-          // generate checking tasks" (paper Fig. 2 caption) — here, only
-          // for estimates the speculator will actually consume.
-          auto snapshot = stp->snapshots[r];
-          auto cell = std::make_shared<TreeEstimate>();
-          auto tree_task = stp->rt.make_task(
-              "tree[" + std::to_string(k) + (is_final ? ",final]" : "]"),
-              sre::TaskClass::Control, sre::kNaturalEpoch, /*depth=*/1000,
-              stp->cost(TaskKind::TreeBuild),
-              [snapshot, cell](sre::TaskContext&) {
-                // Flooring guarantees every byte value has a code, so a
-                // tree built from a prefix can encode later symbols too.
-                const huff::HuffmanTree tree =
-                    huff::HuffmanTree::build(snapshot->with_floor(1));
-                cell->hist = snapshot;
-                cell->table = std::make_shared<const huff::CodeTable>(
-                    huff::CodeTable::from_lengths(tree.lengths()));
-              },
-              stp->cfg.stream_id);
-          tree_task->set_mem_bytes(2 * sizeof(huff::Histogram));
-          stp->stage->estimate_on_done(
-              *tree_task, k, is_final, [cell] { return *cell; },
-              /*offered=*/true);
-          stp->rt.submit(tree_task);
-        });
-  }
 }
 
 HuffmanPipeline::HuffmanPipeline(sre::Runtime& runtime,
@@ -472,15 +393,10 @@ void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
           },
           st->cfg.stream_id);
       reduce->set_mem_bytes((end - begin) * sizeof(huff::Histogram));
-      // Each reduce publishes a fresh prefix histogram through the
-      // SuperTask hierarchy. The flagged port advances normal execution AND
-      // triggers the speculative side (paper §III-B: "the expected data has
-      // arrived and should advance normal program execution, and ...
-      // trigger a speculative task").
+      // Each reduce completion is a fresh prefix histogram: an estimate.
       reduce->add_completion_hook(
           [st, r](sre::Task&, std::uint64_t done_us) {
-            st->first_pass->publish_value<EstimateMsg>("histogram", {r},
-                                                       done_us);
+            on_estimate(st, r, done_us);
           });
       for (std::size_t b = begin; b < end; ++b) {
         if (auto c = st->count_tasks[b].lock()) {
@@ -497,6 +413,55 @@ void HuffmanPipeline::on_block_arrival(std::size_t i, std::uint64_t now_us) {
   if (reduce) st->rt.submit(reduce);
 }
 
+void HuffmanPipeline::on_estimate(const std::shared_ptr<State>& st,
+                                  std::size_t r, std::uint64_t now_us) {
+  const bool is_final = (r + 1 == st->n_reduces);
+  const auto k = static_cast<std::uint32_t>(r + 1);
+  // The estimate is the speculation basis (paper §III-B): it triggers the
+  // speculative side first, then advances normal execution.
+  if (st->stage->offer(k, is_final)) {
+    // "trees are created with every new histogram that in turn generate
+    // checking tasks" (paper Fig. 2 caption) — here, only for estimates the
+    // speculator will actually consume.
+    auto snapshot = st->snapshots[r];
+    auto cell = std::make_shared<TreeEstimate>();
+    auto tree_task = st->rt.make_task(
+        "tree[" + std::to_string(k) + (is_final ? ",final]" : "]"),
+        sre::TaskClass::Control, sre::kNaturalEpoch, /*depth=*/1000,
+        st->cost(TaskKind::TreeBuild),
+        [snapshot, cell](sre::TaskContext&) {
+          // Flooring guarantees every byte value has a code, so a tree
+          // built from a prefix can encode later symbols too.
+          const huff::HuffmanTree tree =
+              huff::HuffmanTree::build(snapshot->with_floor(1));
+          cell->hist = snapshot;
+          cell->table = std::make_shared<const huff::CodeTable>(
+              huff::CodeTable::from_lengths(tree.lengths()));
+        },
+        st->cfg.stream_id);
+    tree_task->set_mem_bytes(2 * sizeof(huff::Histogram));
+    st->stage->estimate_on_done(
+        *tree_task, k, is_final, [cell] { return *cell; }, /*offered=*/true);
+    st->rt.submit(tree_task);
+  }
+  {
+    std::scoped_lock lk(st->mu);
+    const std::size_t counted =
+        std::min((r + 1) * st->cfg.ratios.reduce_ratio, st->n_blocks);
+    st->counted_blocks = std::max(st->counted_blocks, counted);
+    if (st->chain) {
+      st->chain->counted_blocks =
+          std::max(st->chain->counted_blocks, st->counted_blocks);
+      extend_chain_locked(st);
+    }
+  }
+  // Without speculation the final estimate feeds the natural second pass.
+  if (!st->cfg.speculation_enabled()) {
+    st->stage->estimate(k, is_final, TreeEstimate{st->snapshots[r], nullptr},
+                        now_us);
+  }
+}
+
 void HuffmanPipeline::build_spec_chain(const std::shared_ptr<State>& st,
                                        const TreeEstimate& guess,
                                        sre::Epoch epoch,
@@ -505,42 +470,62 @@ void HuffmanPipeline::build_spec_chain(const std::shared_ptr<State>& st,
   // A builder that lost the race to its epoch's rollback (or to a newer
   // epoch's builder) must not replace the live chain.
   if (st->stage->stale(epoch)) return;
-  Chain chain;
-  chain.epoch = epoch;
-  chain.table = guess.table;
-  chain.offsets = std::make_shared<std::vector<std::uint64_t>>(st->n_blocks, 0);
-  chain.arena = st->rt.make_epoch_arenas(epoch);
   // Cover everything counted so far, not just the estimate's prefix: more
   // reduces may have completed while the prediction task was in flight.
-  chain.counted_blocks = std::max(
-      std::min(static_cast<std::size_t>(estimate_index) *
-                   st->cfg.ratios.reduce_ratio,
-               st->n_blocks),
-      st->counted_blocks);
+  install_chain_locked(
+      st, guess.table, epoch,
+      std::max(std::min(static_cast<std::size_t>(estimate_index) *
+                            st->cfg.ratios.reduce_ratio,
+                        st->n_blocks),
+               st->counted_blocks));
+}
+
+/// Makes `table`'s chain under `epoch` the live one and wires it over the
+/// first `counted_blocks` blocks. Caller holds st->mu.
+void HuffmanPipeline::install_chain_locked(
+    const std::shared_ptr<State>& st,
+    std::shared_ptr<const huff::CodeTable> table, sre::Epoch epoch,
+    std::size_t counted_blocks) {
+  Chain chain;
+  chain.epoch = epoch;
+  chain.table = std::move(table);
+  chain.offsets = std::make_shared<std::vector<std::uint64_t>>(st->n_blocks, 0);
+  chain.arena = st->rt.make_epoch_arenas(epoch);
+  chain.counted_blocks = counted_blocks;
   st->chain = std::move(chain);
   extend_chain_locked(st);
 }
 
 /// Wires the live chain's offset groups (and their encodes) as far as the
-/// counted prefix reaches. Caller holds st->mu.
+/// counted prefix reaches: `offset[g]`/`encode[b]` on the natural path,
+/// `spec-offset[g,eE]`/`spec-encode[b,eE]` under epoch E. Caller holds
+/// st->mu.
 void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
   Chain& chain = *st->chain;
   const std::size_t G = st->cfg.ratios.offset_group;
+  const sre::Epoch epoch = chain.epoch;
+  const bool speculative = epoch != sre::kNaturalEpoch;
+  const sre::TaskClass cls =
+      speculative ? sre::TaskClass::Speculative : sre::TaskClass::Natural;
+  const auto name = [speculative, epoch](const char* kind, std::size_t i) {
+    const std::string ix = std::to_string(i);
+    return speculative ? "spec-" + std::string(kind) + "[" + ix + ",e" +
+                             std::to_string(epoch) + "]"
+                       : std::string(kind) + "[" + ix + "]";
+  };
 
   while (chain.next_group * G < st->n_blocks &&
          st->group_end(chain.next_group) <= chain.counted_blocks) {
     const std::size_t g = chain.next_group++;
     const std::size_t begin = st->group_begin(g);
     const std::size_t end = st->group_end(g);
-    const sre::Epoch epoch = chain.epoch;
     auto table = chain.table;
     auto offsets = chain.offsets;
     auto prev_end = chain.prev_end;
     auto group_end_slot = sre::make_slot<std::uint64_t>();
 
     auto offset_task = st->rt.make_task(
-        "spec-offset[" + std::to_string(g) + ",e" + std::to_string(epoch) + "]",
-        sre::TaskClass::Speculative, epoch, /*depth=*/4,
+        name("offset", g), cls, epoch, /*depth=*/4,
         st->cost(TaskKind::Offset, end - begin),
         [st, begin, end, table, offsets, prev_end, group_end_slot](
             sre::TaskContext&) {
@@ -554,6 +539,7 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
         },
         st->cfg.stream_id);
     offset_task->set_mem_bytes((end - begin) * sizeof(huff::Histogram));
+    // On the natural path every count is Done, so these declare no edge.
     for (std::size_t b = begin; b < end; ++b) {
       if (auto c = st->count_tasks[b].lock()) {
         st->rt.add_dependency(c, offset_task);
@@ -570,9 +556,7 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
       auto enc = std::make_shared<huff::EncodedBlock>();
       auto arena = chain.arena;
       auto encode_task = st->rt.make_task(
-          "spec-encode[" + std::to_string(b) + ",e" + std::to_string(epoch) +
-              "]",
-          sre::TaskClass::Speculative, epoch, /*depth=*/5,
+          name("encode", b), cls, epoch, /*depth=*/5,
           st->cost(TaskKind::Encode),
           [st, b, table, enc, arena](sre::TaskContext& ctx) {
             *enc = encode_into_lane(st->src.block(b), st->block_hists[b],
@@ -586,8 +570,6 @@ void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
             st->stage->deliver(epoch, b,
                                BlockResult{std::move(*enc), (*offsets)[b]},
                                done_us);
-            st->second_pass->publish_value<BlockDoneMsg>("block-done",
-                                                         {b, true}, done_us);
           });
       st->rt.add_dependency(offset_task, encode_task);
       st->rt.submit(encode_task);
@@ -613,72 +595,12 @@ void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
   tree_task->add_completion_hook([st, table_cell](sre::Task&,
                                                   std::uint64_t) {
     // All counts finished (the final reduce ran), so the whole natural
-    // second pass can be laid out at once: serial offset chain, parallel
-    // encodes.
-    auto table = *table_cell;
-    {
-      std::scoped_lock lk(st->mu);
-      st->natural_lengths = table->lengths();
-    }
-    const std::size_t G = st->cfg.ratios.offset_group;
-    const std::size_t n_groups = (st->n_blocks + G - 1) / G;
-    auto offsets = std::make_shared<std::vector<std::uint64_t>>(st->n_blocks, 0);
-    // Natural-path arenas: same wholesale-reclamation story, keyed to the
-    // run instead of a speculative epoch — freed when the last committed
-    // result is released.
-    auto arena = st->rt.make_epoch_arenas(sre::kNaturalEpoch);
-    sre::TaskPtr prev_offset;
-    std::shared_ptr<sre::Slot<std::uint64_t>> prev_end;
-
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const std::size_t begin = st->group_begin(g);
-      const std::size_t end = st->group_end(g);
-      auto group_end_slot = sre::make_slot<std::uint64_t>();
-      auto prev_end_cap = prev_end;
-      auto offset_task = st->rt.make_task(
-          "offset[" + std::to_string(g) + "]", sre::TaskClass::Natural,
-          sre::kNaturalEpoch, /*depth=*/4, st->cost(TaskKind::Offset, end - begin),
-          [st, begin, end, table, offsets, prev_end_cap, group_end_slot](
-              sre::TaskContext&) {
-            const std::uint64_t start = prev_end_cap ? prev_end_cap->get() : 0;
-            const huff::OffsetGroup og = huff::compute_offsets(
-                st->block_hists.range(begin, end), *table, start);
-            for (std::size_t b = begin; b < end; ++b) {
-              (*offsets)[b] = og.block_offsets[b - begin];
-            }
-            group_end_slot->set(og.end_offset);
-          },
-          st->cfg.stream_id);
-      offset_task->set_mem_bytes((end - begin) * sizeof(huff::Histogram));
-      if (prev_offset) st->rt.add_dependency(prev_offset, offset_task);
-      prev_offset = offset_task;
-      prev_end = group_end_slot;
-      st->rt.submit(offset_task);
-
-      for (std::size_t b = begin; b < end; ++b) {
-        auto enc = std::make_shared<huff::EncodedBlock>();
-        auto encode_task = st->rt.make_task(
-            "encode[" + std::to_string(b) + "]", sre::TaskClass::Natural,
-            sre::kNaturalEpoch, /*depth=*/5, st->cost(TaskKind::Encode),
-            [st, b, table, enc, arena](sre::TaskContext& ctx) {
-              *enc = encode_into_lane(st->src.block(b), st->block_hists[b],
-                                      *table, arena, ctx.worker);
-            },
-            st->cfg.stream_id);
-        encode_task->set_mem_bytes(3 * st->src.block_size() +
-                                   sizeof(huff::CodeTable));
-        encode_task->add_completion_hook(
-            [st, b, enc, offsets](sre::Task&, std::uint64_t done_us) {
-              st->stage->deliver(sre::kNaturalEpoch, b,
-                                 BlockResult{std::move(*enc), (*offsets)[b]},
-                                 done_us);
-              st->second_pass->publish_value<BlockDoneMsg>(
-                  "block-done", {b, false}, done_us);
-            });
-        st->rt.add_dependency(offset_task, encode_task);
-        st->rt.submit(encode_task);
-      }
-    }
+    // second pass is laid out at once. It replaces any chain left over,
+    // which can only belong to a rolled-back epoch. Its arenas are keyed to
+    // the run instead of a speculative epoch — freed when the last
+    // committed result is released.
+    std::scoped_lock lk(st->mu);
+    install_chain_locked(st, *table_cell, sre::kNaturalEpoch, st->n_blocks);
   });
   st->rt.submit(tree_task);
 }
@@ -686,8 +608,6 @@ void HuffmanPipeline::build_natural(const std::shared_ptr<State>& st,
 const stats::BlockTrace& HuffmanPipeline::trace() const {
   return st_->stage->trace();
 }
-
-sre::SuperTask& HuffmanPipeline::root_supertask() { return st_->root; }
 
 bool HuffmanPipeline::speculation_committed() const {
   return st_->stage->speculation_committed();

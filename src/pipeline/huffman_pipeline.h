@@ -3,15 +3,18 @@
 // Mirrors Fig. 2 of the paper. First pass: a Count task per arriving 4 KiB
 // block; a serial chain of Reduce tasks, each folding `reduce_ratio` block
 // histograms into the running prefix histogram. Each Reduce completion is an
-// *estimate* in the tolerant-value-speculation sense; when the Speculator
-// wants one, a Control-class prediction task builds the prefix Huffman tree.
-// Second pass: Offset tasks (one per group of `offset_group` blocks, serially
-// chained — variable-length codes make block positions a prefix computation)
-// feeding parallel Encode tasks. The speculative second pass runs under an
-// epoch from a predicted tree; its results wait in a WaitBuffer until a
-// passing final check commits them. A failed check rolls the epoch back and
-// re-speculates from the newest prefix (or falls back to the natural second
-// pass if the final histogram is already known).
+// *estimate* in the tolerant-value-speculation sense, handed straight to the
+// pipeline's tvs::SpeculativeStage (the speculation basis, paper §III-B);
+// when the Speculator wants one, a Control-class prediction task builds the
+// prefix Huffman tree. Second pass: one Chain per epoch — Offset tasks (one
+// per group of `offset_group` blocks, serially chained — variable-length
+// codes make block positions a prefix computation) feeding parallel Encode
+// tasks. A speculative chain runs under an epoch from a predicted tree; its
+// results wait in a WaitBuffer until a passing final check commits them. A
+// failed check rolls the epoch back and re-speculates from the newest prefix
+// (or falls back to the natural second pass if the final histogram is
+// already known). The natural second pass is the same Chain wiring under
+// sre::kNaturalEpoch, built from the exact table of the final histogram.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,6 @@
 #include "pipeline/run_config.h"
 #include "sre/runtime.h"
 #include "sre/slot.h"
-#include "sre/supertask.h"
 #include "stats/trace.h"
 
 namespace pipeline {
@@ -40,18 +42,6 @@ namespace pipeline {
 struct TreeEstimate {
   std::shared_ptr<const huff::Histogram> hist;
   std::shared_ptr<const huff::CodeTable> table;
-};
-
-/// Published on the first pass's "histogram" SuperTask port, one per Reduce
-/// completion (the snapshot itself lives in the pipeline state).
-struct EstimateMsg {
-  std::size_t reduce_index = 0;
-};
-
-/// Published on the second pass's "block-done" SuperTask port.
-struct BlockDoneMsg {
-  std::size_t block = 0;
-  bool speculative = false;
 };
 
 class HuffmanPipeline {
@@ -136,12 +126,6 @@ class HuffmanPipeline {
   /// container exists).
   [[nodiscard]] std::uint64_t output_bits() const;
 
-  /// The pipeline's SuperTask hierarchy (paper §III-A/B): the root routes
-  /// data between the two passes; the first pass's "histogram" port is the
-  /// flagged speculation basis that feeds the tvs layer. Exposed for
-  /// observation (tests subscribe to ports to watch data flow).
-  [[nodiscard]] sre::SuperTask& root_supertask();
-
  private:
   /// One block's committed encoding and its absolute start bit.
   struct BlockResult {
@@ -157,9 +141,15 @@ class HuffmanPipeline {
   // HuffmanPipeline handle itself, so the handle can be destroyed while
   // stray tasks are still in flight — each task pins State (and through it
   // the source) until it retires.
+  static void on_estimate(const std::shared_ptr<State>& st, std::size_t r,
+                          std::uint64_t now_us);
   static void build_spec_chain(const std::shared_ptr<State>& st,
                                const TreeEstimate& guess, sre::Epoch epoch,
                                std::uint32_t estimate_index);
+  static void install_chain_locked(const std::shared_ptr<State>& st,
+                                   std::shared_ptr<const huff::CodeTable> table,
+                                   sre::Epoch epoch,
+                                   std::size_t counted_blocks);
   static void extend_chain_locked(const std::shared_ptr<State>& st);
   static void build_natural(const std::shared_ptr<State>& st,
                             const TreeEstimate& final_value);

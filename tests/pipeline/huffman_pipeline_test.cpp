@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <set>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 #include "pipeline/huffman_pipeline.h"
 #include "sim/sim_executor.h"
 #include "sre/chaos_point.h"
+#include "sre/observer.h"
 #include "workload/corpus.h"
 
 namespace {
@@ -113,6 +116,82 @@ TEST(Pipeline, TxtCommitsSpeculationWithoutRollbacks) {
   EXPECT_GT(res.trace.speculative_commits(), 0u);
 }
 
+/// Records every task the runtime creates.
+struct TaskLog final : sre::Observer {
+  std::vector<sre::TaskInfo> tasks;
+  void on_task_created(const sre::TaskInfo& task) override {
+    tasks.push_back(task);
+  }
+  [[nodiscard]] std::vector<sre::TaskInfo> named(std::string_view prefix) const {
+    std::vector<sre::TaskInfo> out;
+    for (const auto& t : tasks) {
+      if (t.name.starts_with(prefix)) out.push_back(t);
+    }
+    return out;
+  }
+};
+
+TaskLog log_sim_tasks(sre::DispatchPolicy policy) {
+  const auto cfg = small(wl::FileKind::Txt, policy);
+  sio::BlockSource src(wl::make_corpus(cfg.file, cfg.bytes, cfg.seed), 4096,
+                       std::make_shared<sio::DiskArrival>());
+  TaskLog log;
+  sre::Runtime rt(cfg.policy);
+  rt.set_observer(&log);
+  sim::SimExecutor ex(rt, cfg.platform);
+  pipeline::HuffmanPipeline pl(rt, src, cfg);
+  src.for_each_arrival([&](std::size_t i, sio::Micros at) {
+    ex.schedule_arrival(at, [&pl, i](sim::Micros now) {
+      pl.on_block_arrival(i, now);
+    });
+  });
+  ex.run();
+  pl.validate_complete();
+  return log;
+}
+
+TEST(Pipeline, NaturalPassKeepsItsShape) {
+  // 512 KiB / 4 KiB = 128 blocks; reduce ratio 16 → 8 reduces; offset group
+  // 64 → 2 offset groups. Each reduce is one estimate, and only the final
+  // one builds a tree: the exact natural table.
+  const TaskLog log = log_sim_tasks(sre::DispatchPolicy::NonSpeculative);
+  EXPECT_EQ(log.named("reduce[").size(), 8u);
+  const auto trees = log.named("tree[");
+  ASSERT_EQ(trees.size(), 1u);
+  EXPECT_EQ(trees[0].name, "tree[natural]");
+  EXPECT_TRUE(log.named("spec-").empty());
+  const auto offsets = log.named("offset[");
+  const auto encodes = log.named("encode[");
+  EXPECT_EQ(offsets.size(), 2u);
+  EXPECT_EQ(encodes.size(), 128u);
+  for (const auto& t : offsets) {
+    EXPECT_EQ(t.depth, 4) << t.name;
+    EXPECT_EQ(t.cls, sre::TaskClass::Natural) << t.name;
+    EXPECT_EQ(t.epoch, sre::kNaturalEpoch) << t.name;
+  }
+  for (const auto& t : encodes) {
+    EXPECT_EQ(t.depth, 5) << t.name;
+    EXPECT_EQ(t.cls, sre::TaskClass::Natural) << t.name;
+    EXPECT_EQ(t.epoch, sre::kNaturalEpoch) << t.name;
+  }
+}
+
+TEST(Pipeline, EachReduceFeedsAtMostOneTree) {
+  // A speculative run builds a prefix tree only for estimates the
+  // speculator takes, at most one per reduce.
+  const TaskLog log = log_sim_tasks(sre::DispatchPolicy::Balanced);
+  EXPECT_EQ(log.named("reduce[").size(), 8u);
+  std::set<unsigned long> seen;
+  for (const auto& t : log.named("tree[")) {
+    if (t.name == "tree[natural]") continue;
+    const unsigned long k = std::stoul(t.name.substr(5));
+    EXPECT_GE(k, 1u) << t.name;
+    EXPECT_LE(k, 8u) << t.name;
+    EXPECT_TRUE(seen.insert(k).second) << t.name << " repeats";
+  }
+  EXPECT_FALSE(seen.empty());
+}
+
 TEST(Pipeline, CellPlatformRespectsMemoryBudget) {
   auto cfg = pipeline::RunConfig::cell_disk(wl::FileKind::Txt,
                                             sre::DispatchPolicy::Balanced);
@@ -204,7 +283,7 @@ TEST(Pipeline, StateIsFreedWithHandleAndRuntime) {
   // outlives the pipeline exactly as long as State does. Once the handle
   // and the runtime (with every task) are gone, nothing may keep State
   // alive — in particular not the closures State itself owns (wait-buffer
-  // sink, Speculator callbacks, SuperTask subscribers).
+  // sink, Speculator callbacks, the stage hooks).
   std::weak_ptr<const sio::BlockSource> weak_source;
   {
     auto cfg = small(wl::FileKind::Pdf, sre::DispatchPolicy::Balanced, 512);

@@ -39,7 +39,10 @@
 #                          # sim identity gate: runs fig3..fig9,
 #                          # applications_summary and headline_summary from
 #                          # build/ and from a build of the reference commit,
-#                          # and fails on any byte difference in their stdout
+#                          # and fails on any byte difference in their stdout;
+#                          # then runs trace_dump txt and bmp from both and
+#                          # fails if their .chrome.json or .dfg.dot differ
+#                          # (the task graph: names, classes, depths, edges)
 #   TVS_SKIP_ASAN=1 tools/ci.sh   # tier-1 only (fast pre-push check)
 set -euo pipefail
 
@@ -67,6 +70,22 @@ if [[ "${1:-}" == "sim" ]]; then
       diff "$OUT/$b.ref" "$OUT/$b.new" | head -20 >&2 || true
       status=1
     fi
+  done
+  # The figures are aggregates, so also compare the task graph itself: the
+  # timeline and DFG of a TXT run and of a BMP run (which rolls back, then
+  # runs a speculative chain and the natural pass). Names, classes, depths,
+  # edges and times must all match.
+  for s in txt bmp; do
+    ./build/tools/trace_dump "$s" "$OUT/$s.new" >/dev/null
+    "$REF/tools/trace_dump" "$s" "$OUT/$s.ref" >/dev/null
+    for ext in chrome.json dfg.dot; do
+      if cmp -s "$OUT/$s.ref.$ext" "$OUT/$s.new.$ext"; then
+        echo "  trace_dump $s .$ext: identical"
+      else
+        echo "!! trace_dump $s: .$ext differs from the reference" >&2
+        status=1
+      fi
+    done
   done
   if [[ "$status" != 0 ]]; then exit "$status"; fi
   echo "== sim identical =="
