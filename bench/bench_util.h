@@ -207,6 +207,8 @@ inline const char* compiler_id() {
 
 /// Short git sha of the source tree the binary was built from, with
 /// "-dirty" when tracked files differ from it; "unknown" outside a checkout.
+/// Call it before opening the output file: a writer that truncates a
+/// tracked BENCH file in place would otherwise read itself as "-dirty".
 inline std::string git_sha() {
 #ifdef TVS_SOURCE_DIR
   const auto run = [](const std::string& cmd) {
@@ -235,9 +237,11 @@ inline std::string git_sha() {
 }
 
 /// Writes the `"provenance"` member every BENCH_*.json carries: host core
-/// count, compiler, build type, source sha and repetitions per cell.
+/// count, compiler, build type, source sha (from git_sha(), taken before
+/// `f` was opened) and repetitions per cell.
 /// Emits a trailing comma; call it right after the opening brace.
-inline void write_provenance(std::FILE* f, unsigned reps) {
+inline void write_provenance(std::FILE* f, unsigned reps,
+                             const std::string& sha) {
 #ifdef TVS_BUILD_TYPE
   const char* build_type = TVS_BUILD_TYPE;
 #else
@@ -248,7 +252,7 @@ inline void write_provenance(std::FILE* f, unsigned reps) {
                "\"build_type\": \"%s\", \"git_sha\": \"%s\", "
                "\"reps\": %u},\n",
                std::thread::hardware_concurrency(), compiler_id(), build_type,
-               git_sha().c_str(), reps);
+               sha.c_str(), reps);
 }
 
 }  // namespace benchutil

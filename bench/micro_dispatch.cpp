@@ -139,7 +139,7 @@ void print_cell(const Cell& c) {
 }
 
 void write_json(const std::string& path, const std::vector<Cell>& cells,
-                unsigned reps) {
+                unsigned reps, const std::string& sha) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_dispatch: cannot write %s\n", path.c_str());
@@ -150,7 +150,7 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
                "  \"description\": \"ThreadedExecutor dispatch-path "
                "worker-scaling sweep; tasks_per_sec is the median over reps "
                "with quartiles, counters from the median rep\",\n");
-  benchutil::write_provenance(f, reps);
+  benchutil::write_provenance(f, reps, sha);
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
@@ -188,6 +188,7 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string sha = benchutil::git_sha();
   std::string out = "BENCH_dispatch.json";
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
@@ -221,6 +222,6 @@ int main(int argc, char** argv) {
         run_cell(workers, /*grain_us=*/0, chains, chain_links, reps));
     print_cell(cells.back());
   }
-  write_json(out, cells, reps);
+  write_json(out, cells, reps, sha);
   return 0;
 }

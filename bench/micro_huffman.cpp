@@ -352,7 +352,7 @@ AllocRow measure_allocs(std::span<const std::uint8_t> data,
           1.0, nblocks * kEpochs};
 }
 
-int run_kernel_sweep(const char* json_path) {
+int run_kernel_sweep(const char* json_path, const std::string& sha) {
   const auto data = wl::make_corpus(wl::FileKind::Txt, 1 << 20);
   const auto table = huff::CodeTable::from_histogram(
       huff::Histogram::of(data).with_floor(1));
@@ -434,7 +434,7 @@ int run_kernel_sweep(const char* json_path) {
                  "(unlimited code lengths); place is splice_bits of each "
                  "encoded 4 KiB block into one payload at random bit "
                  "phases, MB/s of input bytes\",\n");
-    benchutil::write_provenance(f, static_cast<unsigned>(kTrials));
+    benchutil::write_provenance(f, static_cast<unsigned>(kTrials), sha);
     std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
@@ -481,7 +481,7 @@ int main(int argc, char** argv) {
     }
   }
   if (kernels) {
-    return run_kernel_sweep(json_path);
+    return run_kernel_sweep(json_path, benchutil::git_sha());
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

@@ -272,7 +272,8 @@ bool run_identity(unsigned workers, std::size_t sessions, std::size_t bytes) {
   return true;
 }
 
-void write_json(const std::string& path, unsigned reps, bool identity_ok,
+void write_json(const std::string& path, const std::string& sha,
+                unsigned reps, bool identity_ok,
                 const std::vector<ClosedCell>& closed,
                 const std::vector<OpenRow>& open) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -287,7 +288,7 @@ void write_json(const std::string& path, unsigned reps, bool identity_ok,
                "closed-loop figure is the median over the reps with its "
                "quartiles (speedup_x: paired wall ratio against "
                "conc=1)\",\n");
-  benchutil::write_provenance(f, reps);
+  benchutil::write_provenance(f, reps, sha);
   std::fprintf(f, "  \"closed_loop\": [\n");
   for (std::size_t i = 0; i < closed.size(); ++i) {
     const ClosedCell& c = closed[i];
@@ -350,6 +351,7 @@ void write_json(const std::string& path, unsigned reps, bool identity_ok,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string sha = benchutil::git_sha();
   std::string out = "BENCH_serve.json";
   bool quick = false;
   bool smoke = false;
@@ -494,7 +496,7 @@ int main(int argc, char** argv) {
     open.push_back(row);
   }
 
-  write_json(out, static_cast<unsigned>(reps), identity_ok, closed, open);
+  write_json(out, sha, static_cast<unsigned>(reps), identity_ok, closed, open);
 
   bool ok = identity_ok;
   for (const auto& o : open) {

@@ -19,7 +19,6 @@ std::string SpecConfig::to_string() const {
   if (verify.mode == VerifyMode::EveryKth) os << "(" << verify.every << ")";
   os << " tol=" << tolerance * 100.0 << "%";
   if (adaptive_restart) os << " adaptive";
-  if (restart_min_defer > 0) os << " defer>=" << restart_min_defer;
   return os.str();
 }
 

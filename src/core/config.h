@@ -70,16 +70,9 @@ struct SpecConfig {
   /// speculation does not restart immediately: the next guess must be
   /// backed by *twice* the prefix that produced the failure (geometric
   /// backoff on the estimate index). On inputs with a convergence
-  /// threshold, the controller homes in on it — within a factor of two —
+  /// threshold, the Speculator homes in on it — within a factor of two —
   /// without knowing it, paying at most a logarithmic number of rollbacks.
   bool adaptive_restart = false;
-
-  /// Floor (estimate index) applied to the restart deferral after any failed
-  /// speculation, with or without adaptive_restart. 0 = no floor (a
-  /// non-adaptive rollback re-speculates immediately, the paper's behaviour).
-  /// The control plane (src/control) raises this when the rollback rate
-  /// spikes and relaxes it back to 0 when accuracy recovers.
-  std::uint32_t restart_min_defer = 0;
 
   [[nodiscard]] bool speculation_enabled() const { return step_size != 0; }
 

@@ -167,10 +167,6 @@ class SpeculativeStage {
   SpeculativeStage(const SpeculativeStage&) = delete;
   SpeculativeStage& operator=(const SpeculativeStage&) = delete;
 
-  /// The live Speculator (retune, introspection); null
-  /// without speculation.
-  [[nodiscard]] Speculator<V>* speculator() const { return spec_.get(); }
-
   /// A strong reference to the owner, for tasks that call back into the
   /// stage. Empty once the owner is gone.
   [[nodiscard]] std::shared_ptr<const void> pin() const {

@@ -193,33 +193,6 @@ class Speculator {
     if (state_ != State::Active) return std::nullopt;
     return active_->epoch;
   }
-  [[nodiscard]] SpecConfig config() const {
-    std::scoped_lock lk(mu_);
-    return config_;
-  }
-
-  /// Runtime retune entry point for the control plane (src/control).
-  /// Atomically swaps the tuning knobs — step_size, verification policy,
-  /// adaptive_restart, restart_min_defer — under the same mutex that
-  /// guards every state transition, so a retune is totally ordered against
-  /// estimates, verdicts and unlock-window continuations: it either
-  /// happens-before an estimate (which then sees the new knobs) or after
-  /// (the estimate ran under the old ones); it can never tear.
-  /// The one structural field, `tolerance`, is pinned to its construction
-  /// value: pipelines capture it into their check predicate by value, so
-  /// swapping it here would silently diverge from the installed callback.
-  void retune(SpecConfig next) {
-    std::scoped_lock lk(mu_);
-    next.tolerance = config_.tolerance;
-    config_ = next;
-    ++retunes_;
-  }
-
-  /// Number of retune() calls applied (introspection for stats/tests).
-  [[nodiscard]] std::uint64_t retunes() const {
-    std::scoped_lock lk(mu_);
-    return retunes_;
-  }
 
   /// State-machine transition count. Torture oracles read it to prove a
   /// quiesced run saw exactly the expected transitions; unlock-window
@@ -361,21 +334,14 @@ class Speculator {
       // Clamped from below so the sequence is genuinely geometric: a
       // failure at index 0 (or a stale, small latest_index_) must not
       // collapse the deferral back to "retry immediately" — the next
-      // boundary is at least one step, at least double the previous
-      // deferral, and at least the control plane's floor.
+      // boundary is at least one step and at least double the previous
+      // deferral.
       const std::uint64_t next = std::max(
           {static_cast<std::uint64_t>(latest_index_) * 2,
            static_cast<std::uint64_t>(defer_until_) * 2,
-           static_cast<std::uint64_t>(config_.step_size),
-           static_cast<std::uint64_t>(config_.restart_min_defer)});
+           static_cast<std::uint64_t>(config_.step_size)});
       defer_until_ = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(next, UINT32_MAX));
-      return;
-    }
-    if (config_.restart_min_defer > latest_index_) {
-      // Non-adaptive path with a control-plane floor: hold off until the
-      // estimate stream reaches the floor instead of retrying immediately.
-      defer_until_ = config_.restart_min_defer;
       return;
     }
     // Re-speculate immediately from the newest estimate ("a negative
@@ -402,7 +368,6 @@ class Speculator {
   /// and re-validated after relock (see file comment).
   std::uint64_t generation_ = 0;
   std::uint32_t defer_until_ = 0;  ///< adaptive restart: no guesses below this
-  std::uint64_t retunes_ = 0;      ///< retune() calls applied
 };
 
 }  // namespace tvs

@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "control/controller.h"
 #include "flight/observer.h"
 #include "huffman/stream_format.h"
 #include "huffman/tree.h"
@@ -202,43 +201,6 @@ RunResult run_sim(const RunConfig& config, const RunOptions& options) {
       }
     };
     ex.schedule_arrival(interval, *tick_keepalive);
-  }
-
-  // The adaptive control plane on virtual time: the same self-re-arming
-  // zero-cost event pattern as the sampler, so controller runs are
-  // deterministic and controller-less runs are bit-identical.
-  std::shared_ptr<std::function<void(sim::Micros)>> ctl_keepalive;
-  if (options.controller != nullptr && options.controller->config().enabled &&
-      config.spec.speculation_enabled()) {
-    control::Controller* ctl = options.controller;
-    const std::uint64_t interval =
-        std::max<std::uint64_t>(1, ctl->config().interval_us);
-    ctl_keepalive = std::make_shared<std::function<void(sim::Micros)>>();
-    std::weak_ptr<std::function<void(sim::Micros)>> weak = ctl_keepalive;
-    auto last_rb = std::make_shared<std::uint64_t>(0);
-    auto last_t = std::make_shared<std::uint64_t>(0);
-    *ctl_keepalive = [&ex, &rt, &pl, &config, ctl, interval, weak, last_rb,
-                      last_t](sim::Micros now) {
-      const std::uint64_t rb = pl.rollbacks();
-      const std::uint64_t dt = now > *last_t ? now - *last_t : 0;
-      const double rate =
-          dt == 0 ? 0.0
-                  : static_cast<double>(rb - *last_rb) * 1e6 /
-                        static_cast<double>(dt);
-      *last_rb = rb;
-      *last_t = now;
-      control::SpecTuner& tuner = ctl->stream(1, config.spec.step_size);
-      if (!tuner.sample(rate, now).empty()) {
-        tvs::SpecConfig next = config.spec;
-        next.restart_min_defer = tuner.restart_min_defer();
-        next.step_size = tuner.step_size();
-        pl.retune_spec(next);
-      }
-      if (ex.pending_events() > 0 || !rt.quiescent()) {
-        if (auto self = weak.lock()) ex.schedule_arrival(now + interval, *self);
-      }
-    };
-    ex.schedule_arrival(interval, *ctl_keepalive);
   }
 
   ex.run();

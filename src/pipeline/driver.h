@@ -36,10 +36,6 @@ namespace flight {
 class Recorder;
 }
 
-namespace control {
-class Controller;
-}
-
 namespace pipeline {
 
 class HuffmanPipeline;
@@ -94,17 +90,6 @@ struct RunOptions {
   /// background thread under run_threaded.
   metrics::Sampler* sampler = nullptr;
   std::uint64_t sample_interval_us = 10'000;
-
-  /// Non-null + enabled: the adaptive control plane (src/control) samples
-  /// the run every controller->config().interval_us of *virtual* time —
-  /// zero-cost tick events on the sim queue, so runs stay deterministic
-  /// (and, with the controller null or disabled, bit-identical to an
-  /// unwired run). The pipeline is the controller's stream 1; its rollback
-  /// rate feeds the speculation tuner, retunes land via
-  /// HuffmanPipeline::retune_spec. Sim engine only — the serving layer has
-  /// its own wall-clock control thread, and run_threaded has no controller
-  /// hook. Borrowed; must outlive the call.
-  control::Controller* controller = nullptr;
 
   // Threaded engine only.
   unsigned workers = 4;

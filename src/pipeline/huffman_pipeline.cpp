@@ -625,24 +625,6 @@ std::uint64_t HuffmanPipeline::rollbacks() const {
   return st_->stage->rollbacks();
 }
 
-// The Speculator's own mutex orders a retune against estimates and
-// verdicts; the stage creates it once at construction.
-bool HuffmanPipeline::retune_spec(const tvs::SpecConfig& next) {
-  auto* spec = st_->stage->speculator();
-  if (spec) spec->retune(next);
-  return spec != nullptr;
-}
-
-tvs::SpecConfig HuffmanPipeline::spec_config() const {
-  const auto* spec = st_->stage->speculator();
-  return spec ? spec->config() : st_->cfg.spec;
-}
-
-std::uint64_t HuffmanPipeline::spec_retunes() const {
-  const auto* spec = st_->stage->speculator();
-  return spec ? spec->retunes() : 0;
-}
-
 void HuffmanPipeline::validate_complete() const {
   if (st_->n_blocks != 0 && !st_->stage->committed()) {
     throw std::logic_error("HuffmanPipeline: run produced no code table");

@@ -94,23 +94,6 @@ class HuffmanPipeline {
   /// Number of rollback events observed by the pipeline.
   [[nodiscard]] std::uint64_t rollbacks() const;
 
-  /// Control-plane entry: atomically retunes the live Speculator's knobs
-  /// (tvs::Speculator::retune — step_size, verify, adaptive_restart,
-  /// restart_min_defer; the tolerance is pinned).
-  /// Thread-safe and callable mid-run from any thread; the new knobs
-  /// govern every estimate that arrives after the call. Returns false
-  /// (and does nothing) when the pipeline runs without speculation.
-  /// Note: the tolerance predicate was captured at construction, so
-  /// `next.tolerance` is intentionally ignored.
-  bool retune_spec(const tvs::SpecConfig& next);
-
-  /// The live Speculator's current config (the configured spec when
-  /// speculation is disabled).
-  [[nodiscard]] tvs::SpecConfig spec_config() const;
-
-  /// retune_spec calls applied to the live Speculator.
-  [[nodiscard]] std::uint64_t spec_retunes() const;
-
   /// Throws std::logic_error if any block has no committed encoding — a run
   /// that loses blocks is a correctness bug.
   void validate_complete() const;

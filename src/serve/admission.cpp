@@ -81,23 +81,7 @@ std::size_t AdmissionController::queued() const {
   return total;
 }
 
-std::uint64_t AdmissionController::oldest_wait_us(Priority p,
-                                                  std::uint64_t now_us) const {
-  std::scoped_lock lk(mu_);
-  const auto& q = queues_[static_cast<std::size_t>(p)];
-  if (q.empty()) return 0;
-  // FIFO within a class: the front is the oldest.
-  const std::uint64_t submitted = q.front()->stats.submitted_us;
-  return now_us > submitted ? now_us - submitted : 0;
-}
-
-void AdmissionController::set_config(const ShedPolicy::Config& cfg) {
-  std::scoped_lock lk(mu_);
-  policy_ = ShedPolicy(cfg);
-}
-
 ShedPolicy::Config AdmissionController::shed_config() const {
-  std::scoped_lock lk(mu_);
   return policy_.config();
 }
 

@@ -59,25 +59,14 @@ class AdmissionController {
   /// Per-priority queue depths.
   [[nodiscard]] std::array<std::size_t, kPriorities> depths() const;
 
-  /// Engine time the oldest still-queued session of priority `p` has been
-  /// waiting (0 when that queue is empty). The control plane's live
-  /// pressure probe: unlike the admitted-wait histogram, it keeps climbing
-  /// while admissions are stalled.
-  [[nodiscard]] std::uint64_t oldest_wait_us(Priority p,
-                                             std::uint64_t now_us) const;
-
-  /// Control-plane entry: atomically replaces the shed policy's limits.
-  /// Already-queued sessions are never evicted by a cap shrink — caps bind
-  /// at submit time only; deadlines use the config in force when checked.
-  void set_config(const ShedPolicy::Config& cfg);
-  /// Snapshot of the limits currently in force.
+  /// Snapshot of the shed policy's limits.
   [[nodiscard]] ShedPolicy::Config shed_config() const;
 
  private:
   [[nodiscard]] bool expired_locked(const Session& s,
                                     std::uint64_t now_us) const;
 
-  ShedPolicy policy_;
+  const ShedPolicy policy_;
   mutable std::mutex mu_;
   std::array<std::deque<SessionPtr>, kPriorities> queues_;
   bool closed_ = false;

@@ -4,9 +4,8 @@
 //
 // Depths and the running count are instantaneous; done/shed/failed are
 // cumulative since the manager started. Capacities are the shed-policy
-// limits *currently in force* (the control plane may have moved them), so a
-// remote consumer can evaluate "would this node shed a submit of priority
-// p?" the same way the node itself will: depth[p] >= capacity[p].
+// limits, so a remote consumer can evaluate "would this node shed a submit
+// of priority p?" the same way the node itself will: depth[p] >= capacity[p].
 #pragma once
 
 #include <array>
@@ -20,10 +19,10 @@ namespace serve {
 struct LoadSnapshot {
   /// Admission-queue depth per priority class.
   std::array<std::size_t, kPriorities> queued{};
-  /// Queue capacity per class under the shed config currently in force.
+  /// Queue capacity per class under the service's shed config.
   std::array<std::size_t, kPriorities> queue_capacity{};
   std::size_t running = 0;         ///< sessions in Running/Draining
-  std::size_t max_concurrent = 0;  ///< live concurrency window
+  std::size_t max_concurrent = 0;  ///< concurrency window
   std::uint64_t done = 0;          ///< cumulative terminal counts
   std::uint64_t shed = 0;
   std::uint64_t failed = 0;

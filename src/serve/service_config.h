@@ -6,7 +6,6 @@
 
 #include <cstddef>
 
-#include "control/controller.h"
 #include "metrics/registry.h"
 #include "serve/shed_policy.h"
 #include "sre/fault.h"
@@ -41,15 +40,6 @@ struct ServiceConfig {
 
   /// Admission-queue bounds and deadlines.
   ShedPolicy::Config shed;
-
-  /// The adaptive control plane (docs/control-plane.md). When
-  /// control.enabled, the SessionManager runs a wall-clock control thread
-  /// that samples the service every control.interval_us and retunes live
-  /// per-session SpecConfigs (rollback-rate feedback) and the admission
-  /// limits (queue-wait / shed-rate feedback), with hysteresis and
-  /// min-dwell so it never flaps. Off by default: a disabled controller
-  /// leaves every code path untouched.
-  control::ControlConfig control;
 
   /// Non-null: serving metrics land here (serve_sessions_*_total,
   /// serve_session_latency_us, queue gauges). Borrowed; must outlive the

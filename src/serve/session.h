@@ -92,15 +92,6 @@ struct SessionStats {
   };
   Attribution attribution;
 
-  /// Control-plane activity against this session (docs/control-plane.md).
-  /// All zeros when the controller is disabled or never acted.
-  struct Control {
-    std::uint32_t spec_retunes = 0;      ///< knob movements applied
-    std::uint32_t restart_min_defer = 0; ///< defer floor after the last retune
-    std::uint32_t step_size = 0;         ///< step after the last retune
-  };
-  Control control;
-
   /// Queue wait: submit → admit (0 when shed before admission).
   [[nodiscard]] std::uint64_t queue_wait_us() const {
     return admitted_us > submitted_us ? admitted_us - submitted_us : 0;

@@ -37,15 +37,7 @@ std::string current_exception_message() {
 SessionManager::SessionManager(ServiceConfig cfg)
     : cfg_(cfg),
       rt_(std::make_unique<sre::Runtime>(cfg.policy, cfg.priority_mode)),
-      admission_(ShedPolicy(cfg.shed)),
-      max_concurrent_(cfg.max_concurrent),
-      max_concurrent_peak_(cfg.max_concurrent) {
-  if (cfg_.control.enabled && cfg_.registry == nullptr) {
-    // The control loop's sensors are the serve_* series; keep them in an
-    // internal registry when the caller did not ask for metrics export.
-    owned_registry_ = std::make_unique<metrics::Registry>();
-    cfg_.registry = owned_registry_.get();
-  }
+      admission_(ShedPolicy(cfg.shed)) {
   if (cfg_.flight != nullptr) {
     flight_obs_.emplace(*cfg_.flight);
     rt_->set_observer(&*flight_obs_);
@@ -67,15 +59,6 @@ SessionManager::SessionManager(ServiceConfig cfg)
   ex_->begin_service();
   engine_ = std::thread(&SessionManager::engine_main, this);
   manager_ = std::thread(&SessionManager::manager_main, this);
-  if (cfg_.control.enabled) {
-    control::AdmissionLimits base;
-    base.max_concurrent = cfg_.max_concurrent;
-    base.bulk_queue_cap =
-        cfg_.shed.queue_capacity[static_cast<std::size_t>(Priority::Bulk)];
-    controller_.emplace(cfg_.control, base);
-    rates_.emplace(*cfg_.registry);
-    control_ = std::thread(&SessionManager::control_main, this);
-  }
 }
 
 SessionManager::~SessionManager() {
@@ -95,7 +78,6 @@ void SessionManager::engine_main() {
     engine_failed_ = true;
     manager_cv_.notify_all();
     client_cv_.notify_all();
-    control_cv_.notify_all();
   }
 }
 
@@ -254,9 +236,8 @@ void SessionManager::manager_main() {
     std::vector<SessionPtr> shed;
     admission_.purge_expired(ex_->now_us(), shed);
 
-    // 3. Admit while slots are free (the controller may widen the window
-    // mid-service; max_concurrent_ is the live value).
-    while (running_ < max_concurrent_) {
+    // 3. Admit while slots are free.
+    while (running_ < cfg_.max_concurrent) {
       SessionPtr s = admission_.next(ex_->now_us(), shed);
       if (!s) break;
       s->stats.state = SessionState::Admitted;
@@ -264,8 +245,7 @@ void SessionManager::manager_main() {
       flight_state(s->id, "Admitted", s->stats.admitted_us);
       if (cfg_.registry != nullptr) {
         // Admission-time wait histogram: unlike serve_queue_wait_us (which
-        // lands at Done), this is fresh while sessions are still running —
-        // the control plane's p95 signal.
+        // lands at Done), this is fresh while sessions are still running.
         cfg_.registry
             ->histogram("serve_admit_wait_us", priority_labels(s->cfg.priority))
             .observe(s->stats.queue_wait_us());
@@ -347,132 +327,6 @@ void SessionManager::manager_main() {
   flush_post_mortems(lk);
   manager_done_ = true;
   client_cv_.notify_all();
-}
-
-void SessionManager::control_main() {
-  std::unique_lock lk(mu_);
-  const auto interval = std::chrono::microseconds(
-      std::max<std::uint64_t>(1'000, cfg_.control.interval_us));
-  for (;;) {
-    if (control_cv_.wait_for(
-            lk, interval, [&] { return control_stop_ || engine_failed_; })) {
-      break;
-    }
-    control_tick_locked(ex_->now_us());
-  }
-}
-
-void SessionManager::control_tick_locked(std::uint64_t now_us) {
-  // 1. Derive interval rates from the registry (one snapshot per tick).
-  rates_->advance(now_us);
-  const std::uint64_t interval = rates_->interval_us();
-
-  // 2. Admission loop. The wait signal is the worse of "p95 among waits we
-  // actually admitted this interval" and "how long the oldest Interactive
-  // session has been stuck" — the latter keeps climbing when admissions
-  // stall, which is exactly when the p95 goes quiet.
-  const double p95_wait = rates_->histogram_quantile(
-      "serve_admit_wait_us", priority_labels(Priority::Interactive), 0.95);
-  const double live_wait = static_cast<double>(
-      admission_.oldest_wait_us(Priority::Interactive, now_us));
-  const double deadline_shed_rate =
-      rates_->counter_rate("serve_sessions_shed_total", "reason=\"deadline\"");
-  const auto admission_actions = controller_->admission().sample(
-      std::max(p95_wait, live_wait), deadline_shed_rate, now_us);
-  if (!admission_actions.empty()) {
-    const control::AdmissionLimits lim = controller_->admission().limits();
-    max_concurrent_ = lim.max_concurrent;
-    max_concurrent_peak_ = std::max(max_concurrent_peak_, max_concurrent_);
-    ShedPolicy::Config shed = cfg_.shed;
-    shed.queue_capacity[static_cast<std::size_t>(Priority::Bulk)] =
-        lim.bulk_queue_cap;
-    admission_.set_config(shed);
-    for (const auto& a : admission_actions) {
-      note_control_action_locked(0, a, now_us);
-    }
-    manager_cv_.notify_all();  // a widened window may admit right now
-  }
-
-  // 3. Per-session speculation loop: rollback-rate feedback on each live
-  // speculative pipeline. retune_spec takes only the speculator's own
-  // mutex (mu_ → speculator mu_ is acyclic: nothing below calls back in).
-  for (auto& [id, s] : sessions_) {
-    const SessionState st = s->stats.state;
-    if ((st != SessionState::Running && st != SessionState::Draining) ||
-        s->run.pipeline == nullptr ||
-        !s->cfg.run.spec.speculation_enabled()) {
-      continue;
-    }
-    const std::uint64_t rb = s->run.pipeline->rollbacks();
-    const auto seen = ctrl_rollbacks_seen_.find(id);
-    const std::uint64_t prev = seen == ctrl_rollbacks_seen_.end() ? 0 : seen->second;
-    ctrl_rollbacks_seen_[id] = rb;
-    if (interval == 0) continue;  // first tick: no rate yet
-    const double rate =
-        static_cast<double>(rb - prev) * 1e6 / static_cast<double>(interval);
-    control::SpecTuner& tuner =
-        controller_->stream(id, s->cfg.run.spec.step_size);
-    const auto actions = tuner.sample(rate, now_us);
-    if (actions.empty()) continue;
-    tvs::SpecConfig next = s->cfg.run.spec;
-    next.restart_min_defer = tuner.restart_min_defer();
-    next.step_size = tuner.step_size();
-    if (!s->run.pipeline->retune_spec(next)) continue;
-    auto& c = s->stats.control;
-    c.spec_retunes += static_cast<std::uint32_t>(actions.size());
-    c.restart_min_defer = next.restart_min_defer;
-    c.step_size = next.step_size;
-    for (const auto& a : actions) note_control_action_locked(id, a, now_us);
-  }
-
-  // 4. Forget finished streams (bounds tuner/bookkeeping memory).
-  for (auto it = ctrl_rollbacks_seen_.begin();
-       it != ctrl_rollbacks_seen_.end();) {
-    const auto sit = sessions_.find(it->first);
-    const bool live =
-        sit != sessions_.end() &&
-        (sit->second->stats.state == SessionState::Running ||
-         sit->second->stats.state == SessionState::Draining);
-    if (live) {
-      ++it;
-    } else {
-      controller_->drop_stream(it->first);
-      it = ctrl_rollbacks_seen_.erase(it);
-    }
-  }
-}
-
-void SessionManager::note_control_action_locked(SessionId id,
-                                                const control::Action& a,
-                                                std::uint64_t now_us) {
-  // The flight label is knob+direction only — a bounded set of literals,
-  // so the recorder's name interner stays bounded over a long service.
-  flight_state(id, std::string("retune:") + a.knob +
-                       (a.direction > 0 ? "/up" : "/down"),
-               now_us);
-  if (cfg_.registry != nullptr) {
-    cfg_.registry
-        ->counter("serve_control_retunes_total",
-                  std::string("knob=\"") + a.knob + "\",dir=\"" +
-                      (a.direction > 0 ? "up" : "down") + "\"")
-        .add();
-  }
-}
-
-SessionManager::ControlStatus SessionManager::control_status() const {
-  std::scoped_lock lk(mu_);
-  ControlStatus st;
-  st.max_concurrent = max_concurrent_;
-  st.max_concurrent_peak = max_concurrent_peak_;
-  st.bulk_queue_cap = admission_.shed_config()
-                          .queue_capacity[static_cast<std::size_t>(Priority::Bulk)];
-  if (controller_) {
-    st.admission_retunes = controller_->admission().retunes();
-    for (const auto& s : sessions_) {
-      st.spec_retunes += s.second->stats.control.spec_retunes;
-    }
-  }
-  return st;
 }
 
 void SessionManager::finalize(const SessionPtr& s,
@@ -571,7 +425,7 @@ LoadSnapshot SessionManager::load_snapshot() const {
   snap.queued = admission_.depths();
   snap.queue_capacity = admission_.shed_config().queue_capacity;
   snap.running = running_;
-  snap.max_concurrent = max_concurrent_;
+  snap.max_concurrent = cfg_.max_concurrent;
   snap.done = done_count_;
   snap.shed = shed_count_;
   snap.failed = failed_count_;
@@ -604,10 +458,7 @@ void SessionManager::drain() {
       return;
     }
     draining_ = true;
-    control_stop_ = true;
   }
-  control_cv_.notify_all();
-  if (control_.joinable()) control_.join();
   admission_.close();
   manager_cv_.notify_all();
   if (manager_.joinable()) manager_.join();

@@ -43,10 +43,8 @@
 #include <utility>
 #include <vector>
 
-#include "control/controller.h"
 #include "flight/observer.h"
 #include "io/arrival_model.h"
-#include "metrics/derived.h"
 #include "pipeline/driver.h"
 #include "serve/admission.h"
 #include "serve/load.h"
@@ -106,8 +104,8 @@ class SessionManager {
   /// Current admission-queue depth (the backpressure probe).
   [[nodiscard]] std::size_t queued() const { return admission_.queued(); }
 
-  /// Cheap occupancy snapshot: per-priority queue depths against the limits
-  /// currently in force, the running count, and cumulative done/shed/failed
+  /// Cheap occupancy snapshot: per-priority queue depths against the shed
+  /// limits, the running count, and cumulative done/shed/failed
   /// counters. One lock acquisition; safe to call at heartbeat rate. The
   /// distributed router's placement signal (src/dist), and the source of
   /// `tvsc serve`'s exit load line.
@@ -124,35 +122,9 @@ class SessionManager {
   [[nodiscard]] const sre::Runtime& runtime() const { return *rt_; }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
 
-  /// Live control-plane snapshot: the admission limits currently in force
-  /// and how many retunes each tuner has applied. Static (baseline) values
-  /// when the controller is disabled.
-  struct ControlStatus {
-    std::size_t max_concurrent = 0;
-    /// The widest window in force at any point so far. The controller
-    /// reclaims a widened window once the queue drains, so max_concurrent
-    /// alone cannot show that a widening ever happened.
-    std::size_t max_concurrent_peak = 0;
-    std::size_t bulk_queue_cap = 0;
-    std::uint64_t admission_retunes = 0;
-    std::uint64_t spec_retunes = 0;  ///< knob movements across all sessions
-  };
-  [[nodiscard]] ControlStatus control_status() const;
-
  private:
   void engine_main();
   void manager_main();
-  /// Control thread: one control_tick_locked per ControlConfig::interval_us
-  /// until drain (wall-clock sibling of run_sim's virtual-time ticks).
-  void control_main();
-  /// One feedback sample: derive rates, consult the controller, apply and
-  /// log its decisions. Caller holds mu_ (the lock order below mu_ is
-  /// admission/registry/speculator — all leaves; nothing calls back up).
-  void control_tick_locked(std::uint64_t now_us);
-  /// Logs one knob movement through the flight/metrics path. Caller holds
-  /// mu_. `id` is the affected session (0 = service-wide).
-  void note_control_action_locked(SessionId id, const control::Action& a,
-                                  std::uint64_t now_us);
   /// Finalize one completed session: collect its result, free its pipeline.
   void finalize(const SessionPtr& s, std::unique_lock<std::mutex>& lk);
   /// Mark `s` shed under mu_ and publish metrics/wakeups.
@@ -176,10 +148,6 @@ class SessionManager {
   void flush_post_mortems(std::unique_lock<std::mutex>& lk);
 
   ServiceConfig cfg_;
-  /// Engaged when the controller is enabled without a caller registry: the
-  /// control loop needs the serve_* series as its sensors, so metrics are
-  /// kept internally (just not exported). cfg_.registry points here.
-  std::unique_ptr<metrics::Registry> owned_registry_;
   std::unique_ptr<sre::Runtime> rt_;
   /// Engaged iff cfg_.flight; installed as the runtime's observer.
   std::optional<flight::FlightObserver> flight_obs_;
@@ -212,21 +180,8 @@ class SessionManager {
   std::exception_ptr engine_error_;
   bool drained_ = false;
 
-  // --- Control plane (all guarded by mu_; see docs/control-plane.md) ----
-  /// The live concurrency window. Starts at cfg_.max_concurrent; the
-  /// controller may widen it up to ControlConfig::concurrent_max.
-  std::size_t max_concurrent_ = 0;
-  std::size_t max_concurrent_peak_ = 0;
-  std::optional<control::Controller> controller_;
-  std::optional<metrics::DeltaView> rates_;
-  /// Per-session rollback counts as of the previous control tick.
-  std::unordered_map<SessionId, std::uint64_t> ctrl_rollbacks_seen_;
-  std::condition_variable control_cv_;
-  bool control_stop_ = false;
-
   std::thread engine_;
   std::thread manager_;
-  std::thread control_;
 };
 
 /// Submits `configs` open-loop: session i is offered at engine time

@@ -105,11 +105,8 @@ TEST(SpecConfig, ToStringIsInformative) {
 TEST(SpecConfig, ToStringShowsRestartTuning) {
   SpecConfig c;
   c.adaptive_restart = true;
-  c.restart_min_defer = 12;
-  const auto s = c.to_string();
-  EXPECT_NE(s.find("adaptive"), std::string::npos);
-  EXPECT_NE(s.find("defer>=12"), std::string::npos);
-  EXPECT_EQ(SpecConfig{}.to_string().find("defer>="), std::string::npos);
+  EXPECT_NE(c.to_string().find("adaptive"), std::string::npos);
+  EXPECT_EQ(SpecConfig{}.to_string().find("adaptive"), std::string::npos);
 }
 
 }  // namespace

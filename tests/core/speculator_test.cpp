@@ -356,37 +356,6 @@ TEST_F(SpeculatorFixture, EarlyRollbackStormBacksOffGeometrically) {
   }
 }
 
-TEST_F(SpeculatorFixture, RestartMinDeferFloorsAdaptiveBackoff) {
-  auto spec = make({.step_size = 1,
-                    .verify = VerificationPolicy::full(),
-                    .adaptive_restart = true,
-                    .restart_min_defer = 16});
-  spec.on_estimate(1.0, 1, false, 0);
-  spec.on_estimate(9.0, 2, false, 1);  // bare doubling would defer to just 4
-  drain(rt);
-  ASSERT_EQ(probe.rollbacks.size(), 1u);
-  for (std::uint32_t k = 3; k < 16; ++k) {
-    EXPECT_FALSE(spec.wants_estimate(k, false)) << "k=" << k;
-  }
-  EXPECT_TRUE(spec.wants_estimate(16, false));
-}
-
-TEST_F(SpeculatorFixture, RestartMinDeferWithoutAdaptiveDefersReopen) {
-  auto spec = make({.step_size = 1,
-                    .verify = VerificationPolicy::full(),
-                    .restart_min_defer = 8});
-  spec.on_estimate(1.0, 1, false, 0);
-  spec.on_estimate(9.0, 2, false, 1);  // rollback; paper behaviour would
-  drain(rt);                           // re-speculate on the spot
-  ASSERT_EQ(probe.rollbacks.size(), 1u);
-  EXPECT_EQ(probe.chains.size(), 1u) << "the floor blocks instant re-spec";
-  EXPECT_FALSE(spec.wants_estimate(7, false));
-  EXPECT_TRUE(spec.wants_estimate(8, false));
-  spec.on_estimate(9.1, 8, false, 2);
-  drain(rt);
-  EXPECT_EQ(probe.chains.size(), 2u);
-}
-
 TEST_F(SpeculatorFixture, AdaptiveBackoffSaturatesAtUint32Max) {
   auto spec = make({.step_size = 1,
                     .verify = VerificationPolicy::full(),
@@ -398,27 +367,6 @@ TEST_F(SpeculatorFixture, AdaptiveBackoffSaturatesAtUint32Max) {
   EXPECT_FALSE(spec.wants_estimate(4'000'000'000u, false));
   EXPECT_TRUE(spec.wants_estimate(UINT32_MAX, false))
       << "the deferral saturates instead of wrapping to a tiny index";
-}
-
-TEST_F(SpeculatorFixture, RetuneAppliesKnobsAndPinsStructure) {
-  auto spec = make({.step_size = 2, .tolerance = 0.25});
-  EXPECT_TRUE(spec.wants_estimate(2, false));
-  EXPECT_EQ(spec.retunes(), 0u);
-
-  tvs::SpecConfig next;
-  next.step_size = 8;
-  next.tolerance = 0.9;  // structural — must NOT take
-  spec.retune(next);
-  EXPECT_EQ(spec.retunes(), 1u);
-  EXPECT_EQ(spec.config().step_size, 8u);
-  EXPECT_DOUBLE_EQ(spec.config().tolerance, 0.25)
-      << "tolerance is captured by the pipeline at build time; retune pins it";
-  EXPECT_FALSE(spec.wants_estimate(2, false));
-  EXPECT_TRUE(spec.wants_estimate(8, false));
-
-  spec.on_estimate(1.0, 8, false, 0);
-  ASSERT_EQ(probe.chains.size(), 1u) << "callbacks survive the retune";
-  EXPECT_EQ(probe.chains[0].index, 8u);
 }
 
 TEST_F(SpeculatorFixture, FailedCheckWithFinalKnownGoesNaturalNotReSpec) {

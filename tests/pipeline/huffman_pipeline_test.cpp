@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <filesystem>
+#include <mutex>
 #include <set>
 #include <string_view>
-
-#include <unistd.h>
 
 #include "huffman/stream_format.h"
 #include "io/block_source.h"
@@ -20,6 +20,7 @@
 #include "sim/sim_executor.h"
 #include "sre/chaos_point.h"
 #include "sre/observer.h"
+#include "sre/threaded_executor.h"
 #include "workload/corpus.h"
 
 namespace {
@@ -362,23 +363,77 @@ TEST(CommitSink, SpeculativeCommitPlacesParkedThenPassThroughBlocks) {
   expect_committed_output_ok(cfg, res);
 }
 
+/// Keeps the estimate stream in step with the speculator: the arrival that
+/// closes reduce group 1 (the second estimate) waits until the first epoch
+/// has opened, and the one closing group 16 (the 17th estimate) until the
+/// second has. So the first guess is estimate 1 and the re-speculation
+/// after the first rollback guesses from estimate 16, whatever the load.
+/// Unheld, a slow check verdict under load lets later estimates in first,
+/// and a guess from them can pass the final check. The hold runs on the
+/// feeder thread: held in a worker (a FaultPlan), it would also hold the
+/// tasks already routed to that worker's inbox, the awaited check among
+/// them.
+class EstimateLockstep final : public sre::Observer {
+ public:
+  explicit EstimateLockstep(std::size_t reduce_ratio) : r_(reduce_ratio) {}
+
+  void before_arrival(std::size_t block) {
+    const int need = block == 2 * r_ - 1 ? 1 : block == 17 * r_ - 1 ? 2 : 0;
+    if (need == 0) return;
+    std::unique_lock lk(mu_);
+    cv_.wait_for(lk, std::chrono::seconds(10),
+                 [&] { return opened_ >= need; });
+  }
+  void on_epoch_opened(sre::Epoch) override {
+    {
+      std::scoped_lock lk(mu_);
+      ++opened_;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  const std::size_t r_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int opened_ = 0;
+};
+
 TEST(CommitSink, RollbackThenNaturalPathRoundTrips) {
-  // A PDF/TXT splice on real threads: the text fills only the last reduce
-  // group, so the final check fails against the tree guessed from the PDF,
-  // and the run falls back to the natural path, whose blocks are placed by
-  // the workers that encode them. Socket pacing keeps the estimates in
-  // order whatever the load.
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("tvs_commit_sink_splice_" + std::to_string(::getpid()));
+  // A PDF/TXT splice on real threads: the text fills only the last two
+  // reduce groups, so the final check fails against the tree guessed from
+  // the PDF, and the run falls back to the natural path, whose blocks are
+  // placed by the workers that encode them. The first guess (estimate 1)
+  // fails its check at estimate 16; the lockstep gate makes the
+  // re-speculation guess from estimate 16, which fails the final check.
+  auto cfg = pipeline::RunConfig::x86_socket(wl::FileKind::Pdf,
+                                             sre::DispatchPolicy::Balanced);
   auto bytes = wl::make_corpus(wl::FileKind::Pdf, 960 * 1024, 3);
   const auto txt = wl::make_corpus(wl::FileKind::Txt, 64 * 1024, 4);
   bytes.insert(bytes.end(), txt.begin(), txt.end());
-  huff::write_file(path.string(), bytes);
-  auto cfg = pipeline::RunConfig::x86_socket(wl::FileKind::Pdf,
-                                             sre::DispatchPolicy::Balanced);
-  cfg.input_path = path.string();
-  const auto res = pipeline::run_threaded(cfg, 4, /*time_scale=*/0.05);
-  std::filesystem::remove(path);
+  const sio::BlockSource src(
+      std::move(bytes), cfg.ratios.block_size,
+      std::make_shared<sio::SocketArrival>(cfg.socket_per_block_us,
+                                           cfg.socket_jitter_us));
+  EstimateLockstep gate(cfg.ratios.reduce_ratio);
+  sre::Runtime rt(cfg.policy, cfg.priority_mode);
+  rt.set_observer(&gate);
+  sre::ThreadedExecutor ex(rt, {.workers = 4, .arrival_time_scale = 0.05});
+  pipeline::HuffmanPipeline pl(rt, src, cfg);
+  src.for_each_arrival([&](std::size_t i, sio::Micros at) {
+    ex.schedule_arrival(at, [&pl, &gate, i](std::uint64_t now) {
+      gate.before_arrival(i);
+      pl.on_block_arrival(i, now);
+    });
+  });
+  ex.run();
+  pl.validate_complete();
+  RunResult res;
+  res.spec_committed = pl.speculation_committed();
+  res.rollbacks = pl.rollbacks();
+  res.output_bits = pl.output_bits();
+  res.input.assign(src.bytes().begin(), src.bytes().end());
+  res.container = pl.assemble_output();
   EXPECT_GE(res.rollbacks, 1u);
   EXPECT_FALSE(res.spec_committed);
   expect_committed_output_ok(cfg, res);

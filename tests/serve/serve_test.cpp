@@ -2,9 +2,12 @@
 // concurrent-vs-sequential identity guarantee.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "huffman/stream_format.h"
@@ -372,6 +375,48 @@ TEST(SessionManager, ReleaseDropsResultButKeepsStats) {
 
   EXPECT_FALSE(mgr.release(12345));  // unknown id
   mgr.drain();
+}
+
+TEST(SessionManager, WindowHoldsAtMaxConcurrent) {
+  // Every task body is held, so no session can finish: the window must
+  // stop admitting at max_concurrent and leave the rest queued.
+  GatePlan gate;
+  serve::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.max_concurrent = 2;
+  cfg.shed.queue_capacity = {8, 8, 5};
+  cfg.fault_plan = &gate;
+  SessionManager mgr(cfg);
+  std::vector<serve::SessionId> ids;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto out =
+        mgr.submit(small_session(seed, sre::DispatchPolicy::Balanced));
+    ASSERT_TRUE(out.accepted);
+    ids.push_back(out.id);
+  }
+  // The manager admits asynchronously; wait for it to fill the window,
+  // then give it time to (wrongly) admit more.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (mgr.load_snapshot().running < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const serve::LoadSnapshot load = mgr.load_snapshot();
+  EXPECT_EQ(load.running, 2u);
+  EXPECT_EQ(load.total_queued(), 3u);
+  EXPECT_EQ(load.max_concurrent, 2u);
+  EXPECT_EQ(load.queue_capacity, (std::array<std::size_t, 3>{8, 8, 5}));
+
+  gate.open();
+  for (const auto id : ids) {
+    const auto* r = mgr.wait(id);
+    ASSERT_NE(r, nullptr);
+    pipeline::verify_roundtrip(*r);
+  }
+  mgr.drain();
+  EXPECT_EQ(mgr.load_snapshot().done, 5u);
 }
 
 TEST(SessionManager, ServingMetricsLandInRegistry) {

@@ -24,11 +24,6 @@
 #   tools/ci.sh kernels    # data-plane kernel gate: the differential suite
 #                          # plus codec/histogram/io tests under asan+ubsan
 #                          # with TVS_SIMD forced to every dispatch level
-#   tools/ci.sh control    # adaptive-control-plane gate: controller logic,
-#                          # delta-view, serving integration and retune-race
-#                          # tests, then the ablation A/B in --smoke mode
-#                          # (adaptive must match best static, beat worst,
-#                          # stay bit-identical when disabled, <2% overhead)
 #   tools/ci.sh dist       # distributed-serving gate: net/dist unit tests
 #                          # (frame/wire hostile-input, protocol codecs,
 #                          # router e2e) plus dist_load --smoke — a real
@@ -37,7 +32,9 @@
 #                          # spill-before-shed
 #   tools/ci.sh sim <ref-build-dir>
 #                          # sim identity gate: runs fig3..fig9,
-#                          # applications_summary and headline_summary from
+#                          # applications_summary, headline_summary and
+#                          # ablation_adaptive (the one bench whose runs take
+#                          # the adaptive-restart path after a rollback) from
 #                          # build/ and from a build of the reference commit,
 #                          # and fails on any byte difference in their stdout;
 #                          # then runs trace_dump txt and bmp from both and
@@ -60,7 +57,7 @@ if [[ "${1:-}" == "sim" ]]; then
   # The simulator is deterministic: any byte difference is a behaviour change.
   for b in fig3_x86_policies fig4_cell_policies fig5_step_size \
            fig6_verification fig7_socket fig8_cpu_scaling fig9_tolerance \
-           applications_summary headline_summary; do
+           applications_summary headline_summary ablation_adaptive; do
     ./build/bench/"$b" >"$OUT/$b.new"
     "$REF/bench/$b" >"$OUT/$b.ref"
     if cmp -s "$OUT/$b.ref" "$OUT/$b.new"; then
@@ -167,24 +164,6 @@ if [[ "${1:-}" == "flight" ]]; then
   # post-mortem dump on disk.
   timeout "${TVS_SERVE_SMOKE_TIMEBOX_S:-10}" ./build/bench/serve_load --smoke
   echo "== flight green =="
-  exit 0
-fi
-
-if [[ "${1:-}" == "control" ]]; then
-  echo "== control: adaptive control plane gate (build/) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j"$JOBS"
-  # Decision logic (bands/dwell/bounds), signal derivation, the serving
-  # integration (retunes reaching live sessions), and the retune-vs-worker
-  # race suite that the tsan label also covers.
-  ctest --test-dir build --output-on-failure -j"$JOBS" \
-    -R 'Classify|KnobTest|SpecTunerTest|AdmissionTunerTest|ControllerTest|DeltaView|ControlIntegration|RetuneRace'
-  # Deterministic virtual-time A/B: adaptive vs static arms on a spliced
-  # phase-changing corpus, plus the bit-identical-when-disabled and
-  # sampling-overhead gates (TVS_ABLATION_TOL_PCT / TVS_OVERHEAD_MAX_PCT
-  # override the budgets).
-  timeout "${TVS_CONTROL_SMOKE_TIMEBOX_S:-120}" ./build/bench/ablation_control --smoke
-  echo "== control green =="
   exit 0
 fi
 

@@ -34,12 +34,6 @@
 //   --flight-window=<s>        recorder retention window in seconds
 //                              (default 30; post-mortems keep the last
 //                              min(window, 10) seconds)
-//   --control                  enable the adaptive control plane: a control
-//                              thread samples serving metrics and retunes
-//                              admission limits and per-session speculation
-//                              knobs live (docs/control-plane.md)
-//   --control-interval=<ms>    controller sampling period (default 50 ms;
-//                              knobs dwell for 4 intervals after a move)
 //
 // Distributed flags:
 //   served: --port=<p> (0 = pick free), --port-file=<path> (write the
@@ -82,8 +76,6 @@ struct CliOptions {
   std::size_t concurrent = 4;   ///< serve mode: running-session window
   std::string flight_dir;       ///< "" = flight recorder off
   std::uint64_t flight_window_s = 30;  ///< recorder retention (seconds)
-  bool control = false;         ///< serve mode: adaptive control plane
-  std::uint64_t control_interval_ms = 50;  ///< controller sampling period
   // Distributed (served / route modes):
   std::uint16_t port = 0;            ///< served: listen port (0 = pick free)
   std::string port_file;             ///< served: write bound port here
@@ -118,10 +110,6 @@ int usage() {
       "  --flight-recorder=<dir>        arm the flight recorder; traces and\n"
       "                                 post-mortems land in <dir>\n"
       "  --flight-window=<s>            recorder retention (default 30 s)\n"
-      "  --control                      adaptive control plane: retune\n"
-      "                                 admission + speculation knobs live\n"
-      "  --control-interval=<ms>        controller sampling period "
-      "(default 50)\n"
       "flags (served):\n"
       "  --port=<p>                     listen port (default 0 = pick free)\n"
       "  --port-file=<path>             write the bound port for discovery\n"
@@ -323,11 +311,6 @@ int serve_files(const std::vector<std::string>& paths, const CliOptions& cli) {
   scfg.registry = cli.metrics.empty() ? nullptr : &reg;
   scfg.per_session_metrics = !cli.metrics.empty();
   scfg.flight = flight.get();
-  if (cli.control) {
-    scfg.control.enabled = true;
-    scfg.control.interval_us = cli.control_interval_ms * 1'000;
-    scfg.control.min_dwell_us = 4 * scfg.control.interval_us;
-  }
 
   serve::SessionManager mgr(scfg);
 
@@ -389,16 +372,6 @@ int serve_files(const std::vector<std::string>& paths, const CliOptions& cli) {
                  load.total_queued(), load.queue_capacity[0],
                  load.queue_capacity[1], load.queue_capacity[2],
                  load.load_score());
-  }
-  if (cli.control) {
-    const auto cs = mgr.control_status();
-    std::fprintf(
-        stderr,
-        "control: window %zu, bulk queue cap %zu, %llu admission retune(s), "
-        "%llu speculation retune(s)\n",
-        cs.max_concurrent, cs.bulk_queue_cap,
-        static_cast<unsigned long long>(cs.admission_retunes),
-        static_cast<unsigned long long>(cs.spec_retunes));
   }
   {
     // Steady-path allocation observability (tvs_alloc_*): encode output is
@@ -636,19 +609,6 @@ bool parse_flag(const std::string& arg, CliOptions& cli) {
       return false;
     }
     return cli.flight_window_s > 0;
-  }
-  if (arg == "--control") {
-    cli.control = true;
-    return true;
-  }
-  if (arg.rfind("--control-interval=", 0) == 0) {
-    try {
-      cli.control_interval_ms = std::stoull(arg.substr(19));
-    } catch (const std::exception&) {
-      return false;
-    }
-    cli.control = true;
-    return cli.control_interval_ms > 0;
   }
   if (arg.rfind("--port=", 0) == 0) {
     try {
