@@ -1,6 +1,7 @@
-// Dispatch-path worker-scaling sweep of the ThreadedExecutor (director →
-// per-worker inboxes → work-stealing deques, lock-free completions), across
-// worker counts, task grains and workload shapes.
+// Dispatch-path worker-scaling sweep of the ThreadedExecutor (workers
+// self-stage from the ready pool into work-stealing deques, lock-free
+// completions, director-side wakeups), across worker counts, task grains
+// and workload shapes.
 //
 // Two shapes per cell:
 //
@@ -161,8 +162,7 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
         "\"tasks\": %zu, \"wall_ms\": %.3f, \"tasks_per_sec\": %.0f, "
         "\"tasks_per_sec_p25\": %.0f, \"tasks_per_sec_p75\": %.0f, "
         "\"pop_p50_us\": %llu, \"pop_p99_us\": %llu, "
-        "\"local_pops\": %llu, \"inbox_pops\": %llu, \"steals\": %llu, "
-        "\"self_stages\": %llu, \"director_stages\": %llu, "
+        "\"local_pops\": %llu, \"steals\": %llu, \"self_stages\": %llu, "
         "\"inline_finishes\": %llu, \"worker_retires\": %llu, "
         "\"parks\": %llu, \"completion_fallbacks\": %llu}%s\n",
         c.shape, c.workers, c.grain_us, c.tasks, c.wall_ms.median,
@@ -170,10 +170,8 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
         static_cast<unsigned long long>(s.pop_latency_quantile_us(0.50)),
         static_cast<unsigned long long>(s.pop_latency_quantile_us(0.99)),
         static_cast<unsigned long long>(s.local_pops),
-        static_cast<unsigned long long>(s.inbox_pops),
         static_cast<unsigned long long>(s.steals),
         static_cast<unsigned long long>(s.self_stages),
-        static_cast<unsigned long long>(s.director_stages),
         static_cast<unsigned long long>(s.inline_finishes),
         static_cast<unsigned long long>(s.worker_retires),
         static_cast<unsigned long long>(s.parks),

@@ -6,9 +6,8 @@
 // no allocation. A full ring drops the record (the Recorder counts drops) —
 // always-on tracing must never apply backpressure to the engine.
 //
-// Synchronization mirrors sre::SpscRing: the producer publishes the cell
-// with a release store of tail; the consumer acquires tail, copies the
-// cells, then releases head. Cells are plain Records — safe because exactly
+// Synchronization: the producer publishes the cell with a release store of
+// tail; the consumer acquires tail, copies the cells, then releases head. Cells are plain Records — safe because exactly
 // one thread writes a cell between the cursor handoffs.
 #pragma once
 

@@ -58,10 +58,8 @@ std::string RunReport::to_json() const {
     os << "  \"dispatch\": {"
        << "\"tasks_run\": " << d.tasks_run
        << ", \"local_pops\": " << d.local_pops
-       << ", \"inbox_pops\": " << d.inbox_pops
        << ", \"steals\": " << d.steals
        << ", \"self_stages\": " << d.self_stages
-       << ", \"director_stages\": " << d.director_stages
        << ", \"revoked_at_pop\": " << d.revoked_at_pop
        << ", \"parks\": " << d.parks
        << ", \"completion_fallbacks\": " << d.completion_fallbacks
@@ -123,10 +121,8 @@ std::string RunReport::to_markdown() const {
     const auto& d = i.dispatch;
     os << "\n## Dispatch\n\n| | |\n|---|---|\n";
     os << "| tasks run | " << d.tasks_run << " |\n";
-    os << "| pops: local / inbox / steal / self-stage | " << d.local_pops
-       << " / " << d.inbox_pops << " / " << d.steals << " / " << d.self_stages
-       << " |\n";
-    os << "| director stages | " << d.director_stages << " |\n";
+    os << "| pops: local / steal / self-stage | " << d.local_pops << " / "
+       << d.steals << " / " << d.self_stages << " |\n";
     os << "| revoked at pop | " << d.revoked_at_pop << " |\n";
     os << "| parks / completion fallbacks | " << d.parks << " / "
        << d.completion_fallbacks << " |\n";

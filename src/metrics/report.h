@@ -30,10 +30,8 @@ namespace report {
 struct DispatchInfo {
   std::uint64_t tasks_run = 0;
   std::uint64_t local_pops = 0;
-  std::uint64_t inbox_pops = 0;
   std::uint64_t steals = 0;
   std::uint64_t self_stages = 0;
-  std::uint64_t director_stages = 0;
   std::uint64_t revoked_at_pop = 0;
   std::uint64_t parks = 0;
   std::uint64_t completion_fallbacks = 0;
@@ -41,10 +39,10 @@ struct DispatchInfo {
   std::uint64_t worker_retires = 0;
 
   [[nodiscard]] bool empty() const {
-    return tasks_run == 0 && local_pops == 0 && inbox_pops == 0 &&
-           steals == 0 && self_stages == 0 && director_stages == 0 &&
-           revoked_at_pop == 0 && parks == 0 && completion_fallbacks == 0 &&
-           inline_finishes == 0 && worker_retires == 0;
+    return tasks_run == 0 && local_pops == 0 && steals == 0 &&
+           self_stages == 0 && revoked_at_pop == 0 && parks == 0 &&
+           completion_fallbacks == 0 && inline_finishes == 0 &&
+           worker_retires == 0;
   }
 };
 

@@ -271,8 +271,6 @@ RunResult run_threaded(const RunConfig& config, const RunOptions& options) {
     const auto& d = res.dispatch;
     reg.counter("tvs_dispatch_acquires_total", "source=\"local\"")
         .add(d.local_pops);
-    reg.counter("tvs_dispatch_acquires_total", "source=\"inbox\"")
-        .add(d.inbox_pops);
     reg.counter("tvs_dispatch_acquires_total", "source=\"steal\"")
         .add(d.steals);
     reg.counter("tvs_dispatch_acquires_total", "source=\"self_stage\"")
@@ -385,10 +383,8 @@ report::RunInfo run_info(const RunConfig& config, const RunResult& result,
   const auto& d = result.dispatch;
   info.dispatch.tasks_run = d.tasks_run;
   info.dispatch.local_pops = d.local_pops;
-  info.dispatch.inbox_pops = d.inbox_pops;
   info.dispatch.steals = d.steals;
   info.dispatch.self_stages = d.self_stages;
-  info.dispatch.director_stages = d.director_stages;
   info.dispatch.revoked_at_pop = d.revoked_at_pop;
   info.dispatch.parks = d.parks;
   info.dispatch.completion_fallbacks = d.completion_fallbacks;

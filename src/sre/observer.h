@@ -49,24 +49,6 @@ class Observer {
   virtual void on_finished(TaskId /*task*/, std::uint64_t /*now_us*/,
                            bool /*aborted*/) {}
 
-  /// One completion, as delivered by on_finished_batch.
-  struct FinishedEvent {
-    TaskId task = 0;
-    std::uint64_t now_us = 0;
-    bool aborted = false;
-  };
-
-  /// Batched form of on_finished: the sharded executor retires a whole
-  /// staged batch under one runtime lock hold and reports it in a single
-  /// call. The default forwards each event through on_finished, so existing
-  /// observers need no change; observers with per-call overhead can
-  /// override this to pay it once per batch.
-  virtual void on_finished_batch(const FinishedEvent* events, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      on_finished(events[i].task, events[i].now_us, events[i].aborted);
-    }
-  }
-
   virtual void on_epoch_opened(Epoch /*epoch*/) {}
   virtual void on_epoch_committed(Epoch /*epoch*/) {}
   virtual void on_epoch_aborted(Epoch /*epoch*/) {}
@@ -114,9 +96,6 @@ class FanoutObserver final : public Observer {
   }
   void on_finished(TaskId task, std::uint64_t now_us, bool aborted) override {
     for (Observer* o : children_) o->on_finished(task, now_us, aborted);
-  }
-  void on_finished_batch(const FinishedEvent* events, std::size_t n) override {
-    for (Observer* o : children_) o->on_finished_batch(events, n);
   }
   void on_epoch_opened(Epoch epoch) override {
     for (Observer* o : children_) o->on_epoch_opened(epoch);

@@ -113,8 +113,7 @@ void Runtime::finish_staged(Task* task, std::uint64_t now_us) {
 
 void Runtime::finish_one_locked(const TaskPtr& task, std::uint64_t now_us,
                                 bool& notify,
-                                std::vector<Task::CompletionHook>& hooks,
-                                std::vector<Observer::FinishedEvent>* batch) {
+                                std::vector<Task::CompletionHook>& hooks) {
   assert(task->state_.load() == TaskState::Running ||
          task->state_.load() == TaskState::Staged);
   --running_;
@@ -147,11 +146,7 @@ void Runtime::finish_one_locked(const TaskPtr& task, std::uint64_t now_us,
   }
 
   if (observer_) {
-    if (batch != nullptr) {
-      batch->push_back({task->id(), now_us, task->abort_requested()});
-    } else {
-      observer_->on_finished(task->id(), now_us, task->abort_requested());
-    }
+    observer_->on_finished(task->id(), now_us, task->abort_requested());
   }
   if (task->abort_requested()) {
     // Rollback caught this task in flight: discard its results, propagate
@@ -233,8 +228,6 @@ void Runtime::finish_staged_batch(Task* const* tasks,
   };
   std::vector<Retired> retired;
   retired.reserve(n);
-  std::vector<Observer::FinishedEvent> events;
-  if (observer_ != nullptr) events.reserve(n);
   bool notify = false;
   {
     std::scoped_lock lk(mu_);
@@ -246,13 +239,8 @@ void Runtime::finish_staged_batch(Task* const* tasks,
       r.task = std::move(own->second);
       r.now_us = done_us[i];
       staged_owned_.erase(own);
-      finish_one_locked(r.task, r.now_us, notify, r.hooks, &events);
+      finish_one_locked(r.task, r.now_us, notify, r.hooks);
       retired.push_back(std::move(r));
-    }
-    // One observer call for the whole batch (still under the lock, per the
-    // observer contract) — per-event-locking observers pay their mutex once.
-    if (observer_ != nullptr && !events.empty()) {
-      observer_->on_finished_batch(events.data(), events.size());
     }
   }
   for (auto& r : retired) {
@@ -396,8 +384,8 @@ TaskPtr Runtime::next_task(std::uint64_t now_us, unsigned cpu) {
 }
 
 std::size_t Runtime::stage_ready_batch(std::uint64_t now_us,
-                                       const unsigned* targets,
-                                       std::size_t max, Task** out) {
+                                       unsigned worker, std::size_t max,
+                                       Task** out) {
   std::scoped_lock lk(mu_);
   const std::uint64_t rev = revocation_epoch_.load(std::memory_order_relaxed);
   std::size_t n = 0;
@@ -409,7 +397,7 @@ std::size_t Runtime::stage_ready_batch(std::uint64_t now_us,
     raw->state_.store(TaskState::Staged);
     raw->dispatch_us_ = now_us;
     ++running_;
-    if (observer_) observer_->on_dispatched(raw->id(), now_us, targets[n]);
+    if (observer_) observer_->on_dispatched(raw->id(), now_us, worker);
     staged_owned_.emplace(raw, std::move(task));
     out[n++] = raw;
   }

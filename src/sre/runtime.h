@@ -101,10 +101,10 @@ class Runtime {
   /// Sharded-dispatch batch pop: under ONE lock acquisition, pops up to
   /// `max` ready tasks, marks each Staged, stamps its revocation epoch,
   /// moves its ownership into the runtime's staged table, and fires the
-  /// observer dispatch event with `targets[i]` as the worker index. Raw
+  /// observer dispatch event with `worker` as the worker index. Raw
   /// pointers are written to `out`; returns the number staged. Each staged
   /// task MUST later be retired through finish_staged().
-  std::size_t stage_ready_batch(std::uint64_t now_us, const unsigned* targets,
+  std::size_t stage_ready_batch(std::uint64_t now_us, unsigned worker,
                                 std::size_t max, Task** out);
 
   /// Completion partner of stage_ready_batch(): identical semantics to
@@ -250,13 +250,10 @@ class Runtime {
   /// Locked part of completing one task: bookkeeping, successor release,
   /// abort handling. Appends the task's completion hooks (empty if aborted)
   /// to `hooks` for the caller to run outside the lock; sets `notify` when
-  /// new tasks became ready. When `batch` is non-null the observer's
-  /// on_finished is NOT fired — the event is appended to `batch` for a
-  /// single on_finished_batch call by the caller (still under the lock).
+  /// new tasks became ready.
   void finish_one_locked(const TaskPtr& task, std::uint64_t now_us,
                          bool& notify,
-                         std::vector<Task::CompletionHook>& hooks,
-                         std::vector<Observer::FinishedEvent>* batch = nullptr);
+                         std::vector<Task::CompletionHook>& hooks);
 
   mutable std::mutex mu_;
   ReadyPool pool_;

@@ -7,9 +7,9 @@
 // of Le et al. [PPoPP'13], with two deliberate deviations:
 //
 //  * bounded: push() fails when full instead of growing. The executor sizes
-//    the deque to cover its inbox plus a self-stage batch, and the director
-//    simply leaves excess work in the central ReadyPool, so a full deque is
-//    back-pressure, not loss.
+//    the deque to hold a whole self-staged batch and a worker stages only
+//    into its own empty deque, leaving excess work in the central
+//    ReadyPool, so a full deque is back-pressure, not loss.
 //  * no standalone fences: the original uses atomic_thread_fence(seq_cst),
 //    which ThreadSanitizer does not model precisely. Every ordering here is
 //    carried by a seq_cst operation on top/bottom instead — strictly

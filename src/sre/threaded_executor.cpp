@@ -43,7 +43,8 @@ bool apply_fault_plan(Runtime& runtime, Task& task) {
 /// an inline finish or a hook) picks it up itself on its next acquire loop,
 /// so its ready_signal must not bounce to the director — only non-worker
 /// threads (feeder arrivals, director-run hooks) need that wake. Extra
-/// workers still engage through their timed-park ready_count predicate.
+/// workers engage through the director's wake after its next retire pass,
+/// or their own timed-park ready_count predicate.
 thread_local bool tls_worker = false;
 
 /// Log-bucket index for a latency sample: bit_width(us), so bucket b covers
@@ -55,7 +56,7 @@ unsigned latency_bucket(std::uint64_t us) {
 }  // namespace
 
 std::uint64_t ThreadedExecutor::DispatchStats::pop_count() const {
-  return local_pops + inbox_pops + steals + self_stages;
+  return local_pops + steals + self_stages;
 }
 
 std::uint64_t ThreadedExecutor::DispatchStats::pop_latency_quantile_us(
@@ -91,11 +92,10 @@ ThreadedExecutor::ThreadedExecutor(Runtime& runtime, Options options)
   // onto the per-task locked fallback — exactly the cost the batched drain
   // exists to amortize away. ~24 B/cell, so 16 Ki cells is ~400 KiB.
   const std::size_t cap = std::bit_ceil(std::max<std::size_t>(
-      16384, options_.workers * (kInboxCapacity + kDequeCapacity + 2)));
+      16384, options_.workers * (kDequeCapacity + 2)));
   completions_ = std::make_unique<CompletionQueue>(cap);
-  free_buf_.assign(options_.workers, 0);
-  // New ready work: the director stages it out. run() polls with a timeout,
-  // so it needs no eager wakeup here.
+  // New ready work from a non-worker thread: the director wakes a worker for
+  // it. run() polls with a timeout, so it needs no eager wakeup here.
   runtime_.set_ready_signal([this] {
     if (!tls_worker) wake_director();
   });
@@ -215,13 +215,6 @@ void ThreadedExecutor::fail(const std::string& what) {
   dir_cv_.notify_all();
 }
 
-void ThreadedExecutor::wake_worker(unsigned worker_ix) {
-  WorkerState& w = *wstate_[worker_ix];
-  if (!w.parked.load(std::memory_order_acquire)) return;
-  std::scoped_lock lk(w.park_mu);
-  w.park_cv.notify_one();
-}
-
 void ThreadedExecutor::wake_all_workers() {
   for (auto& w : wstate_) {
     std::scoped_lock lk(w->park_mu);
@@ -235,59 +228,15 @@ void ThreadedExecutor::wake_director() {
   dir_cv_.notify_one();
 }
 
-bool ThreadedExecutor::distribute() {
-  if (runtime_.ready_count() == 0) return false;
-  const unsigned nworkers = options_.workers;
-
-  for (unsigned w = 0; w < nworkers; ++w) {
-    free_buf_[w] = wstate_[w]->inbox.free_slots();
+void ThreadedExecutor::wake_idle_worker() {
+  if (searching_.load(std::memory_order_acquire) != 0) return;
+  if (runtime_.ready_count() == 0) return;
+  for (auto& w : wstate_) {
+    if (!w->parked.load(std::memory_order_acquire)) continue;
+    std::scoped_lock lk(w->park_mu);
+    w->park_cv.notify_one();
+    return;
   }
-  // Round-robin slot assignment: one task per worker per sweep, starting at
-  // a rotating cursor, until the batch is filled or every inbox is full.
-  // Awake workers are preferred (pass 0) — they poll their inbox anyway, so
-  // feeding them costs no futex wake; parked workers (pass 1) are used only
-  // when the awake ones are saturated. With fewer runnable chains than
-  // workers this keeps the idle majority asleep instead of bouncing every
-  // handoff to a fresh sleeper.
-  unsigned targets[kStageBatch];
-  std::size_t want = 0;
-  for (int pass = 0; pass < 2 && want < kStageBatch; ++pass) {
-    bool assigned = true;
-    while (want < kStageBatch && assigned) {
-      assigned = false;
-      for (unsigned k = 0; k < nworkers && want < kStageBatch; ++k) {
-        const unsigned w = (rr_cursor_ + k) % nworkers;
-        if (free_buf_[w] == 0) continue;
-        const bool parked = wstate_[w]->parked.load(std::memory_order_relaxed);
-        if (parked != (pass == 1)) continue;
-        --free_buf_[w];
-        targets[want++] = w;
-        assigned = true;
-      }
-    }
-  }
-  rr_cursor_ = (rr_cursor_ + 1) % nworkers;
-  if (want == 0) return false;  // all inboxes full; completions will drain them
-
-  Task* out[kStageBatch];
-  const std::size_t n =
-      runtime_.stage_ready_batch(now_us(), targets, want, out);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool ok = wstate_[targets[i]]->inbox.push(out[i]);
-    (void)ok;  // cannot fail: free_slots checked, we are the only producer
-  }
-  dir_stats_.director_stages += n;
-  for (std::size_t i = 0; i < n; ++i) {
-    bool first = true;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (targets[j] == targets[i]) {
-        first = false;
-        break;
-      }
-    }
-    if (first) wake_worker(targets[i]);
-  }
-  return n > 0;
 }
 
 std::size_t ThreadedExecutor::try_retire_batch() {
@@ -324,7 +273,10 @@ void ThreadedExecutor::director_loop() {
 
     while (try_retire_batch() > 0) progress = true;
 
-    if (distribute()) progress = true;
+    // Ready work is staged by the workers themselves; the director only
+    // makes sure one is awake to look for it. Waking from here rather than
+    // from a worker keeps the futex call off the workers' critical path.
+    wake_idle_worker();
 
     if (feeder_done_.load(std::memory_order_acquire) && runtime_.quiescent() &&
         directing_.load(std::memory_order_acquire) == 0) {
@@ -335,41 +287,17 @@ void ThreadedExecutor::director_loop() {
     if (!progress) {
       // Short timed park: it bounds the drain latency when producers skip
       // the wakeup (queue already non-empty) and doubles as the safety net
-      // for any lost-wakeup race.
+      // for any lost-wakeup race. Ready work alone is no reason to stay up:
+      // with every worker busy there is nobody to wake, and spinning on it
+      // would burn a core. A ready signal still notifies the wait directly.
       std::unique_lock lk(dir_mu_);
       dir_parked_.store(true, std::memory_order_release);
-      dir_cv_.wait_for(lk, std::chrono::microseconds(200), [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !completions_->empty() || runtime_.ready_count() > 0;
-      });
+      if (!stopping_.load(std::memory_order_acquire) && completions_->empty()) {
+        dir_cv_.wait_for(lk, std::chrono::microseconds(200));
+      }
       dir_parked_.store(false, std::memory_order_release);
     }
   }
-}
-
-Task* ThreadedExecutor::drain_inbox(WorkerState& me) {
-  // Take at most (deque room + 1) items: one is returned to run immediately,
-  // the rest are parked in the deque. free_estimate is a lower bound from the
-  // owner's perspective (thieves only make room), so the pushes cannot fail.
-  const std::size_t room = me.deque.free_estimate();
-  me.scratch.clear();
-  while (me.scratch.size() < room + 1) {
-    Task* t = me.inbox.pop();
-    if (t == nullptr) break;
-    me.scratch.push_back(t);
-  }
-  if (me.scratch.empty()) return nullptr;
-  // The director feeds the inbox in dispatch-priority order. Push the tail in
-  // reverse so the deque's bottom (next local pop) is the next-highest
-  // priority and thieves take from the low-priority end.
-  for (std::size_t i = me.scratch.size(); i-- > 1;) {
-    const bool ok = me.deque.push(me.scratch[i]);
-    (void)ok;
-  }
-  Task* first = me.scratch.front();
-  me.scratch.clear();
-  ++me.stats.inbox_pops;
-  return first;
 }
 
 Task* ThreadedExecutor::acquire_task(WorkerState& me, unsigned worker_ix) {
@@ -377,7 +305,6 @@ Task* ThreadedExecutor::acquire_task(WorkerState& me, unsigned worker_ix) {
     ++me.stats.local_pops;
     return t;
   }
-  if (Task* t = drain_inbox(me)) return t;
   const unsigned nworkers = options_.workers;
   for (unsigned k = 1; k < nworkers; ++k) {
     WorkerState& victim = *wstate_[(worker_ix + k) % nworkers];
@@ -386,30 +313,26 @@ Task* ThreadedExecutor::acquire_task(WorkerState& me, unsigned worker_ix) {
       return t;
     }
   }
-  // Starved with work still in the pool (director busy retiring, or bursty
-  // submit): grab a small batch directly. The deque is empty here, so the
-  // tail pushes cannot fail.
-  if (runtime_.ready_count() > 0) {
-    constexpr std::size_t kSelfBatch = 16;
-    unsigned targets[kSelfBatch];
-    Task* out[kSelfBatch];
-    const std::size_t max =
-        std::min<std::size_t>(kSelfBatch, me.deque.free_estimate() + 1);
-    for (std::size_t i = 0; i < max; ++i) targets[i] = worker_ix;
-    const std::size_t n = runtime_.stage_ready_batch(now_us(), targets, max, out);
-    if (n > 0) {
-      for (std::size_t i = n; i-- > 1;) {
-        const bool ok = me.deque.push(out[i]);
-        (void)ok;
-      }
-      // Counts the acquire this batch satisfied directly; the parked
-      // remainder surfaces as local_pops, so the four pop sources partition
-      // the tasks exactly.
-      ++me.stats.self_stages;
-      return out[0];
-    }
+  // Dry everywhere: grab a batch from the pool directly. The deque is empty
+  // here, so the tail pushes cannot fail.
+  if (runtime_.ready_count() == 0) return nullptr;
+  Task* out[kStageBatch];
+  const std::size_t max =
+      std::min<std::size_t>(kStageBatch, me.deque.free_estimate() + 1);
+  const std::size_t n = runtime_.stage_ready_batch(now_us(), worker_ix, max, out);
+  if (n == 0) return nullptr;
+  // The batch comes out in dispatch-priority order. Push the tail in reverse
+  // so the deque's bottom (next local pop) is the next-highest priority and
+  // thieves take from the low-priority end.
+  for (std::size_t i = n; i-- > 1;) {
+    const bool ok = me.deque.push(out[i]);
+    (void)ok;
   }
-  return nullptr;
+  // Counts the acquire this batch satisfied directly; the parked remainder
+  // surfaces as local_pops, so the three pop sources partition the tasks
+  // exactly.
+  ++me.stats.self_stages;
+  return out[0];
 }
 
 bool ThreadedExecutor::execute_and_retire(Task* task, WorkerState& me,
@@ -477,12 +400,15 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
   tls_worker = true;
   WorkerState& me = *wstate_[worker_ix];
   const bool time_pops = options_.collect_pop_latency;
+  searching_.fetch_add(1, std::memory_order_acq_rel);
   for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return;
+    if (stopping_.load(std::memory_order_acquire)) break;
     const std::uint64_t t0 = time_pops ? now_us() : 0;
     if (Task* t = acquire_task(me, worker_ix)) {
       if (time_pops) ++me.stats.pop_latency[latency_bucket(now_us() - t0)];
+      searching_.fetch_sub(1, std::memory_order_acq_rel);
       if (!execute_and_retire(t, me, worker_ix)) return;
+      searching_.fetch_add(1, std::memory_order_acq_rel);
       continue;
     }
     // Nothing runnable, but completions may be pending — retiring them is
@@ -494,16 +420,21 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
       continue;
     }
     ++me.stats.parks;
-    std::unique_lock lk(me.park_mu);
-    me.parked.store(true, std::memory_order_release);
-    // Timed wait: stealable work in sibling deques is not part of the
-    // predicate, and wakeups are targeted — the timeout is the safety net.
-    me.park_cv.wait_for(lk, std::chrono::milliseconds(2), [this, &me] {
-      return stopping_.load(std::memory_order_acquire) || !me.inbox.empty() ||
-             !completions_->empty() || runtime_.ready_count() > 0;
-    });
-    me.parked.store(false, std::memory_order_release);
+    searching_.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      std::unique_lock lk(me.park_mu);
+      me.parked.store(true, std::memory_order_release);
+      // Timed wait: stealable work in sibling deques is not part of the
+      // predicate, and wakeups are targeted — the timeout is the safety net.
+      me.park_cv.wait_for(lk, std::chrono::milliseconds(2), [this] {
+        return stopping_.load(std::memory_order_acquire) ||
+               !completions_->empty() || runtime_.ready_count() > 0;
+      });
+      me.parked.store(false, std::memory_order_release);
+    }
+    searching_.fetch_add(1, std::memory_order_acq_rel);
   }
+  searching_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ThreadedExecutor::run() {
@@ -557,12 +488,11 @@ void ThreadedExecutor::run() {
 }
 
 ThreadedExecutor::DispatchStats ThreadedExecutor::dispatch_stats() const {
-  DispatchStats total = dir_stats_;
+  DispatchStats total;
   for (const auto& w : wstate_) {
     const DispatchStats& s = w->stats;
     total.tasks_run += s.tasks_run;
     total.local_pops += s.local_pops;
-    total.inbox_pops += s.inbox_pops;
     total.steals += s.steals;
     total.self_stages += s.self_stages;
     total.revoked_at_pop += s.revoked_at_pop;

@@ -6,12 +6,14 @@
 // (dependence propagation, completion hooks), and N worker threads execute
 // computational tasks.
 //
-// Dispatch: the director batch-pops ready tasks from the central pool (one
-// lock acquisition per batch) and feeds them to per-worker bounded SPSC
-// inboxes; each worker drains its inbox into a private Chase–Lev deque, pops
-// locally without any lock, and steals from siblings when dry. Completions
-// retire through a lock-free MPSC queue back to the director — a worker
-// never takes the runtime lock to finish a task. Wakeups are targeted (one
+// Dispatch: there is one way onto a worker. A worker pops its own Chase–Lev
+// deque without any lock, steals from a sibling's deque when dry, and only
+// then batch-pops ready tasks from the central pool itself (one lock
+// acquisition per batch), running the first and parking the rest in its
+// deque where idle siblings can steal them. Completions retire through a
+// lock-free MPSC queue; the director holds the retire role between worker
+// visits, and after each retire pass it wakes one parked worker when ready
+// work has no awake worker searching for it. Wakeups are targeted (one
 // condvar per worker, one for the director); there is no broadcast on the
 // hot path. Rollback correctness: tasks staged into worker-local queues
 // carry a revocation-epoch stamp; a worker popping a task whose stamp is
@@ -36,7 +38,6 @@
 
 #include "sre/mpsc_queue.h"
 #include "sre/runtime.h"
-#include "sre/spsc_ring.h"
 #include "sre/steal_deque.h"
 
 namespace sre {
@@ -66,17 +67,18 @@ class ThreadedExecutor {
   /// Collected per worker on cache-line-padded private slots and summed on
   /// demand — workers never contend on these.
   struct DispatchStats {
-    /// The four pop sources partition the tasks a worker acquired: each task
-    /// is counted in exactly one of local_pops / inbox_pops / steals /
-    /// self_stages, so their sum (pop_count()) equals tasks acquired.
+    /// The three pop sources partition the tasks a worker acquired: each
+    /// task is counted in exactly one of local_pops / steals / self_stages,
+    /// so their sum (pop_count()) equals tasks acquired.
     std::uint64_t tasks_run = 0;        ///< bodies executed
     std::uint64_t local_pops = 0;       ///< from the worker's own deque
-    std::uint64_t inbox_pops = 0;       ///< taken directly while draining
     std::uint64_t steals = 0;           ///< taken from a sibling's deque
     /// Acquires satisfied by a worker batch-popping the pool itself; the
     /// rest of such a batch parks in its deque and surfaces as local_pops.
     std::uint64_t self_stages = 0;
-    std::uint64_t director_stages = 0;  ///< tasks fed by the director
+    /// Always 0: the director stages nothing, workers stage for themselves.
+    /// Kept because perfbench's engine reads it.
+    std::uint64_t director_stages = 0;
     std::uint64_t revoked_at_pop = 0;   ///< rollback victims retired unrun
     std::uint64_t parks = 0;            ///< worker sleeps
     std::uint64_t completion_fallbacks = 0;  ///< MPSC full, retired via lock
@@ -139,23 +141,18 @@ class ThreadedExecutor {
   [[nodiscard]] DispatchStats dispatch_stats() const;
 
  private:
-  /// Dispatch sizing. Capacities are powers of two; the deque must absorb a
-  /// full inbox drain plus a self-staged batch, so worker-side pushes can
-  /// never fail after a free_estimate check.
-  static constexpr unsigned kInboxCapacity = 32;  ///< director→worker ring
+  /// Dispatch sizing. A worker stages only into its own empty deque, so
+  /// the deque must hold one staged batch and worker-side pushes can never
+  /// fail.
   static constexpr unsigned kDequeCapacity = 64;  ///< per-worker steal deque
   static constexpr unsigned kStageBatch = 16;  ///< max tasks staged per lock grab
-  static_assert(kDequeCapacity >= 2 * kInboxCapacity);
+  static_assert(kDequeCapacity >= kStageBatch);
 
   /// Per-worker state. Heap-allocated so WorkerState addresses are stable
   /// and cache-line aligned; workers only dirty their own lines.
   struct alignas(64) WorkerState {
-    WorkerState() : inbox(kInboxCapacity), deque(kDequeCapacity) {
-      scratch.reserve(inbox.capacity());
-    }
-    SpscRing inbox;
+    WorkerState() : deque(kDequeCapacity) {}
     StealDeque deque;
-    std::vector<Task*> scratch;  ///< drain buffer (owner thread only)
     std::mutex park_mu;
     std::condition_variable park_cv;
     std::atomic<bool> parked{false};
@@ -165,14 +162,14 @@ class ThreadedExecutor {
   void worker_loop(unsigned worker_ix);
   void director_loop();
   Task* acquire_task(WorkerState& me, unsigned worker_ix);
-  Task* drain_inbox(WorkerState& me);
   bool execute_and_retire(Task* task, WorkerState& me, unsigned worker_ix);
   /// Claims the retire role (try-lock) and drains up to one batch of
   /// completions through Runtime::finish_staged_batch. Returns the number
   /// retired (0: queue empty or another thread holds the role).
   std::size_t try_retire_batch();
-  bool distribute();          ///< director: pool → inboxes; true if any staged
-  void wake_worker(unsigned worker_ix);
+  /// Director: wakes one parked worker when ready work waits in the pool
+  /// and no awake worker is searching for it.
+  void wake_idle_worker();
   void wake_director();
   void wake_all_workers();
 
@@ -224,9 +221,9 @@ class ThreadedExecutor {
   /// task retiring and its completion hooks submitting follow-on work, so
   /// run() cannot observe a transient quiescent state).
   std::atomic<std::size_t> directing_{0};
-  unsigned rr_cursor_ = 0;           ///< director round-robin start (director only)
-  DispatchStats dir_stats_;          ///< director-thread counters
-  std::vector<std::size_t> free_buf_;  ///< distribute() scratch (director only)
+  /// Workers awake and outside a task body: between acquires, retiring or
+  /// about to park. The director wakes a parked worker only when it is 0.
+  alignas(64) std::atomic<unsigned> searching_{0};
 
   std::vector<std::thread> workers_;
   std::thread director_;

@@ -369,10 +369,7 @@ TEST(CommitSink, SpeculativeCommitPlacesParkedThenPassThroughBlocks) {
 /// second has. So the first guess is estimate 1 and the re-speculation
 /// after the first rollback guesses from estimate 16, whatever the load.
 /// Unheld, a slow check verdict under load lets later estimates in first,
-/// and a guess from them can pass the final check. The hold runs on the
-/// feeder thread: held in a worker (a FaultPlan), it would also hold the
-/// tasks already routed to that worker's inbox, the awaited check among
-/// them.
+/// and a guess from them can pass the final check.
 class EstimateLockstep final : public sre::Observer {
  public:
   explicit EstimateLockstep(std::size_t reduce_ratio) : r_(reduce_ratio) {}

@@ -35,14 +35,25 @@ bool wait_until(Pred pred) {
   return true;
 }
 
+/// Sets `flag` when it goes out of scope, so a blocked task body is
+/// released on every exit path of the test code that holds it (a failed
+/// ASSERT returns early) instead of hanging the run.
+struct ReleaseOnExit {
+  std::atomic<bool>& flag;
+  ~ReleaseOnExit() { flag.store(true); }
+};
+
 // A rollback must revoke speculative tasks that are already staged in a
 // worker's local queue: the worker pops them, sees the stale revocation
 // stamp plus the abort flag, and retires them without running their bodies.
 TEST(DispatchConcurrency, RollbackRevokesStagedTasks) {
-  Runtime rt(DispatchPolicy::Aggressive);
-  // One worker: it is pinned inside the blocker's body while the director
-  // stages the speculative tasks into its inbox, so the rollback below is
-  // guaranteed to hit tasks parked in a worker-local queue.
+  // Conservative orders the natural blocker ahead of the speculative tasks.
+  Runtime rt(DispatchPolicy::Conservative);
+  // One worker: a seed task's body submits the blocker and the speculative
+  // tasks, so the worker self-stages all of them in one batch once the seed
+  // retires. It then runs the blocker while the speculative tasks wait in
+  // its own deque, so the rollback below is guaranteed to hit tasks parked
+  // in a worker-local queue.
   ThreadedExecutor ex(rt, {.workers = 1});
 
   constexpr int kSpec = 4;
@@ -50,6 +61,7 @@ TEST(DispatchConcurrency, RollbackRevokesStagedTasks) {
   std::atomic<int> spec_bodies_run{0};
 
   ex.schedule_arrival(0, [&](std::uint64_t) {
+    const ReleaseOnExit guard{release};
     auto blocker = rt.make_task("blocker", TaskClass::Natural,
                                 sre::kNaturalEpoch, 1, 1,
                                 [&release](TaskContext&) {
@@ -57,22 +69,23 @@ TEST(DispatchConcurrency, RollbackRevokesStagedTasks) {
                                     std::this_thread::yield();
                                   }
                                 });
-    rt.submit(blocker);
-    ASSERT_TRUE(wait_until(
-        [&] { return blocker->state() == TaskState::Running; }));
-
     const sre::Epoch e = rt.open_epoch();
     std::vector<sre::TaskPtr> specs;
     for (int i = 0; i < kSpec; ++i) {
-      auto t = rt.make_task("spec" + std::to_string(i),
-                            TaskClass::Speculative, e, 1, 1,
-                            [&spec_bodies_run](TaskContext&) {
-                              ++spec_bodies_run;
-                            });
-      specs.push_back(t);
-      rt.submit(t);
+      specs.push_back(rt.make_task("spec" + std::to_string(i),
+                                   TaskClass::Speculative, e, 1, 1,
+                                   [&spec_bodies_run](TaskContext&) {
+                                     ++spec_bodies_run;
+                                   }));
     }
-    // The director stages them into the (busy) worker's inbox.
+    rt.submit(rt.make_task("seed", TaskClass::Natural, sre::kNaturalEpoch, 1,
+                           1, [&rt, blocker, specs](TaskContext&) {
+                             rt.submit(blocker);
+                             for (const auto& t : specs) rt.submit(t);
+                           }));
+    ASSERT_TRUE(wait_until(
+        [&] { return blocker->state() == TaskState::Running; }));
+    // Staged in the same batch as the blocker, behind it in its deque.
     ASSERT_TRUE(wait_until([&] {
       for (const auto& t : specs) {
         if (t->state() != TaskState::Staged) return false;
@@ -84,7 +97,6 @@ TEST(DispatchConcurrency, RollbackRevokesStagedTasks) {
     for (const auto& t : specs) {
       EXPECT_TRUE(t->abort_requested());
     }
-    release.store(true);
   });
 
   ex.run();
@@ -93,6 +105,48 @@ TEST(DispatchConcurrency, RollbackRevokesStagedTasks) {
   EXPECT_EQ(ex.dispatch_stats().revoked_at_pop,
             static_cast<std::uint64_t>(kSpec));
   EXPECT_TRUE(rt.quiescent());
+}
+
+// A worker stuck in a long body must not hold on to work that became ready
+// after it started: an idle sibling has to be able to take it. The blocker
+// waits, up to a deadline, for tasks submitted while it runs; with 2
+// workers the other one must run all of them well before that deadline.
+TEST(DispatchConcurrency, BlockedBodyDoesNotStrandLaterWork) {
+  Runtime rt(DispatchPolicy::Balanced);
+  ThreadedExecutor ex(rt, {.workers = 2});
+
+  constexpr int kLater = 8;
+  std::atomic<int> later_run{0};
+  std::atomic<bool> deadline_hit{false};
+
+  ex.schedule_arrival(0, [&](std::uint64_t) {
+    auto blocker = rt.make_task(
+        "blocker", TaskClass::Natural, sre::kNaturalEpoch, 1, 1,
+        [&later_run, &deadline_hit](TaskContext&) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(1);
+          while (later_run.load() < kLater) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              deadline_hit.store(true);
+              return;
+            }
+            std::this_thread::yield();
+          }
+        });
+    rt.submit(blocker);
+    ASSERT_TRUE(wait_until(
+        [&] { return blocker->state() == TaskState::Running; }));
+    for (int i = 0; i < kLater; ++i) {
+      rt.submit(rt.make_task("later" + std::to_string(i), TaskClass::Natural,
+                             sre::kNaturalEpoch, 1, 1,
+                             [&later_run](TaskContext&) { ++later_run; }));
+    }
+  });
+
+  ex.run();
+  EXPECT_FALSE(deadline_hit.load())
+      << "work submitted after the blocker waited for the blocker's body";
+  EXPECT_EQ(later_run, kLater);
 }
 
 struct RunTotals {
@@ -214,8 +268,7 @@ TEST(DispatchConcurrency, ThreadedTotalsMatchSerialDrive) {
 }
 
 // Accounting invariant: every executed task was acquired through exactly one
-// of the four sources, and every staged task was fed by the director or
-// self-staged.
+// of the three sources, and the director staged none of them.
 TEST(DispatchConcurrency, AcquireSourcesSumToTasksRun) {
   Runtime rt(DispatchPolicy::Balanced);
   ThreadedExecutor ex(rt, {.workers = 4});
@@ -232,8 +285,8 @@ TEST(DispatchConcurrency, AcquireSourcesSumToTasksRun) {
   EXPECT_EQ(s.tasks_run, static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(s.revoked_at_pop, 0u);
   EXPECT_EQ(s.pop_count(), static_cast<std::uint64_t>(kTasks))
-      << "local+inbox+steal+self_stage pops must cover every task exactly once";
-  EXPECT_LE(s.director_stages, static_cast<std::uint64_t>(kTasks));
+      << "local+steal+self_stage pops must cover every task exactly once";
+  EXPECT_EQ(s.director_stages, 0u);
 }
 
 }  // namespace

@@ -334,27 +334,25 @@ TEST(ChaosRegression, ReentrantSinkAddQueuesBehindFlush) {
   EXPECT_EQ(buf.total_pending(), 0u);
 }
 
+/// Sleeps in 100 µs steps until `pred` holds or 10 s pass.
+template <typename Pred>
+void hold_until(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 // The same race on real threads, through HuffmanPipeline's commit sink: the
 // commit flush places parked blocks into the output container while
-// workers keep finishing encodes of the committing epoch. The last offset
-// group's encodes are slowed, so they are still running at commit, and the
-// first flush batch is held until one of their results has queued behind
-// it; the committer must place that in a follow-up batch, so every block
-// lands once, in place.
+// workers keep finishing encodes of the committing epoch. The final check
+// is held until some block has parked, so the commit has a batch to flush;
+// the last block's speculative encode is held until that first flush batch
+// has started, and the batch is held until a delivery has queued behind
+// it. The committer must place the held block in a follow-up batch, so
+// every block lands once, in place.
 TEST(ChaosRegression, HuffmanDeliveryQueuedBehindCommitFlushIsPlaced) {
-  /// Delays the speculative encodes of blocks >= `first`.
-  struct SlowTail final : sre::FaultPlan {
-    std::size_t first = 0;
-    sre::FaultDecision before_task(const sre::Task& task) noexcept override {
-      const std::string_view name = task.name();
-      constexpr std::string_view kEncode = "spec-encode[";
-      if (name.substr(0, kEncode.size()) != kEncode ||
-          std::stoul(std::string(name.substr(kEncode.size()))) < first) {
-        return sre::FaultDecision::none();
-      }
-      return sre::FaultDecision::delay(5000);
-    }
-  };
   /// Holds the first flush batch until a delivery has queued behind it.
   struct QueueBehindFlush final : sre::chaos::Hook {
     const pipeline::HuffmanPipeline* pl = nullptr;
@@ -364,12 +362,30 @@ TEST(ChaosRegression, HuffmanDeliveryQueuedBehindCommitFlushIsPlaced) {
           flushes.fetch_add(1) != 0) {
         return;
       }
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (pl->wait_pending() == 0 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      hold_until([this] { return pl->wait_pending() > 0; });
+    }
+  };
+  /// Holds the first final check until a block has parked in the wait
+  /// buffer, and the first speculative encode of block `last` until `hook`
+  /// has seen a flush, so that encode's delivery has to queue behind it.
+  struct HoldForFlush final : sre::FaultPlan {
+    std::size_t last = 0;
+    const QueueBehindFlush* hook = nullptr;
+    std::atomic<bool> check_held{false};
+    std::atomic<bool> encode_held{false};
+    sre::FaultDecision before_task(const sre::Task& task) noexcept override {
+      const std::string_view name = task.name();
+      constexpr std::string_view kEncode = "spec-encode[";
+      if (name.starts_with("check[") && name.ends_with(",final]") &&
+          !check_held.exchange(true)) {
+        hold_until([this] { return hook->pl->wait_pending() > 0; });
+      } else if (name.starts_with(kEncode) &&
+                 std::stoul(std::string(name.substr(kEncode.size()))) ==
+                     last &&
+                 !encode_held.exchange(true)) {
+        hold_until([this] { return hook->flushes.load() > 0; });
       }
+      return sre::FaultDecision::none();
     }
   };
 
@@ -378,10 +394,12 @@ TEST(ChaosRegression, HuffmanDeliveryQueuedBehindCommitFlushIsPlaced) {
   const sio::BlockSource src(wl::make_corpus(cfg.file, 512 * 1024, cfg.seed),
                              cfg.ratios.block_size,
                              std::make_shared<sio::DiskArrival>());
-  SlowTail slow;
-  slow.first = src.n_blocks() - cfg.ratios.offset_group;
+  QueueBehindFlush hook;
+  HoldForFlush hold;
+  hold.last = src.n_blocks() - 1;
+  hold.hook = &hook;
   Runtime rt(cfg.policy);
-  rt.set_fault_plan(&slow);
+  rt.set_fault_plan(&hold);
   sre::ThreadedExecutor ex(rt, {.workers = 4, .arrival_time_scale = 0.005});
   pipeline::HuffmanPipeline pl(rt, src, cfg);
   src.for_each_arrival([&](std::size_t i, sio::Micros at) {
@@ -389,7 +407,6 @@ TEST(ChaosRegression, HuffmanDeliveryQueuedBehindCommitFlushIsPlaced) {
       pl.on_block_arrival(i, now);
     });
   });
-  QueueBehindFlush hook;
   hook.pl = &pl;
   {
     sre::chaos::ScopedHook guard(&hook);

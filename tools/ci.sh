@@ -40,6 +40,10 @@
 #                          # then runs trace_dump txt and bmp from both and
 #                          # fails if their .chrome.json or .dfg.dot differ
 #                          # (the task graph: names, classes, depths, edges)
+#   tools/ci.sh repeat [N] # flake hunt: the sre_core label N times (default
+#                          # 10) under the asan+ubsan preset at 2 x nproc
+#                          # concurrency; prints every failing case with its
+#                          # pass number and fails if there was any
 #   TVS_SKIP_ASAN=1 tools/ci.sh   # tier-1 only (fast pre-push check)
 set -euo pipefail
 
@@ -87,6 +91,39 @@ if [[ "${1:-}" == "sim" ]]; then
   if [[ "$status" != 0 ]]; then exit "$status"; fi
   echo "== sim identical =="
   exit 0
+fi
+
+if [[ "${1:-}" == "repeat" ]]; then
+  N="${2:-10}"
+  PAR=$((2 * JOBS))
+  echo "== repeat: sre_core label x${N} under asan+ubsan at -j${PAR} (build-asan/) =="
+  cmake --preset asan >/dev/null
+  cmake --build --preset asan -j"$JOBS"
+  LOG="$(mktemp)"
+  trap 'rm -f "$LOG"' EXIT
+  fails=0
+  for ((i = 1; i <= N; i++)); do
+    if ctest --preset asan -L sre_core -j"$PAR" >"$LOG" 2>&1; then
+      echo "  pass ${i}/${N}: green"
+      continue
+    fi
+    # ctest lists each failing case under this heading, one per line.
+    cases="$(sed -n '/The following tests FAILED:/,$p' "$LOG" |
+             grep -E '^[[:space:]]+[0-9]+ - ' || true)"
+    if [[ -z "$cases" ]]; then
+      echo "!! pass ${i}/${N}: ctest failed without a failing case:" >&2
+      tail -20 "$LOG" >&2
+      fails=$((fails + 1))
+      continue
+    fi
+    while IFS= read -r c; do
+      echo "!! pass ${i}/${N}: ${c#"${c%%[![:space:]]*}"}"
+      fails=$((fails + 1))
+    done <<<"$cases"
+  done
+  echo "== repeat: ${fails} failing case(s) in ${N} passes =="
+  [[ "$fails" == 0 ]]
+  exit
 fi
 
 if [[ "${1:-}" == "tsan" ]]; then
