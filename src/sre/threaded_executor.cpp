@@ -223,14 +223,27 @@ void ThreadedExecutor::wake_all_workers() {
 }
 
 void ThreadedExecutor::wake_director() {
-  if (!dir_parked_.load(std::memory_order_acquire)) return;
+  // seq_cst pairs with the director's park: either it sees the flag before
+  // it sleeps, or this load sees it parked and the notify reaches it.
+  dir_signal_.store(true);
+  if (!dir_parked_.load()) return;
   std::scoped_lock lk(dir_mu_);
   dir_cv_.notify_one();
 }
 
+bool ThreadedExecutor::work_waiting() const {
+  if (runtime_.ready_count() > 0) return true;
+  // The rest of a self-staged batch sits in its worker's deque, where only a
+  // thief can reach it before that worker's current body ends.
+  for (const auto& w : wstate_) {
+    if (w->deque.size_estimate() > 0) return true;
+  }
+  return false;
+}
+
 void ThreadedExecutor::wake_idle_worker() {
   if (searching_.load(std::memory_order_acquire) != 0) return;
-  if (runtime_.ready_count() == 0) return;
+  if (!work_waiting()) return;
   for (auto& w : wstate_) {
     if (!w->parked.load(std::memory_order_acquire)) continue;
     std::scoped_lock lk(w->park_mu);
@@ -289,12 +302,14 @@ void ThreadedExecutor::director_loop() {
       // the wakeup (queue already non-empty) and doubles as the safety net
       // for any lost-wakeup race. Ready work alone is no reason to stay up:
       // with every worker busy there is nobody to wake, and spinning on it
-      // would burn a core. A ready signal still notifies the wait directly.
+      // would burn a core. A wake_director() signal is consumed instead, so
+      // each one costs at most one more pass.
       std::unique_lock lk(dir_mu_);
-      dir_parked_.store(true, std::memory_order_release);
-      if (!stopping_.load(std::memory_order_acquire) && completions_->empty()) {
-        dir_cv_.wait_for(lk, std::chrono::microseconds(200));
-      }
+      dir_parked_.store(true);
+      dir_cv_.wait_for(lk, std::chrono::microseconds(200), [this] {
+        return stopping_.load(std::memory_order_acquire) ||
+               !completions_->empty() || dir_signal_.exchange(false);
+      });
       dir_parked_.store(false, std::memory_order_release);
     }
   }
@@ -369,10 +384,14 @@ bool ThreadedExecutor::execute_and_retire(Task* task, WorkerState& me,
   // this retirement is on the critical path of whatever depends on `task`
   // (dependency-chain handoff). Retire inline — the successor becomes ready
   // in this thread and the next acquire_task() self-stages it, with no
-  // futex wake or director round-trip. Under load (ready work or queued
-  // completions exist) we take the queued path instead so the director can
-  // amortize the runtime lock over whole batches.
-  if (runtime_.ready_count() == 0 && completions_->empty()) {
+  // futex wake or director round-trip. A check (Control) always retires
+  // inline: its hooks carry the verdict that commits or rolls back an epoch,
+  // and queued behind a busy system it would wait out the director's timed
+  // park. Otherwise, under load (ready work or queued completions exist) we
+  // take the queued path so the director can amortize the runtime lock over
+  // whole batches.
+  if ((runtime_.ready_count() == 0 && completions_->empty()) ||
+      task->task_class() == TaskClass::Control) {
     ++me.stats.inline_finishes;
     directing_.fetch_add(1, std::memory_order_acq_rel);
     runtime_.finish_staged(task, done_us);
@@ -400,15 +419,15 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
   tls_worker = true;
   WorkerState& me = *wstate_[worker_ix];
   const bool time_pops = options_.collect_pop_latency;
-  searching_.fetch_add(1, std::memory_order_acq_rel);
   for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) break;
+    if (stopping_.load(std::memory_order_acquire)) return;
     const std::uint64_t t0 = time_pops ? now_us() : 0;
-    if (Task* t = acquire_task(me, worker_ix)) {
+    searching_.fetch_add(1, std::memory_order_acq_rel);
+    Task* t = acquire_task(me, worker_ix);
+    searching_.fetch_sub(1, std::memory_order_acq_rel);
+    if (t != nullptr) {
       if (time_pops) ++me.stats.pop_latency[latency_bucket(now_us() - t0)];
-      searching_.fetch_sub(1, std::memory_order_acq_rel);
       if (!execute_and_retire(t, me, worker_ix)) return;
-      searching_.fetch_add(1, std::memory_order_acq_rel);
       continue;
     }
     // Nothing runnable, but completions may be pending — retiring them is
@@ -420,21 +439,15 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
       continue;
     }
     ++me.stats.parks;
-    searching_.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      std::unique_lock lk(me.park_mu);
-      me.parked.store(true, std::memory_order_release);
-      // Timed wait: stealable work in sibling deques is not part of the
-      // predicate, and wakeups are targeted — the timeout is the safety net.
-      me.park_cv.wait_for(lk, std::chrono::milliseconds(2), [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !completions_->empty() || runtime_.ready_count() > 0;
-      });
-      me.parked.store(false, std::memory_order_release);
-    }
-    searching_.fetch_add(1, std::memory_order_acq_rel);
+    std::unique_lock lk(me.park_mu);
+    me.parked.store(true, std::memory_order_release);
+    // Timed wait: wakeups are targeted, and the timeout is the safety net.
+    me.park_cv.wait_for(lk, std::chrono::milliseconds(2), [this] {
+      return stopping_.load(std::memory_order_acquire) ||
+             !completions_->empty() || work_waiting();
+    });
+    me.parked.store(false, std::memory_order_release);
   }
-  searching_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ThreadedExecutor::run() {

@@ -167,8 +167,10 @@ class ThreadedExecutor {
   /// completions through Runtime::finish_staged_batch. Returns the number
   /// retired (0: queue empty or another thread holds the role).
   std::size_t try_retire_batch();
-  /// Director: wakes one parked worker when ready work waits in the pool
-  /// and no awake worker is searching for it.
+  /// True when a task waits in the pool or in any worker's deque.
+  bool work_waiting() const;
+  /// Director: wakes one parked worker when work_waiting() and no awake
+  /// worker is searching for it.
   void wake_idle_worker();
   void wake_director();
   void wake_all_workers();
@@ -217,12 +219,14 @@ class ThreadedExecutor {
   std::mutex dir_mu_;
   std::condition_variable dir_cv_;
   std::atomic<bool> dir_parked_{false};
+  /// Set by wake_director(), consumed by the director's park.
+  std::atomic<bool> dir_signal_{false};
   /// Completions being propagated right now (guards the window between a
   /// task retiring and its completion hooks submitting follow-on work, so
   /// run() cannot observe a transient quiescent state).
   std::atomic<std::size_t> directing_{0};
-  /// Workers awake and outside a task body: between acquires, retiring or
-  /// about to park. The director wakes a parked worker only when it is 0.
+  /// Workers inside acquire_task, looking for work. The director wakes a
+  /// parked worker only when it is 0.
   alignas(64) std::atomic<unsigned> searching_{0};
 
   std::vector<std::thread> workers_;
