@@ -419,15 +419,15 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
   tls_worker = true;
   WorkerState& me = *wstate_[worker_ix];
   const bool time_pops = options_.collect_pop_latency;
+  searching_.fetch_add(1, std::memory_order_acq_rel);
   for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return;
+    if (stopping_.load(std::memory_order_acquire)) break;
     const std::uint64_t t0 = time_pops ? now_us() : 0;
-    searching_.fetch_add(1, std::memory_order_acq_rel);
-    Task* t = acquire_task(me, worker_ix);
-    searching_.fetch_sub(1, std::memory_order_acq_rel);
-    if (t != nullptr) {
+    if (Task* t = acquire_task(me, worker_ix)) {
       if (time_pops) ++me.stats.pop_latency[latency_bucket(now_us() - t0)];
+      searching_.fetch_sub(1, std::memory_order_acq_rel);
       if (!execute_and_retire(t, me, worker_ix)) return;
+      searching_.fetch_add(1, std::memory_order_acq_rel);
       continue;
     }
     // Nothing runnable, but completions may be pending — retiring them is
@@ -439,15 +439,24 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
       continue;
     }
     ++me.stats.parks;
-    std::unique_lock lk(me.park_mu);
-    me.parked.store(true, std::memory_order_release);
-    // Timed wait: wakeups are targeted, and the timeout is the safety net.
-    me.park_cv.wait_for(lk, std::chrono::milliseconds(2), [this] {
-      return stopping_.load(std::memory_order_acquire) ||
-             !completions_->empty() || work_waiting();
-    });
-    me.parked.store(false, std::memory_order_release);
+    // Out of work with nothing left anywhere: the run may be over. The
+    // director is the one that tells run(); wake it rather than leave the
+    // end of the run to its timed park.
+    if (runtime_.quiescent()) wake_director();
+    searching_.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      std::unique_lock lk(me.park_mu);
+      me.parked.store(true, std::memory_order_release);
+      // Timed wait: wakeups are targeted, and the timeout is the safety net.
+      me.park_cv.wait_for(lk, std::chrono::milliseconds(2), [this] {
+        return stopping_.load(std::memory_order_acquire) ||
+               !completions_->empty() || work_waiting();
+      });
+      me.parked.store(false, std::memory_order_release);
+    }
+    searching_.fetch_add(1, std::memory_order_acq_rel);
   }
+  searching_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ThreadedExecutor::run() {

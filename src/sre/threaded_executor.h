@@ -225,8 +225,8 @@ class ThreadedExecutor {
   /// task retiring and its completion hooks submitting follow-on work, so
   /// run() cannot observe a transient quiescent state).
   std::atomic<std::size_t> directing_{0};
-  /// Workers inside acquire_task, looking for work. The director wakes a
-  /// parked worker only when it is 0.
+  /// Workers awake and outside a task body: between acquires, retiring or
+  /// about to park. The director wakes a parked worker only when it is 0.
   alignas(64) std::atomic<unsigned> searching_{0};
 
   std::vector<std::thread> workers_;
