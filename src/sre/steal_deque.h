@@ -85,8 +85,8 @@ class StealDeque {
     return task;
   }
 
-  /// Owner-side size estimate. Thieves only shrink it, so the owner can use
-  /// it as a lower bound on free space.
+  /// Size estimate. Thieves only shrink it, so the owner can use it as a
+  /// lower bound on free space; other threads read it as a hint only.
   [[nodiscard]] std::size_t size_estimate() const {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_acquire);

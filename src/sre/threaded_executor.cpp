@@ -44,7 +44,7 @@ bool apply_fault_plan(Runtime& runtime, Task& task) {
 /// so its ready_signal must not bounce to the director — only non-worker
 /// threads (feeder arrivals, director-run hooks) need that wake. Extra
 /// workers engage through the director's wake after its next retire pass,
-/// or their own timed-park ready_count predicate.
+/// or their own timed park.
 thread_local bool tls_worker = false;
 
 /// Log-bucket index for a latency sample: bit_width(us), so bucket b covers
