@@ -499,8 +499,10 @@ void HuffmanPipeline::install_chain_locked(
 /// Wires the live chain's offset groups (and their encodes) as far as the
 /// counted prefix reaches: `offset[g]`/`encode[b]` on the natural path,
 /// `spec-offset[g,eE]`/`spec-encode[b,eE]` under epoch E. Caller holds
-/// st->mu.
+/// st->mu. The run is published as one runtime batch, before st->mu is
+/// released.
 void HuffmanPipeline::extend_chain_locked(const std::shared_ptr<State>& st) {
+  sre::Runtime::Batch batch(st->rt);
   Chain& chain = *st->chain;
   const std::size_t G = st->cfg.ratios.offset_group;
   const sre::Epoch epoch = chain.epoch;

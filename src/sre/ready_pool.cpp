@@ -35,12 +35,10 @@ TaskPtr ReadyPool::heap_pop(Queue& q) {
     const Entry e = q.heap.front();
     std::pop_heap(q.heap.begin(), q.heap.end(), comp);
     q.heap.pop_back();
-    auto it = owned_.find(e.id);
-    if (it == owned_.end()) continue;  // tombstone from a lazy erase
-    TaskPtr task = std::move(it->second);
-    owned_.erase(it);
+    Task* task = tasks_.find(e.slot, e.id);
+    if (task == nullptr) continue;  // tombstone from a lazy erase
     q.live.fetch_sub(1, std::memory_order_relaxed);
-    return task;
+    return tasks_.take(*task);
   }
   return nullptr;
 }
@@ -50,8 +48,9 @@ void ReadyPool::maybe_compact(Queue& q) {
   // heap of dead entries unboundedly. Amortized O(1) per erase.
   const std::size_t live = q.live.load(std::memory_order_relaxed);
   if (q.heap.size() < 64 || q.heap.size() < 2 * live) return;
-  std::erase_if(q.heap,
-                [this](const Entry& e) { return owned_.count(e.id) == 0; });
+  std::erase_if(q.heap, [this](const Entry& e) {
+    return tasks_.find(e.slot, e.id) == nullptr;
+  });
   std::make_heap(q.heap.begin(), q.heap.end(),
                  [this](const Entry& a, const Entry& b) {
                    return dispatches_before(b, a);
@@ -64,15 +63,16 @@ void ReadyPool::push(const TaskPtr& task) {
     throw std::logic_error(
         "ReadyPool: speculative task submitted under NonSpeculative policy");
   }
+  if (tasks_.contains(*task)) return;  // double push: match the old set's no-op
   Queue& q = queue_for(*task);
-  const auto [it, inserted] = owned_.emplace(task->id(), task);
-  if (!inserted) return;  // double push: match the old set's no-op
-  heap_push(q, Entry{task->depth(), task->ready_seq(), task->id()});
+  const std::uint32_t slot = tasks_.insert(task);
+  heap_push(q, Entry{task->depth(), slot, task->ready_seq(), task->id()});
   q.live.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ReadyPool::erase(const TaskPtr& task) {
-  if (owned_.erase(task->id()) == 0) return false;
+  if (!tasks_.contains(*task)) return false;
+  tasks_.take(*task);
   Queue& q = queue_for(*task);
   q.live.fetch_sub(1, std::memory_order_relaxed);
   ++tombstones_created_;

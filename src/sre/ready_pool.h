@@ -8,12 +8,15 @@
 // is favored, but uses FCFS for tasks of equal priority").
 //
 // Representation: each queue is a binary heap over small POD entries
-// {depth, ready_seq, id} with TaskPtr ownership held once in a side table,
-// so heap sifts move 24-byte PODs instead of churning shared_ptr refcounts
-// (the std::set<TaskPtr> representation this replaced paid an allocation,
-// a rebalance and refcount traffic per push/pop). erase() — rollback of a
-// Ready task — is lazy: the ownership entry is dropped and the heap entry
-// becomes a tombstone skipped at pop time; heaps compact when tombstones
+// {depth, slot, ready_seq, id} with TaskPtr ownership held once in a
+// TaskTable (task.h) shared by the three queues, so heap sifts move 24-byte
+// PODs instead of churning shared_ptr refcounts, and a push or pop moves a
+// TaskPtr in or out of a slot without allocating (the std::set<TaskPtr>
+// representation this replaced paid an allocation, a rebalance and refcount
+// traffic per push/pop).
+// erase() — rollback of a Ready task — is lazy: the task's slot is released
+// and its heap entry becomes a tombstone skipped at pop time (an entry is
+// live iff its slot still holds its id); heaps compact when tombstones
 // outnumber live entries. The comparator is a total order (TaskId
 // tie-break), so heap pops reproduce the exact pop sequence of the ordered
 // set — the virtual-time SimExecutor's schedules are bit-identical.
@@ -26,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sre/ids.h"
@@ -85,9 +87,11 @@ class ReadyPool {
   }
 
  private:
-  /// Heap entry: everything the comparator needs, no Task pointer chase.
+  /// Heap entry: everything the comparator needs, no Task pointer chase,
+  /// plus where the task is held.
   struct Entry {
     int depth = 0;
+    std::uint32_t slot = 0;
     std::uint64_t ready_seq = 0;
     TaskId id = 0;
   };
@@ -121,9 +125,8 @@ class ReadyPool {
   Queue control_;
   Queue natural_;
   Queue spec_;
-  /// Single ownership table for all three queues; a heap entry is live iff
-  /// its id is present here.
-  std::unordered_map<TaskId, TaskPtr> owned_;
+  /// Ownership of every Ready task, for all three queues.
+  TaskTable tasks_;
   bool balanced_prefer_spec_ = true;  ///< Balanced policy alternation state
   std::uint64_t natural_pops_ = 0;
   std::uint64_t spec_pops_ = 0;

@@ -38,26 +38,94 @@ std::string to_string(DispatchPolicy p) {
   return "?";
 }
 
+namespace {
+
+/// Innermost Runtime::Batch open on this thread (any runtime), or null.
+thread_local Runtime::Batch* tls_batch = nullptr;
+
+}  // namespace
+
 TaskPtr Runtime::make_task(std::string name, TaskClass cls, Epoch epoch,
                            int depth, std::uint64_t cost_us, Task::Body body,
                            std::uint64_t stream) {
-  std::scoped_lock lk(mu_);
-  auto task = std::make_shared<Task>(next_id_++, std::move(name), cls, epoch,
-                                     depth, cost_us, std::move(body));
+  auto task = std::make_shared<Task>(
+      next_id_.fetch_add(1, std::memory_order_relaxed), std::move(name), cls,
+      epoch, depth, cost_us, std::move(body));
   task->set_stream(stream);
   if (observer_) {
+    std::scoped_lock lk(mu_);
     observer_->on_task_created(
         {task->id(), task->name(), cls, epoch, depth, cost_us, stream});
   }
   return task;
 }
 
-void Runtime::add_dependency(const TaskPtr& producer, const TaskPtr& consumer) {
-  std::scoped_lock lk(mu_);
-  if (consumer->state_.load() != TaskState::Created) {
-    throw std::logic_error(
-        "add_dependency: consumer already submitted (" + consumer->name() + ")");
+Runtime::Batch::Batch(Runtime& runtime)
+    : rt_(runtime),
+      enclosing_(tls_batch),
+      log_(enclosing_ != nullptr && &enclosing_->rt_ == &rt_ ? enclosing_->log_
+                                                            : this) {
+  tls_batch = this;
+}
+
+Runtime::Batch::~Batch() {
+  tls_batch = enclosing_;
+  if (log_ == this) rt_.flush(*this);
+}
+
+Runtime::Batch* Runtime::open_batch() const {
+  return tls_batch != nullptr && &tls_batch->rt_ == this ? tls_batch->log_
+                                                         : nullptr;
+}
+
+void Runtime::flush(Batch& batch) {
+  if (batch.ops_.empty()) return;
+  bool notify = false;
+  {
+    std::scoped_lock lk(mu_);
+    for (const Batch::Op& op : batch.ops_) {
+      if (op.producer) {
+        add_dependency_locked(op.producer, op.task);
+      } else {
+        notify |= submit_locked(op.task);
+      }
+    }
   }
+  batch.ops_.clear();  // drops the log's references outside the lock
+  if (notify) signal_ready();
+}
+
+namespace {
+
+/// Edges and submits are for tasks not yet submitted; an aborted task takes
+/// both as no-ops. Submission never undoes itself, so this check needs no
+/// lock.
+void throw_if_submitted(const Task& task, const char* what) {
+  const TaskState s = task.state();
+  if (s != TaskState::Created && s != TaskState::Aborted) {
+    throw std::logic_error(std::string(what) + " (" + task.name() + ")");
+  }
+}
+
+}  // namespace
+
+void Runtime::add_dependency(const TaskPtr& producer, const TaskPtr& consumer) {
+  throw_if_submitted(*consumer, "add_dependency: consumer already submitted");
+  if (Batch* b = open_batch()) {
+    b->ops_.push_back({producer, consumer});
+    return;
+  }
+  std::scoped_lock lk(mu_);
+  add_dependency_locked(producer, consumer);
+}
+
+void Runtime::add_dependency_locked(const TaskPtr& producer,
+                                    const TaskPtr& consumer) {
+  const TaskState cs = consumer->state_.load();
+  // A consumer submitted earlier in the same batch, or concurrently by
+  // another thread, is a caller bug the unlocked check could not see.
+  assert(cs == TaskState::Created || cs == TaskState::Aborted);
+  if (cs != TaskState::Created) return;  // destroyed by an earlier edge
   const TaskState ps = producer->state_.load();
   if (ps == TaskState::Done) {
     return;  // already satisfied
@@ -73,27 +141,38 @@ void Runtime::add_dependency(const TaskPtr& producer, const TaskPtr& consumer) {
 }
 
 void Runtime::submit(const TaskPtr& task) {
+  throw_if_submitted(*task, "submit: task submitted twice");
+  if (Batch* b = open_batch()) {
+    b->ops_.push_back({nullptr, task});
+    if (++b->submits_ % Batch::kFlushSubmits == 0) flush(*b);
+    return;
+  }
   bool notify = false;
   {
     std::scoped_lock lk(mu_);
-    if (task->state_.load() == TaskState::Aborted) {
-      return;  // killed by a dependency on rolled-back data before submission
-    }
-    if (task->state_.load() != TaskState::Created) {
-      throw std::logic_error("submit: task submitted twice (" + task->name() + ")");
-    }
-    if (task->epoch() != kNaturalEpoch) {
-      epoch_tasks_[task->epoch()][task->id()] = task;
-    }
-    if (task->unmet_deps_ == 0) {
-      make_ready_locked(task);
-      notify = true;
-    } else {
-      task->state_.store(TaskState::Blocked);
-      ++blocked_;
-    }
+    notify = submit_locked(task);
   }
   if (notify) signal_ready();
+}
+
+bool Runtime::submit_locked(const TaskPtr& task) {
+  const TaskState s = task->state_.load();
+  // A task submitted twice in one batch, or concurrently by two threads, is
+  // a caller bug the unlocked check could not see.
+  assert(s == TaskState::Created || s == TaskState::Aborted);
+  if (s != TaskState::Created) {
+    return false;  // killed by a dependency on rolled-back data before submission
+  }
+  if (task->epoch() != kNaturalEpoch) {
+    epoch_tasks_[task->epoch()][task->id()] = task;
+  }
+  if (task->unmet_deps_ == 0) {
+    make_ready_locked(task);
+    return true;
+  }
+  task->state_.store(TaskState::Blocked);
+  ++blocked_;
+  return false;
 }
 
 void Runtime::make_ready_locked(const TaskPtr& task) {
@@ -194,23 +273,21 @@ void Runtime::finish_common(Task* raw, const TaskPtr* provided,
                             std::uint64_t now_us) {
   std::vector<Task::CompletionHook> hooks;
   bool notify = false;
-  TaskPtr owned;
+  TaskPtr staged;
   {
     std::scoped_lock lk(mu_);
     const TaskPtr* taskp = provided;
     if (raw != nullptr) {
-      auto own = staged_owned_.find(raw);
-      assert(own != staged_owned_.end() &&
+      assert(staged_.contains(*raw) &&
              "finish_staged: task was not staged via stage_ready_batch");
-      owned = std::move(own->second);
-      staged_owned_.erase(own);
-      taskp = &owned;
+      staged = staged_.take(*raw);
+      taskp = &staged;
     }
     finish_one_locked(*taskp, now_us, notify, hooks);
   }
   // Hooks run outside the lock: they are allowed to create and submit new
   // tasks (dynamic DFG growth) and to trigger commits/rollbacks. The
-  // completion's Task object stays alive through `owned`/`provided` here.
+  // completion's Task object stays alive through `staged`/`provided` here.
   Task& task = raw != nullptr ? *raw : **provided;
   for (auto& hook : hooks) {
     hook(task, now_us);
@@ -232,13 +309,11 @@ void Runtime::finish_staged_batch(Task* const* tasks,
   {
     std::scoped_lock lk(mu_);
     for (std::size_t i = 0; i < n; ++i) {
-      auto own = staged_owned_.find(tasks[i]);
-      assert(own != staged_owned_.end() &&
+      assert(staged_.contains(*tasks[i]) &&
              "finish_staged_batch: task was not staged via stage_ready_batch");
       Retired r;
-      r.task = std::move(own->second);
+      r.task = staged_.take(*tasks[i]);
       r.now_us = done_us[i];
-      staged_owned_.erase(own);
       finish_one_locked(r.task, r.now_us, notify, r.hooks);
       retired.push_back(std::move(r));
     }
@@ -398,7 +473,7 @@ std::size_t Runtime::stage_ready_batch(std::uint64_t now_us,
     raw->dispatch_us_ = now_us;
     ++running_;
     if (observer_) observer_->on_dispatched(raw->id(), now_us, worker);
-    staged_owned_.emplace(raw, std::move(task));
+    staged_.insert(std::move(task));
     out[n++] = raw;
   }
   return n;

@@ -10,11 +10,13 @@
 // an abort flag, and deletes them with their content when they complete"
 // (paper §III-B).
 //
-// Thread safety: all mutating operations take the runtime lock; the threaded
-// executor calls them from worker/director threads, the simulator from its
-// single event loop. The *probes* executors poll on their hot paths —
-// quiescent(), ready_count(), revocation_epoch() — are single atomic loads
-// and never take the lock.
+// Thread safety: all mutating operations except make_task take the runtime
+// lock; the threaded executor calls them from worker/director/feeder
+// threads, the simulator from its single event loop. A Runtime::Batch lets
+// one thread publish a run of add_dependency/submit calls under a single
+// lock hold. The *probes* executors poll on their hot paths — quiescent(),
+// ready_count(), revocation_epoch() — are single atomic loads and never
+// take the lock.
 #pragma once
 
 #include <atomic>
@@ -48,6 +50,12 @@ class Runtime {
   /// threaded executor, which measures real time). `stream` tags the task
   /// with its serving-layer session id (0 = none) — it must be set here, not
   /// after creation, so observers see it in on_task_created.
+  ///
+  /// Takes no lock: the id comes from an atomic counter and nothing else in
+  /// the runtime is touched. With an observer installed, on_task_created
+  /// still runs under the runtime lock (observers are not required to
+  /// tolerate concurrent calls), before make_task returns — so before any
+  /// other event can name the task.
   TaskPtr make_task(std::string name, TaskClass cls, Epoch epoch, int depth,
                     std::uint64_t cost_us, Task::Body body,
                     std::uint64_t stream = 0);
@@ -55,12 +63,56 @@ class Runtime {
   /// Declares that `consumer` needs `producer`'s output. Must be called
   /// before submit(consumer). If the producer already finished, the
   /// dependence is immediately satisfied; if it was aborted, the consumer is
-  /// aborted too (the destroy signal propagates through the DFG).
+  /// aborted too (the destroy signal propagates through the DFG), and
+  /// further edges into the dead consumer are ignored.
   void add_dependency(const TaskPtr& producer, const TaskPtr& consumer);
 
   /// Hands the task to the scheduler: Ready if all dependencies are met,
   /// Blocked otherwise.
   void submit(const TaskPtr& task);
+
+  /// Publishes a run of add_dependency()/submit() calls under one lock hold.
+  ///
+  /// While a Batch is open on a thread, that thread's add_dependency() and
+  /// submit() calls on this runtime are logged instead of applied. They are
+  /// replayed in call order, under one hold of the runtime lock, when the
+  /// outermost Batch closes, and also after every kFlushSubmits logged
+  /// submits, so workers are fed while a long run is built. Each flush that
+  /// makes work ready sends one ready signal. Replay has the semantics of
+  /// the immediate calls made at flush time: an edge to a producer that
+  /// finished in the meantime is satisfied, an edge to an aborted producer
+  /// aborts the consumer. Misuse the immediate calls reject (a task
+  /// submitted before the batch opened) throws at the logged call.
+  ///
+  /// Scopes nest: an inner Batch on the same runtime joins the outer one.
+  /// Only the innermost open Batch logs, so calls on another runtime, or on
+  /// this one under an inner Batch of another runtime, apply at once. Code
+  /// inside a batch must not wait for a task it submitted in that same
+  /// batch — the task is not published until the flush. make_task() is
+  /// never deferred.
+  class Batch {
+   public:
+    explicit Batch(Runtime& runtime);
+    ~Batch();
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    static constexpr std::size_t kFlushSubmits = 64;
+
+   private:
+    friend class Runtime;
+    /// One logged call: add_dependency(producer, task), or submit(task)
+    /// when `producer` is null.
+    struct Op {
+      TaskPtr producer;
+      TaskPtr task;
+    };
+    Runtime& rt_;
+    Batch* enclosing_;  ///< the batch open on this thread before this one
+    Batch* log_;  ///< the outermost of the nested batches on rt_ (or this)
+    std::vector<Op> ops_;
+    std::size_t submits_ = 0;
+  };
 
   /// Executor interface: called when a dispatched task's execution completes
   /// at engine time `now_us`. Fires completion hooks and releases consumers,
@@ -100,7 +152,7 @@ class Runtime {
 
   /// Sharded-dispatch batch pop: under ONE lock acquisition, pops up to
   /// `max` ready tasks, marks each Staged, stamps its revocation epoch,
-  /// moves its ownership into the runtime's staged table, and fires the
+  /// moves its ownership into the runtime's staged TaskTable, and fires the
   /// observer dispatch event with `worker` as the worker index. Raw
   /// pointers are written to `out`; returns the number staged. Each staged
   /// task MUST later be retired through finish_staged().
@@ -108,7 +160,7 @@ class Runtime {
                                 std::size_t max, Task** out);
 
   /// Completion partner of stage_ready_batch(): identical semantics to
-  /// on_task_finished(), plus it releases the staged ownership entry.
+  /// on_task_finished(), plus it releases the task's staged slot.
   void finish_staged(Task* task, std::uint64_t now_us);
 
   /// Batch form of finish_staged(): retires `n` completions under ONE lock
@@ -243,9 +295,16 @@ class Runtime {
  private:
   void make_ready_locked(const TaskPtr& task);
   void abort_task_locked(const TaskPtr& task);
+  void add_dependency_locked(const TaskPtr& producer, const TaskPtr& consumer);
+  /// Returns true when the task became ready.
+  bool submit_locked(const TaskPtr& task);
+  /// The batch logging this thread's calls on this runtime, or null.
+  Batch* open_batch() const;
+  /// Replays `batch`'s log under one lock hold and clears it.
+  void flush(Batch& batch);
   void signal_ready();
-  /// Shared completion body. Exactly one of `raw` (staged-ownership lookup)
-  /// or `provided` is used.
+  /// Shared completion body. Exactly one of `raw` (staged task) or
+  /// `provided` is used.
   void finish_common(Task* raw, const TaskPtr* provided, std::uint64_t now_us);
   /// Locked part of completing one task: bookkeeping, successor release,
   /// abort handling. Appends the task's completion hooks (empty if aborted)
@@ -257,7 +316,7 @@ class Runtime {
 
   mutable std::mutex mu_;
   ReadyPool pool_;
-  TaskId next_id_ = 1;
+  std::atomic<TaskId> next_id_{1};
   Epoch next_epoch_ = 1;
   std::uint64_t next_ready_seq_ = 0;
 
@@ -272,7 +331,7 @@ class Runtime {
 
   /// Ownership of tasks staged via stage_ready_batch (worker-local queues
   /// hold raw pointers); released by finish_staged.
-  std::unordered_map<const Task*, TaskPtr> staged_owned_;
+  TaskTable staged_;
 
   /// Tasks in Ready ∪ Staged ∪ Running — the lock-free quiescence probe.
   std::atomic<std::size_t> outstanding_{0};

@@ -128,6 +128,7 @@ class Task {
 
  private:
   friend class Runtime;
+  friend class TaskTable;
   friend class ThreadedExecutor;  ///< lock-free Staged→Running transition
 
   const TaskId id_;
@@ -145,12 +146,65 @@ class Task {
   std::uint64_t dispatch_us_ = kNeverDispatched;
   std::uint64_t staged_revocation_epoch_ = 0;
   std::size_t mem_bytes_ = 0;
+  /// Index of the task's entry in the TaskTable that holds it, if any (see
+  /// TaskTable). Guarded by the runtime lock.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::uint32_t slot_ = kNoSlot;
 
   // Dependence bookkeeping — owned by the Runtime, guarded by its lock.
   int unmet_deps_ = 0;
   std::vector<TaskPtr> successors_;
   std::vector<CompletionHook> hooks_;
   RollbackRoutine rollback_routine_;
+};
+
+/// Owns tasks by index: a vector of TaskPtr with a free list, the slot index
+/// stored in the task itself. Handing a task in or out moves a TaskPtr and
+/// allocates nothing once the vector has grown to the peak population, so
+/// the ReadyPool (Ready tasks) and the Runtime (Staged tasks) use it to own
+/// tasks under the runtime lock. A task sits in at most one table at a
+/// time. Externally synchronized.
+class TaskTable {
+ public:
+  /// Takes ownership of `task`, which must not be in a table; returns its
+  /// slot.
+  std::uint32_t insert(TaskPtr task) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(nullptr);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    task->slot_ = slot;
+    slots_[slot] = std::move(task);
+    return slot;
+  }
+
+  /// True if `task` is held here.
+  [[nodiscard]] bool contains(const Task& task) const {
+    return task.slot_ < slots_.size() && slots_[task.slot_].get() == &task;
+  }
+
+  /// The task in `slot` if it is `id`, else null (the slot was released,
+  /// and maybe reused by another task).
+  [[nodiscard]] Task* find(std::uint32_t slot, TaskId id) const {
+    Task* t = slots_[slot].get();
+    return t != nullptr && t->id() == id ? t : nullptr;
+  }
+
+  /// Releases `task` (which must be held here) and returns its ownership.
+  TaskPtr take(Task& task) {
+    const std::uint32_t slot = task.slot_;
+    task.slot_ = Task::kNoSlot;
+    free_.push_back(slot);
+    return std::move(slots_[slot]);
+  }
+
+ private:
+  std::vector<TaskPtr> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace sre

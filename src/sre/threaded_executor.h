@@ -1,9 +1,10 @@
 // ThreadedExecutor: real-thread engine for the SRE.
 //
 // Mirrors the paper's x86 runtime structure (§III-A): one *feeder* thread
-// receives data from the parent application and injects it into the system,
-// one *director* thread manages scheduling bookkeeping and directs data
-// (dependence propagation, completion hooks), and N worker threads execute
+// receives data from the parent application and injects it into the system
+// (arrivals due at the same instant as one Runtime::Batch), one *director*
+// thread manages scheduling bookkeeping and directs data (dependence
+// propagation, completion hooks), and N worker threads execute
 // computational tasks.
 //
 // Dispatch: there is one way onto a worker. A worker pops its own Chase–Lev
@@ -116,6 +117,14 @@ class ThreadedExecutor {
   /// sleeping towards preempts that sleep. Arrivals with equal times fire
   /// in submission order. An arrival whose time is already in the past
   /// fires as soon as the feeder reaches it.
+  ///
+  /// Arrivals with the same (scaled) time that are pending together fire
+  /// back to back inside one Runtime::Batch, so the runtime calls they
+  /// make publish together when the last of them returns (and after every
+  /// Batch::kFlushSubmits submits). Such a callback must not wait for work
+  /// that it or an earlier arrival of its instant submitted. A lone
+  /// arrival, and arrivals at different times (paced streams, gates that
+  /// hold an arrival), publish each runtime call as it is made.
   void schedule_arrival(std::uint64_t at_us, Arrival fn);
 
   /// Service mode: keeps the feeder alive when its schedule drains, so new

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flight/export.h"
@@ -681,6 +683,40 @@ TEST(FlightServe, DoneSessionGetsAttributionBreakdown) {
   EXPECT_TRUE(saw_task);
 }
 
+/// The chaos plan, plus one hold: a session's final reduce (`reduce[1]` of
+/// a two-group session) waits, up to 10 s, until the recorder has seen an
+/// epoch open. Unheld, under load the final tree can finish before the first
+/// guess's tree; the speculator then takes the final estimate while still
+/// idle, goes down the natural path and never speculates (0 epochs opened
+/// in every failing run).
+class HoldFinalReduceUntilEpoch final : public sre::FaultPlan {
+ public:
+  HoldFinalReduceUntilEpoch(sre::FaultPlan& inner, flight::Recorder& rec)
+      : inner_(inner), rec_(rec) {}
+
+  sre::FaultDecision before_task(const sre::Task& task) noexcept override {
+    if (task.name() == "reduce[1]") {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!epoch_opened() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    return inner_.before_task(task);
+  }
+
+ private:
+  bool epoch_opened() {
+    const auto window = rec_.snapshot();
+    return std::any_of(window.begin(), window.end(), [](const auto& r) {
+      return r.kind == flight::Kind::EpochOpened;
+    });
+  }
+
+  sre::FaultPlan& inner_;
+  flight::Recorder& rec_;
+};
+
 TEST(FlightServe, ForcedFailureWritesPostMortemBesideARollingNeighbor) {
   const std::string dir = fresh_dir("pm_serve");
   flight::Recorder::Options fopts;
@@ -694,16 +730,18 @@ TEST(FlightServe, ForcedFailureWritesPostMortemBesideARollingNeighbor) {
   copts.delay_prob = 0.2;
   copts.max_delay_us = 200;
   stress::ChaosSchedule chaos(0xf11ULL, copts);
+  HoldFinalReduceUntilEpoch plan(chaos, rec);
 
   serve::ServiceConfig cfg;
   cfg.workers = 4;
   cfg.max_concurrent = 2;
   cfg.flight = &rec;
-  cfg.fault_plan = &chaos;
+  cfg.fault_plan = &plan;
   serve::SessionManager mgr(cfg);
 
   // 1. A zero-tolerance session: every verification fails, so rollbacks
-  //    land in the window.
+  //    land in the window. Its 32 blocks make two reduce groups; the hold
+  //    makes it speculate from the first before the second can finish.
   serve::SessionConfig rolling = tiny_session("rollback", /*tolerance=*/0.0);
   const auto roll = mgr.submit(std::move(rolling));
   ASSERT_TRUE(roll.accepted);

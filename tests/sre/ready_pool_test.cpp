@@ -129,6 +129,26 @@ TEST_F(PoolFixture, EraseRemovesSpecificTask) {
   EXPECT_EQ(pool.pop(), b);
 }
 
+TEST_F(PoolFixture, ErasedTaskIsSkippedAtPopAndFreed) {
+  ReadyPool pool(DispatchPolicy::Balanced);
+  auto a = make(rt, TaskClass::Natural, 1, "a");
+  auto b = make(rt, TaskClass::Natural, 1, "b");
+  const std::weak_ptr<sre::Task> weak_a = a;
+  pool.push(a);
+  pool.push(b);
+  EXPECT_TRUE(pool.erase(a));
+  a.reset();
+  EXPECT_TRUE(weak_a.expired()) << "the pool kept an erased task alive";
+  // c may reuse a's slot; a's tombstone must not surface it twice.
+  auto c = make(rt, TaskClass::Natural, 1, "c");
+  pool.push(c);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.pop(), b);
+  EXPECT_EQ(pool.pop(), c);
+  EXPECT_EQ(pool.pop(), nullptr);
+  EXPECT_TRUE(pool.empty());
+}
+
 TEST_F(PoolFixture, NonSpeculativePolicyRejectsSpecPush) {
   ReadyPool pool(DispatchPolicy::NonSpeculative);
   auto spec = make(rt, TaskClass::Speculative, 1);

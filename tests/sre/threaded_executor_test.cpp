@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "sre/slot.h"
 
@@ -111,6 +114,76 @@ TEST(ThreadedExecutor, TaskExceptionSurfacesFromRun) {
                            throw std::runtime_error("kaboom");
                          }));
   EXPECT_THROW(ex.run(), std::runtime_error);
+}
+
+TEST(ThreadedExecutor, AbandonedRunFreesStagedTasks) {
+  // Ownership of staged tasks stays with the runtime: a body that throws
+  // leaves the rest of its worker's batch staged, and destroying the
+  // executor and the runtime frees every task.
+  std::vector<std::weak_ptr<sre::Task>> weak;
+  {
+    Runtime rt(DispatchPolicy::Balanced);
+    {
+      ThreadedExecutor ex(rt, {.workers = 1});
+      for (int i = 0; i < 12; ++i) {
+        auto t = rt.make_task("t" + std::to_string(i), TaskClass::Natural, 0,
+                              1, 1, [i](TaskContext&) {
+                                if (i == 0) throw std::runtime_error("boom");
+                              });
+        weak.push_back(t);
+        rt.submit(t);
+      }
+      EXPECT_THROW(ex.run(), std::runtime_error);
+      EXPECT_GT(rt.running_count(), 1u) << "no task was left staged";
+    }
+  }
+  for (const auto& w : weak) EXPECT_TRUE(w.expired());
+}
+
+TEST(ThreadedExecutor, SameInstantArrivalsPublishTogetherInSubmissionOrder) {
+  // Arrivals due at one instant fire as one runtime batch: nothing they
+  // submit is published before the batch's first flush (at kFlushSubmits
+  // submits), and one worker runs the tasks in submission order.
+  constexpr int kArrivals = 200;
+  constexpr int kFirstFlush =
+      static_cast<int>(Runtime::Batch::kFlushSubmits) - 1;
+  Runtime rt(DispatchPolicy::Balanced);
+  ThreadedExecutor ex(rt, {.workers = 1});
+  std::vector<int> order;  // written by the one worker only
+  std::vector<std::size_t> published(kArrivals, 0);  // feeder only
+  for (int i = 0; i < kArrivals; ++i) {
+    ex.schedule_arrival(1000, [&rt, &order, &published, i](std::uint64_t) {
+      rt.submit(rt.make_task("t" + std::to_string(i), TaskClass::Natural, 0,
+                             1, 1,
+                             [&order, i](TaskContext&) { order.push_back(i); }));
+      published[i] = rt.ready_count() + rt.running_count() +
+                     rt.counters().tasks_executed;
+    });
+  }
+  ex.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kArrivals));
+  for (int i = 0; i < kArrivals; ++i) EXPECT_EQ(order[i], i);
+  for (int i = 0; i < kFirstFlush; ++i) {
+    EXPECT_EQ(published[i], 0u) << "arrival " << i << " published early";
+  }
+  EXPECT_GT(published[kFirstFlush], 0u);
+}
+
+TEST(ThreadedExecutor, LoneArrivalPublishesEachSubmitAtOnce) {
+  Runtime rt(DispatchPolicy::Balanced);
+  ThreadedExecutor ex(rt, {.workers = 1});
+  std::atomic<bool> published{false};
+  std::atomic<bool> ran{false};
+  ex.schedule_arrival(1000, [&](std::uint64_t) {
+    auto t = rt.make_task("t", TaskClass::Natural, 0, 1, 1,
+                          [&ran](TaskContext&) { ran = true; });
+    rt.submit(t);
+    published = t->state() != sre::TaskState::Created;
+  });
+  ex.schedule_arrival(2000, [](std::uint64_t) {});
+  ex.run();
+  EXPECT_TRUE(published);
+  EXPECT_TRUE(ran);
 }
 
 TEST(ThreadedExecutor, EmptyRunTerminates) {

@@ -11,7 +11,7 @@
 #                          # block-parallel decode in stream_format_test
 #                          # and fast_decoder_test), then a quick
 #                          # micro_dispatch sweep (1..16
-#                          # workers, flat and chain shapes) under TSan
+#                          # workers, flat, chain and feed shapes) under TSan
 #   tools/ci.sh torture    # speculation torture harness under TSan: the
 #                          # fixed seed set plus one time-boxed random-seed
 #                          # sweep (prints the seed to replay on failure)
@@ -216,9 +216,10 @@ if [[ "${1:-}" == "dist" ]]; then
   # `tvsc served` subprocesses must produce byte-identical output to a
   # local SessionManager and spill Bulk to the roomy node instead of
   # shedding. A hang here means drain/heartbeat teardown wedged — fail
-  # rather than block CI.
+  # rather than block CI. Its reps = 1 rows go under build/, not over the
+  # committed BENCH_dist.json.
   timeout "${TVS_DIST_SMOKE_TIMEBOX_S:-30}" ./build/bench/dist_load --smoke \
-    --tvsc=./build/tools/tvsc
+    --tvsc=./build/tools/tvsc --out build/BENCH_dist.smoke.json
   echo "== dist green =="
   exit 0
 fi
