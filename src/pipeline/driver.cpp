@@ -337,7 +337,9 @@ SharedRun begin_shared_run(const RunConfig& config, sre::Runtime& runtime,
   });
   if (on_last_arrival) {
     // Equal-time arrivals fire in submission order, so this lands strictly
-    // after the final on_block_arrival — the session is fully injected.
+    // after the final on_block_arrival. When they share its instant they
+    // share one feeder batch, whose tasks publish just after this returns;
+    // the callback only marks the session Draining, which needs none.
     if (n == 0) last_at = run.base_us;
     ex.schedule_arrival(last_at, std::move(on_last_arrival));
   }
