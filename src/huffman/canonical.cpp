@@ -29,6 +29,7 @@ CodeTable CodeTable::from_lengths(const CodeLengths& lengths) {
 
   CodeTable table;
   table.lengths_ = lengths;
+  table.packed_.fill(kNoCode);
 
   // Canonical assignment: iterate (length, symbol) in ascending order,
   // incrementing a counter and shifting left at each length boundary.
@@ -46,9 +47,11 @@ CodeTable CodeTable::from_lengths(const CodeLengths& lengths) {
   for (const auto& [len, sym] : order) {
     next_code <<= (len - prev_len);
     table.codes_[sym] = next_code;
+    table.packed_[sym] = next_code << kCodeShift | len;
     ++next_code;
     prev_len = len;
   }
+  table.max_length_ = prev_len;
   return table;
 }
 

@@ -18,6 +18,17 @@ namespace huff {
 /// (right-aligned, MSB-first within the code) and length.
 class CodeTable {
  public:
+  /// The word packer's per-symbol entry (encoder.cpp): `code << 8 | length`
+  /// for a coded symbol, kNoCode for a symbol without a code. Exact for
+  /// codes of at most kPackedBits; a table with longer codes is encoded by
+  /// the BitWriter reference instead.
+  static constexpr unsigned kPackedBits = 56;
+  static constexpr unsigned kCodeShift = 8;
+  static constexpr std::uint64_t kLengthMask = 0x3F;
+  /// Length 0 and code 0, so a no-code entry moves no bits; the flag bit
+  /// lies above every real length, so OR-ing a block's entries detects it.
+  static constexpr std::uint64_t kNoCode = 0x80;
+
   CodeTable() = default;
 
   /// Builds the canonical table from code lengths. Throws
@@ -37,6 +48,14 @@ class CodeTable {
     return lengths_[symbol];
   }
   [[nodiscard]] const CodeLengths& lengths() const { return lengths_; }
+
+  /// Longest code length (0 for a table with no codes).
+  [[nodiscard]] unsigned max_length() const { return max_length_; }
+
+  /// Packer entries, one per symbol (see kPackedBits).
+  [[nodiscard]] const std::array<std::uint64_t, kSymbols>& packed() const {
+    return packed_;
+  }
 
   /// True iff `symbol` has a code (length > 0).
   [[nodiscard]] bool has_code(std::size_t symbol) const {
@@ -58,7 +77,9 @@ class CodeTable {
 
  private:
   std::array<std::uint64_t, kSymbols> codes_{};
+  std::array<std::uint64_t, kSymbols> packed_{};
   CodeLengths lengths_{};
+  std::uint8_t max_length_ = 0;
 };
 
 /// Validates that `lengths` satisfy the Kraft–McMillan equality/inequality

@@ -312,11 +312,22 @@ std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
   const Histogram global = Histogram::merged(hists);
   const CodeTable table = CodeTable::from_histogram(global);
   const auto offsets = all_offsets(hists, table);
+  const std::uint64_t payload_bits = table.encoded_bits(global);
   ContainerWriter writer(data.size(), static_cast<std::uint32_t>(n_blocks),
-                         block_size, table.lengths(),
-                         table.encoded_bits(global), with_index);
+                         block_size, table.lengths(), payload_bits,
+                         with_index);
+  // Every block is encoded into one buffer: the largest block's bytes (a
+  // block's size is the gap to the next offset) plus a word of slack, so
+  // the packer's word loop runs to each block's end.
+  std::uint64_t max_bits = 0;
   for (std::size_t i = 0; i < n_blocks; ++i) {
-    writer.place(i, offsets[i], encode_block(blocks[i], table));
+    const std::uint64_t end = i + 1 < n_blocks ? offsets[i + 1] : payload_bits;
+    max_bits = std::max(max_bits, end - offsets[i]);
+  }
+  std::vector<std::uint8_t> scratch((max_bits + 7) / 8 + 8);
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    writer.place(i, offsets[i],
+                 encode_block_into(blocks[i], table, scratch, nullptr));
   }
   return writer.take();
 }

@@ -29,6 +29,7 @@
 #include "sre/runtime.h"
 #include "stress/chaos_schedule.h"
 #include "support/json_lite.h"
+#include "support/temp_dir.h"
 
 namespace {
 
@@ -51,14 +52,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return std::move(buf).str();
-}
-
-std::string fresh_dir(const std::string& leaf) {
-  const auto dir = std::filesystem::temp_directory_path() / "tvs_flight_test" /
-                   leaf;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 /// A full sim run captured by a started recorder at default Options.
@@ -624,7 +617,8 @@ TEST(FlightRecorder, PostMortemDisabledWithoutDirEnabledWithIt) {
   flight::Recorder off;
   EXPECT_EQ(off.write_post_mortem(1, "failed: x", {}), "");
 
-  const std::string dir = fresh_dir("pm_unit");
+  const test_support::TempDir tmp("tvs_flight_pm_unit");
+  const std::string dir = tmp.path().string();
   flight::Recorder::Options opts;
   opts.post_mortem_dir = dir;
   flight::Recorder rec(opts);
@@ -718,7 +712,8 @@ class HoldFinalReduceUntilEpoch final : public sre::FaultPlan {
 };
 
 TEST(FlightServe, ForcedFailureWritesPostMortemBesideARollingNeighbor) {
-  const std::string dir = fresh_dir("pm_serve");
+  const test_support::TempDir tmp("tvs_flight_pm_serve");
+  const std::string dir = tmp.path().string();
   flight::Recorder::Options fopts;
   fopts.post_mortem_dir = dir;
   flight::Recorder rec(fopts);
@@ -770,7 +765,8 @@ TEST(FlightServe, ForcedFailureWritesPostMortemBesideARollingNeighbor) {
 }
 
 TEST(FlightServe, ShedWhileQueuedWritesSpanlessPostMortem) {
-  const std::string dir = fresh_dir("pm_shed");
+  const test_support::TempDir tmp("tvs_flight_pm_shed");
+  const std::string dir = tmp.path().string();
   flight::Recorder::Options fopts;
   fopts.post_mortem_dir = dir;
   flight::Recorder rec(fopts);

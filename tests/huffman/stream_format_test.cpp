@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "huffman/bitio.h"
 #include "huffman/encoder.h"
+#include "support/temp_dir.h"
 #include "workload/corpus.h"
 #include "workload/rng.h"
 
@@ -172,15 +172,13 @@ TEST(StreamFormat, ParallelDecodeErrorInATaskThrows) {
 }
 
 TEST(StreamFormat, FileHelpersRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "tvs_fmt_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "x.tvsh").string();
+  const test_support::TempDir dir("tvs_fmt_test");
+  const auto path = dir.file("x.tvsh");
   const auto data = wl::make_corpus(wl::FileKind::Bmp, 30000);
   const auto container = huff::compress_buffer(data);
   huff::write_file(path, container);
   EXPECT_EQ(huff::read_file(path), container);
   EXPECT_EQ(huff::decompress_buffer(huff::read_file(path)), data);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamFormat, ReadMissingFileThrows) {

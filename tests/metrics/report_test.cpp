@@ -14,6 +14,7 @@
 #include "metrics/sampler.h"
 #include "pipeline/driver.h"
 #include "support/json_lite.h"
+#include "support/temp_dir.h"
 
 namespace {
 
@@ -171,9 +172,8 @@ TEST(RunReport, BundleIsWellFormedAndComplete) {
   const auto md = rep.to_markdown();
   EXPECT_NE(md.find(cfg.label()), std::string::npos);
 
-  const auto dir =
-      (fs::temp_directory_path() / "tvs_report_test").string();
-  fs::remove_all(dir);
+  const test_support::TempDir tmp("tvs_report_test");
+  const auto dir = tmp.file("bundle");  // write_bundle makes it
   const auto paths = report::write_bundle(rep, dir);
   ASSERT_GE(paths.size(), 3u);
   for (const auto& p : paths) {
@@ -185,7 +185,6 @@ TEST(RunReport, BundleIsWellFormedAndComplete) {
   EXPECT_NE(slurp(dir + "/report.md").find(cfg.label()), std::string::npos);
   EXPECT_NE(slurp(dir + "/report.prom").find("tvs_tasks_finished_total"),
             std::string::npos);
-  fs::remove_all(dir);
 }
 
 TEST(RunReport, OmitsDispatchSectionWhenNotInstrumented) {

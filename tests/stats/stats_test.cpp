@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "stats/ascii_plot.h"
 #include "stats/csv.h"
 #include "stats/summary.h"
 #include "stats/trace.h"
+#include "support/temp_dir.h"
 
 namespace {
 
@@ -108,9 +108,8 @@ TEST(Csv, EscapesSpecialCells) {
 }
 
 TEST(Csv, WritesRows) {
-  const auto dir = std::filesystem::temp_directory_path() / "tvs_csv_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "t.csv").string();
+  const test_support::TempDir dir("tvs_csv_test");
+  const auto path = dir.file("t.csv");
   {
     stats::CsvWriter w(path);
     w.header({"a", "b"});
@@ -122,7 +121,6 @@ TEST(Csv, WritesRows) {
   EXPECT_EQ(line, "a,b");
   std::getline(in, line);
   EXPECT_EQ(line, "1,\"x,y\"");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Csv, BadPathThrows) {

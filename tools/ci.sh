@@ -22,8 +22,10 @@
 #                          # (recorder armed on the sharded executor) + the
 #                          # post-mortem smoke inside serve_load --smoke
 #   tools/ci.sh kernels    # data-plane kernel gate: the differential suite
-#                          # plus codec/histogram/io tests under asan+ubsan
-#                          # with TVS_SIMD forced to every dispatch level
+#                          # plus codec/histogram/io tests and the Huffman
+#                          # pipeline test (arena encodes that end next to
+#                          # other blocks) under asan+ubsan with TVS_SIMD
+#                          # forced to every dispatch level
 #   tools/ci.sh dist       # distributed-serving gate: net/dist unit tests
 #                          # (frame/wire hostile-input, protocol codecs,
 #                          # router e2e) plus dist_load --smoke — a real
@@ -236,14 +238,18 @@ if [[ "${1:-}" == "kernels" ]]; then
     TVS_SIMD="$level" ./build-asan/tests/kernel_diff_test
   done
   # Codec, histogram, and zero-copy I/O suites at the scalar reference level
-  # and at the best level the host supports: both must be bit-exact.
+  # and at the best level the host supports: both must be bit-exact. The
+  # pipeline test encodes into epoch arenas, where a block's bytes end next
+  # to another block's and at a chunk end, so a store past a block's end
+  # shows up there.
   for level in 0 2; do
-    echo "-- codec/histogram/io/arena suites with TVS_SIMD=${level} --"
+    echo "-- codec/histogram/io/arena/pipeline suites with TVS_SIMD=${level} --"
     TVS_SIMD="$level" ./build-asan/tests/histogram_test
     TVS_SIMD="$level" ./build-asan/tests/codec_test
     TVS_SIMD="$level" ./build-asan/tests/stream_format_test
     TVS_SIMD="$level" ./build-asan/tests/io_test
     TVS_SIMD="$level" ./build-asan/tests/arena_test
+    TVS_SIMD="$level" ./build-asan/tests/huffman_pipeline_test
   done
   echo "== kernels green =="
   exit 0
