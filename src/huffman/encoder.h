@@ -7,9 +7,11 @@
 //
 // Bit emission has two kernels behind the tvs::simd dispatch contract
 // (docs/data-plane.md): the Scalar level is the original BitWriter path,
-// every other level uses a branchless packer that accumulates codes into a
-// wide staging word and flushes whole big-endian 64-bit words. Outputs are
-// bit-identical by contract; kernel_diff_test enforces it.
+// every other level a word-flush packer that shifts one or two codes into a
+// 64-bit register per step and writes the pending bits with one unaligned
+// big-endian 64-bit store, keeping the bits short of a whole byte. Tables
+// with codes longer than CodeTable::kPackedBits take the BitWriter path.
+// Outputs are bit-identical by contract; kernel_diff_test enforces it.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +38,15 @@ struct EncodedBlock {
                                         const CodeTable& table);
 
 /// Encodes `block` into caller-provided storage (typically bump-allocated
-/// from an epoch arena) and returns a view over it. `out` must hold exactly
-/// ceil(bits/8) bytes for the block under `table` — the pipeline computes
-/// this from the block's histogram via CodeTable::encoded_bits, so no second
-/// pass over the data is needed. Throws std::invalid_argument on a code-less
-/// symbol and std::logic_error if `out` is too small (a histogram/block
-/// mismatch). `keepalive` is stored in the returned ByteBuf to pin the
-/// storage's owner.
+/// from an epoch arena) and returns a view over it. `out` must hold at
+/// least ceil(bits/8) bytes for the block under `table` — the pipeline
+/// computes exactly that from the block's histogram via
+/// CodeTable::encoded_bits, so no second pass over the data is needed. No
+/// byte past `out` is written; 8 bytes of room beyond the encoding let the
+/// packer's word loop run to the block's end. Throws std::invalid_argument
+/// on a code-less symbol and std::logic_error if `out` is too small (a
+/// histogram/block mismatch). `keepalive` is stored in the returned ByteBuf
+/// to pin the storage's owner.
 [[nodiscard]] EncodedBlock encode_block_into(
     std::span<const std::uint8_t> block, const CodeTable& table,
     std::span<std::uint8_t> out, std::shared_ptr<const void> keepalive);
