@@ -8,7 +8,8 @@
 //     packer, × block size) using paired ratios — interleaved baseline/variant
 //     trials, median and quartiles of per-pair time ratios — because bare
 //     wall-clock on a shared box cannot resolve sub-10% deltas; plus the
-//     table decoder and the commit sink's placement (splice_bits) per
+//     table decoder (interleaved, as decompress_buffer runs it, and one
+//     block at a time) and the commit sink's placement (splice_bits) per
 //     4 KiB block. Emits BENCH_kernels.json with the shared provenance
 //     header (bench_util.h).
 #include <benchmark/benchmark.h>
@@ -247,21 +248,35 @@ SweepRow sweep_one(const char* kernel, Level lvl, const char* variant,
           block_size, benchutil::spread(mbps), benchutil::spread(ratios)};
 }
 
-/// The decode half of decompress_buffer: FastDecoder::decode_into per
-/// indexed 4 KiB block of a compress_buffer container (unlimited-length
-/// table), each block into its range of one output buffer. Returns nullopt
-/// if the decode is not byte-exact.
+/// The decode half of decompress_buffer on one thread: every indexed 4 KiB
+/// block of a compress_buffer container (unlimited-length table) into its
+/// range of one output buffer. `interleaved` decodes the blocks as
+/// decompress_buffer does, FastDecoder::kLanes at a time through
+/// decode4_into (row `interleaved`); otherwise each goes through its own
+/// decode_into (row `table`). Returns nullopt if the decode is not
+/// byte-exact.
 std::optional<SweepRow> decode_row(std::span<const std::uint8_t> data,
-                                   std::size_t bytes_per_trial) {
+                                   std::size_t bytes_per_trial,
+                                   bool interleaved) {
   constexpr std::uint32_t kBlock = 4096;
+  constexpr std::size_t kLanes = huff::FastDecoder::kLanes;
   const auto s = huff::deserialize(huff::compress_buffer(data, kBlock));
   const huff::FastDecoder decoder(s.table());
   std::vector<std::uint8_t> out(data.size());
+  const auto block_out = [&](std::size_t i) {
+    return std::span(out).subspan(i * kBlock, s.block_bytes(i));
+  };
   const auto decode_all = [&] {
-    for (std::size_t i = 0; i < s.n_blocks; ++i) {
-      decoder.decode_into(
-          s.payload, s.block_offsets[i],
-          std::span(out).subspan(i * kBlock, s.block_bytes(i)));
+    std::size_t i = 0;
+    for (; interleaved && s.n_blocks - i >= kLanes; i += kLanes) {
+      decoder.decode4_into(
+          s.payload,
+          {s.block_offsets[i], s.block_offsets[i + 1], s.block_offsets[i + 2],
+           s.block_offsets[i + 3]},
+          {block_out(i), block_out(i + 1), block_out(i + 2), block_out(i + 3)});
+    }
+    for (; i < s.n_blocks; ++i) {
+      decoder.decode_into(s.payload, s.block_offsets[i], block_out(i));
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -276,8 +291,8 @@ std::optional<SweepRow> decode_row(std::span<const std::uint8_t> data,
   for (std::size_t t = 0; t < kTrials; ++t) {
     mbps.push_back(mb / trial_seconds(decode_all, reps));
   }
-  return SweepRow{"decode", "table", kBlock, benchutil::spread(mbps),
-                  std::nullopt};
+  return SweepRow{"decode", interleaved ? "interleaved" : "table", kBlock,
+                  benchutil::spread(mbps), std::nullopt};
 }
 
 /// The commit sink's placement: splice_bits of every encoded 4 KiB block of
@@ -397,12 +412,14 @@ int run_kernel_sweep(const char* json_path, const std::string& sha) {
       }));
     }
   }
-  const auto decode = decode_row(data, kBytesPerTrial);
-  if (!decode) {
-    std::fprintf(stderr, "decode: FastDecoder output differs from the input\n");
-    return 1;
+  for (const bool interleaved : {true, false}) {
+    const auto decode = decode_row(data, kBytesPerTrial, interleaved);
+    if (!decode) {
+      std::fprintf(stderr, "decode: FastDecoder output differs from the input\n");
+      return 1;
+    }
+    rows.push_back(*decode);
   }
-  rows.push_back(*decode);
   const auto place = place_row(data, table, kBytesPerTrial);
   if (!place) {
     std::fprintf(stderr, "place: splice_bits differs from huff::assemble\n");
@@ -414,10 +431,10 @@ int run_kernel_sweep(const char* json_path, const std::string& sha) {
   std::printf("kernel sweep (median MB/s over %zu trials; paired-ratio "
               "median vs scalar)\n",
               kTrials);
-  std::printf("%-12s %-7s %9s %12s %8s\n", "kernel", "variant", "block",
+  std::printf("%-12s %-11s %9s %12s %8s\n", "kernel", "variant", "block",
               "MB/s", "ratio");
   for (const auto& r : rows) {
-    std::printf("%-12s %-7s %9zu %12.1f", r.kernel, r.variant, r.block_size,
+    std::printf("%-12s %-11s %9zu %12.1f", r.kernel, r.variant, r.block_size,
                 r.mb_per_s.median);
     if (r.ratio_vs_scalar) {
       std::printf(" %7.2fx\n", r.ratio_vs_scalar->median);
@@ -445,9 +462,11 @@ int run_kernel_sweep(const char* json_path, const std::string& sha) {
                  "per-pair time ratio; encode rows are the BitWriter "
                  "reference (bitwriter, the scalar level) and the word "
                  "packer (word, every other level); decode is "
-                 "FastDecoder::decode_into per indexed 4 KiB block of a "
-                 "compress_buffer container "
-                 "(unlimited code lengths); place is splice_bits of each "
+                 "every indexed 4 KiB block of a compress_buffer container "
+                 "(unlimited code lengths) on one thread, four at a time "
+                 "through FastDecoder::decode4_into as decompress_buffer "
+                 "runs them (interleaved) or one FastDecoder::decode_into "
+                 "per block (table); place is splice_bits of each "
                  "encoded 4 KiB block into one payload at random bit "
                  "phases, MB/s of input bytes\",\n");
     benchutil::write_provenance(f, static_cast<unsigned>(kTrials), sha);

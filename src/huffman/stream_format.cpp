@@ -1,6 +1,7 @@
 #include "huffman/stream_format.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -166,14 +167,27 @@ std::vector<std::uint8_t> decode_payload(const CompressedStream& s,
     decoder.decode_into(payload, 0, out);
     return out;
   }
-  // Blocks [first, first + kBlocksPerTask), each into its own output range.
+  const auto block_out = [&](std::size_t i) {
+    return std::span(out).subspan(i * s.block_size, s.block_bytes(i));
+  };
+  // Blocks [first, first + kBlocksPerTask), each into its own output range,
+  // kLanes at a time through the interleaved loop.
   const auto decode_run = [&](std::size_t first) {
+    constexpr std::size_t kLanes = FastDecoder::kLanes;
     const std::size_t last =
         std::min<std::size_t>(first + kBlocksPerTask, s.n_blocks);
-    for (std::size_t i = first; i < last; ++i) {
-      decoder.decode_into(payload, s.block_offsets[i],
-                          std::span(out).subspan(i * s.block_size,
-                                                 s.block_bytes(i)));
+    std::size_t i = first;
+    for (; last - i >= kLanes; i += kLanes) {
+      std::array<std::uint64_t, kLanes> starts;
+      std::array<std::span<std::uint8_t>, kLanes> outs;
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        starts[j] = s.block_offsets[i + j];
+        outs[j] = block_out(i + j);
+      }
+      decoder.decode4_into(payload, starts, outs);
+    }
+    for (; i < last; ++i) {
+      decoder.decode_into(payload, s.block_offsets[i], block_out(i));
     }
   };
   const std::size_t n_tasks =

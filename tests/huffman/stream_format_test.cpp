@@ -245,12 +245,22 @@ TEST(RandomAccess, CorruptIndexFlagThrows) {
 }
 
 TEST(RandomAccess, FuzzedCorruptionThrowsButNeverCrashes) {
-  // 8 blocks decode inline; 74 blocks take the block-parallel path.
-  for (const std::size_t bytes : {std::size_t{30000}, std::size_t{300000}}) {
-    const auto data = wl::make_corpus(wl::FileKind::Bmp, bytes);
+  // 8 blocks decode inline; 74 and 198 blocks take the block-parallel
+  // path. Every 64-block run decodes four blocks at a time in one
+  // interleaved loop; 198 = 3 × 64 + 6 leaves a last run of one group of
+  // four and two single blocks.
+  struct Case {
+    wl::FileKind kind;
+    std::size_t bytes;
+    int trials;
+  };
+  for (const auto& [kind, bytes, trials] :
+       {Case{wl::FileKind::Bmp, 30000, 200}, Case{wl::FileKind::Bmp, 300000, 200},
+        Case{wl::FileKind::Txt, 198 * 4096 - 100, 60}}) {
+    const auto data = wl::make_corpus(kind, bytes);
     const auto container = huff::compress_buffer(data);
     wl::Rng rng(99);
-    for (int trial = 0; trial < 200; ++trial) {
+    for (int trial = 0; trial < trials; ++trial) {
       auto bad = container;
       const std::size_t flips = 1 + rng.below(8);
       for (std::size_t f = 0; f < flips; ++f) {

@@ -134,8 +134,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   cmake --build --preset tsan -j"$JOBS"
   ctest --preset tsan -j"$JOBS"
   # The dispatch path end to end, up to 16 workers on the chain shape.
+  SWEEP="$(mktemp)"
+  trap 'rm -f "$SWEEP"' EXIT
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-    ./build-tsan/bench/micro_dispatch --quick --out "$(mktemp)"
+    ./build-tsan/bench/micro_dispatch --quick --out "$SWEEP"
   echo "== tsan green =="
   exit 0
 fi
