@@ -117,9 +117,10 @@ class ContainerWriter {
 /// one preallocated output. An indexed container of more than 64 blocks is
 /// decoded block-parallel: one dependency-free SRE task per 64-block run on
 /// a ThreadedExecutor with hardware_concurrency() workers (at most one per
-/// task), each task writing only its blocks' output ranges. Smaller indexed
-/// containers decode inline on the caller's thread, and a container without
-/// an index decodes serially. Throws std::runtime_error on any malformed
+/// task), each task writing only its blocks' output ranges, four blocks at
+/// a time through FastDecoder::decode4_into. Smaller indexed containers
+/// decode the same way inline on the caller's thread, and a container
+/// without an index decodes serially. Throws std::runtime_error on any malformed
 /// container or corrupt payload.
 [[nodiscard]] std::vector<std::uint8_t> decompress_buffer(
     std::span<const std::uint8_t> container);
