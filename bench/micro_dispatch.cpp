@@ -1,7 +1,7 @@
 // Dispatch-path worker-scaling sweep of the ThreadedExecutor (workers
 // self-stage from the ready pool into work-stealing deques, lock-free
-// completions, director-side wakeups), across worker counts, task grains
-// and workload shapes.
+// completions drained by workers, worker-side wakeups), across worker
+// counts, task grains and workload shapes.
 //
 // Three shapes per cell:
 //

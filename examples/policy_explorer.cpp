@@ -1,7 +1,7 @@
 // Policy explorer: a small CLI over the full scenario grid, for poking at
 // the design space beyond the paper's figures.
 //
-//   $ ./policy_explorer --file pdf --platform cell --io disk \
+//   $ ./policy_explorer --file pdf --platform cell --io disk
 //                       --policy aggressive --step 4 --verify full --tol 0.02
 #include <cstdio>
 #include <cstdlib>

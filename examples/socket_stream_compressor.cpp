@@ -2,7 +2,7 @@
 // ("data trickles into the system slowly, and a prefix of the data can be
 // speculated upon").
 //
-// Runs the REAL threaded runtime (worker + feeder + director threads), with
+// Runs the REAL threaded runtime (worker + feeder threads), with
 // a simulated long-distance socket feeding blocks on a (time-compressed)
 // WAN schedule. Writes the compressed artifact to disk as a .tvsh container
 // and decodes it back as proof.

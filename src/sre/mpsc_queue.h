@@ -1,9 +1,10 @@
 // CompletionQueue: bounded multi-producer queue of task completions.
 //
 // Workers (producers) retire finished tasks here without ever touching the
-// runtime lock; the director (consumer) drains it and performs dependence
-// propagation. The cells carry the completion timestamp alongside the task
-// so the hot path is one CAS on the producer cursor plus one release store.
+// runtime lock; a worker whose own deque runs dry (the consumer, one at a
+// time) drains it and performs dependence propagation. The cells carry the
+// completion timestamp alongside the task so the hot path is one CAS on the
+// producer cursor plus one release store.
 //
 // This is Vyukov's bounded MPMC queue specialised to our use: per-cell
 // sequence numbers arbitrate producers, and the single consumer makes the
@@ -58,7 +59,8 @@ class CompletionQueue {
     }
   }
 
-  /// Consumer (director only). Returns false when empty.
+  /// Consumer (one thread at a time: the holder of the executor's retire
+  /// role). Returns false when empty.
   bool pop(Task*& task, std::uint64_t& done_us) {
     const std::size_t pos = head_.load(std::memory_order_relaxed);
     Cell& cell = cells_[pos & mask_];

@@ -11,10 +11,10 @@
 // (paper §III-B).
 //
 // Thread safety: all mutating operations except make_task take the runtime
-// lock; the threaded executor calls them from worker/director/feeder
-// threads, the simulator from its single event loop. A Runtime::Batch lets
-// one thread publish a run of add_dependency/submit calls under a single
-// lock hold. The *probes* executors poll on their hot paths — quiescent(),
+// lock; the threaded executor calls them from worker and feeder threads,
+// the simulator from its single event loop. A Runtime::Batch lets one
+// thread publish a run of add_dependency/submit calls under a single lock
+// hold. The *probes* executors poll on their hot paths — quiescent(),
 // ready_count(), revocation_epoch() — are single atomic loads and never
 // take the lock.
 #pragma once
@@ -165,7 +165,7 @@ class Runtime {
 
   /// Batch form of finish_staged(): retires `n` completions under ONE lock
   /// acquisition, then runs all their completion hooks outside the lock in
-  /// the same order. The director drains its completion queue through this,
+  /// the same order. A worker drains the completion queue through this,
   /// so the per-task cost of the retire path is a heap/hash update, not a
   /// mutex round-trip. Note the hooks of completion i run after the locked
   /// bookkeeping of completions i+1..n-1 — a legal interleaving of the

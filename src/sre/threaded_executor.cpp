@@ -39,12 +39,11 @@ bool apply_fault_plan(Runtime& runtime, Task& task) {
   return false;
 }
 
-/// True on worker threads. A worker that makes new work ready (via
-/// an inline finish or a hook) picks it up itself on its next acquire loop,
-/// so its ready_signal must not bounce to the director — only non-worker
-/// threads (feeder arrivals, director-run hooks) need that wake. Extra
-/// workers engage through the director's wake after its next retire pass,
-/// or their own timed park.
+/// True on worker threads. A worker that makes new work ready (via an inline
+/// finish or a hook) picks it up itself on its next acquire, so only
+/// non-worker threads (feeder arrivals) wake a worker from the ready signal.
+/// Extra workers engage through the sibling wake in acquire_task, or their
+/// own timed park.
 thread_local bool tls_worker = false;
 
 /// Log-bucket index for a latency sample: bit_width(us), so bucket b covers
@@ -87,17 +86,18 @@ ThreadedExecutor::ThreadedExecutor(Runtime& runtime, Options options)
   for (unsigned i = 0; i < options_.workers; ++i) {
     wstate_.push_back(std::make_unique<WorkerState>());
   }
-  // Sized generously: completions pile up whenever the director is starved
-  // for CPU (e.g. more workers than cores), and a full queue forces workers
-  // onto the per-task locked fallback — exactly the cost the batched drain
-  // exists to amortize away. ~24 B/cell, so 16 Ki cells is ~400 KiB.
+  // Sized generously: completions pile up while every worker is busy in its
+  // own deque (e.g. more workers than cores), and a full queue forces
+  // workers onto the per-task locked fallback — exactly the cost the batched
+  // drain exists to amortize away. ~24 B/cell, so 16 Ki cells is ~400 KiB.
   const std::size_t cap = std::bit_ceil(std::max<std::size_t>(
       16384, options_.workers * (kDequeCapacity + 2)));
   completions_ = std::make_unique<CompletionQueue>(cap);
-  // New ready work from a non-worker thread: the director wakes a worker for
-  // it. run() polls with a timeout, so it needs no eager wakeup here.
+  // New ready work from a non-worker thread: wake a parked worker for it
+  // unless one is already searching. run() hears the end of the run from
+  // the worker that parks on it, so it needs no wakeup here.
   runtime_.set_ready_signal([this] {
-    if (!tls_worker) wake_director();
+    if (!tls_worker) wake_idle_worker(0);
   });
 }
 
@@ -112,14 +112,9 @@ ThreadedExecutor::~ThreadedExecutor() {
     feeder_cv_.notify_all();
   }
   wake_all_workers();
-  {
-    std::scoped_lock lk(dir_mu_);
-    dir_cv_.notify_all();
-  }
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  if (director_.joinable()) director_.join();
   if (feeder_.joinable()) feeder_.join();
   runtime_.set_ready_signal(nullptr);
 }
@@ -213,7 +208,6 @@ void ThreadedExecutor::feeder_loop() {
     feeder_done_.store(true, std::memory_order_release);
     done_cv_.notify_all();
   }
-  wake_director();
 }
 
 void ThreadedExecutor::fail(const std::string& what) {
@@ -228,8 +222,6 @@ void ThreadedExecutor::fail(const std::string& what) {
     feeder_cv_.notify_all();
   }
   wake_all_workers();
-  std::scoped_lock lk(dir_mu_);
-  dir_cv_.notify_all();
 }
 
 void ThreadedExecutor::wake_all_workers() {
@@ -239,13 +231,16 @@ void ThreadedExecutor::wake_all_workers() {
   }
 }
 
-void ThreadedExecutor::wake_director() {
-  // seq_cst pairs with the director's park: either it sees the flag before
-  // it sleeps, or this load sees it parked and the notify reaches it.
-  dir_signal_.store(true);
-  if (!dir_parked_.load()) return;
-  std::scoped_lock lk(dir_mu_);
-  dir_cv_.notify_one();
+bool ThreadedExecutor::drained() const {
+  // Order matters: quiescent() before retiring_ == 0, then quiescent()
+  // again. A completion hook may submit follow-on work after outstanding_
+  // transiently hits zero; during that whole window retiring_ >= 1, and the
+  // re-check synchronizes with its release-decrement so the follow-on
+  // submit is visible.
+  return feeder_done_.load(std::memory_order_acquire) &&
+         runtime_.quiescent() &&
+         retiring_.load(std::memory_order_acquire) == 0 &&
+         runtime_.quiescent();
 }
 
 bool ThreadedExecutor::work_waiting() const {
@@ -258,9 +253,8 @@ bool ThreadedExecutor::work_waiting() const {
   return false;
 }
 
-void ThreadedExecutor::wake_idle_worker() {
-  if (searching_.load(std::memory_order_acquire) != 0) return;
-  if (!work_waiting()) return;
+void ThreadedExecutor::wake_idle_worker(unsigned own_search) {
+  if (searching_.load(std::memory_order_acquire) > own_search) return;
   for (auto& w : wstate_) {
     if (!w->parked.load(std::memory_order_acquire)) continue;
     std::scoped_lock lk(w->park_mu);
@@ -276,8 +270,8 @@ std::size_t ThreadedExecutor::try_retire_batch() {
   // try_lock only, since a loser knows someone else is already retiring and
   // should go do something more useful. The popped tasks still count as
   // outstanding until finish_staged_batch runs, so quiescent() stays false
-  // across the window; directing_ additionally guards the hook-submit window
-  // (see run()).
+  // across the window; retiring_ additionally guards the hook-submit window
+  // (see drained()).
   constexpr std::size_t kRetireBatch = 128;
   Task* done_tasks[kRetireBatch];
   std::uint64_t done_times[kRetireBatch];
@@ -290,52 +284,24 @@ std::size_t ThreadedExecutor::try_retire_batch() {
     }
   }
   if (n == 0) return 0;
-  directing_.fetch_add(1, std::memory_order_acq_rel);
+  retiring_.fetch_add(1, std::memory_order_acq_rel);
   runtime_.finish_staged_batch(done_tasks, done_times, n);
-  directing_.fetch_sub(1, std::memory_order_acq_rel);
+  retiring_.fetch_sub(1, std::memory_order_acq_rel);
   return n;
-}
-
-void ThreadedExecutor::director_loop() {
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return;
-    bool progress = false;
-
-    while (try_retire_batch() > 0) progress = true;
-
-    // Ready work is staged by the workers themselves; the director only
-    // makes sure one is awake to look for it. Waking from here rather than
-    // from a worker keeps the futex call off the workers' critical path.
-    wake_idle_worker();
-
-    if (feeder_done_.load(std::memory_order_acquire) && runtime_.quiescent() &&
-        directing_.load(std::memory_order_acquire) == 0) {
-      std::scoped_lock lk(mu_);
-      done_cv_.notify_all();
-    }
-
-    if (!progress) {
-      // Short timed park: it bounds the drain latency when producers skip
-      // the wakeup (queue already non-empty) and doubles as the safety net
-      // for any lost-wakeup race. Ready work alone is no reason to stay up:
-      // with every worker busy there is nobody to wake, and spinning on it
-      // would burn a core. A wake_director() signal is consumed instead, so
-      // each one costs at most one more pass.
-      std::unique_lock lk(dir_mu_);
-      dir_parked_.store(true);
-      dir_cv_.wait_for(lk, std::chrono::microseconds(200), [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !completions_->empty() || dir_signal_.exchange(false);
-      });
-      dir_parked_.store(false, std::memory_order_release);
-    }
-  }
 }
 
 Task* ThreadedExecutor::acquire_task(WorkerState& me, unsigned worker_ix) {
   if (Task* t = me.deque.pop()) {
     ++me.stats.local_pops;
     return t;
+  }
+  // Own deque dry: retire the queued completions first, one runtime-lock
+  // hold per batch, since that is what makes successors ready. If the drain
+  // readied more than one batch and nobody else is looking, bring a
+  // sibling.
+  if (const std::size_t n = try_retire_batch(); n > 0) {
+    me.stats.worker_retires += n;
+    if (runtime_.ready_count() > kStageBatch) wake_idle_worker(1);
   }
   const unsigned nworkers = options_.workers;
   for (unsigned k = 1; k < nworkers; ++k) {
@@ -364,6 +330,10 @@ Task* ThreadedExecutor::acquire_task(WorkerState& me, unsigned worker_ix) {
   // surfaces as local_pops, so the three pop sources partition the tasks
   // exactly.
   ++me.stats.self_stages;
+  // The pool holds more than this batch: if this worker is the only one
+  // searching, wake a parked sibling for it (thieves also find the batch
+  // tail in this deque).
+  if (runtime_.ready_count() > 0) wake_idle_worker(1);
   return out[0];
 }
 
@@ -401,32 +371,29 @@ bool ThreadedExecutor::execute_and_retire(Task* task, WorkerState& me,
   // this retirement is on the critical path of whatever depends on `task`
   // (dependency-chain handoff). Retire inline — the successor becomes ready
   // in this thread and the next acquire_task() self-stages it, with no
-  // futex wake or director round-trip. A check (Control) always retires
-  // inline: its hooks carry the verdict that commits or rolls back an epoch,
-  // and queued behind a busy system it would wait out the director's timed
-  // park. Otherwise, under load (ready work or queued completions exist) we
-  // take the queued path so the director can amortize the runtime lock over
-  // whole batches.
+  // futex wake. A check (Control) always retires inline: its hooks carry the
+  // verdict that commits or rolls back an epoch, and queued behind a busy
+  // system it would wait for some worker's deque to run dry. Otherwise,
+  // under load (ready work or queued completions exist) we take the queued
+  // path so a worker whose deque runs dry retires whole batches under one
+  // runtime-lock hold.
   if ((runtime_.ready_count() == 0 && completions_->empty()) ||
       task->task_class() == TaskClass::Control) {
     ++me.stats.inline_finishes;
-    directing_.fetch_add(1, std::memory_order_acq_rel);
+    retiring_.fetch_add(1, std::memory_order_acq_rel);
     runtime_.finish_staged(task, done_us);
-    directing_.fetch_sub(1, std::memory_order_acq_rel);
+    retiring_.fetch_sub(1, std::memory_order_acq_rel);
     return true;
   }
-  // No director wakeup on push: a worker that later runs out of work drains
-  // the queue itself (try_retire_batch in its idle loop), so completions are
-  // never stranded behind a sleeping director. The director's 200µs timed
-  // park bounds the drain latency in the remaining case — every worker busy
-  // running long bodies — where the successors could not run yet anyway.
+  // No wakeup on push: the next worker whose deque runs dry, this one
+  // included, drains the queue in acquire_task before it steals or stages.
   if (!completions_->push(task, done_us)) {
-    // Queue full (director stalled): retire inline under the runtime lock so
-    // the system cannot deadlock on a bounded queue.
+    // Queue full: retire inline under the runtime lock so the system cannot
+    // deadlock on a bounded queue.
     ++me.stats.completion_fallbacks;
-    directing_.fetch_add(1, std::memory_order_acq_rel);
+    retiring_.fetch_add(1, std::memory_order_acq_rel);
     runtime_.finish_staged(task, done_us);
-    directing_.fetch_sub(1, std::memory_order_acq_rel);
+    retiring_.fetch_sub(1, std::memory_order_acq_rel);
   }
   return true;
 }
@@ -447,19 +414,13 @@ void ThreadedExecutor::worker_loop(unsigned worker_ix) {
       searching_.fetch_add(1, std::memory_order_acq_rel);
       continue;
     }
-    // Nothing runnable, but completions may be pending — retiring them is
-    // what produces the next ready tasks. Claim the retire role instead of
-    // parking (work-conserving: at low worker counts this keeps the whole
-    // ready→run→retire cycle on worker threads with no director handoffs).
-    if (const std::size_t n = try_retire_batch(); n > 0) {
-      me.stats.worker_retires += n;
-      continue;
-    }
     ++me.stats.parks;
-    // Out of work with nothing left anywhere: the run may be over. The
-    // director is the one that tells run(); wake it rather than leave the
-    // end of the run to its timed park.
-    if (runtime_.quiescent()) wake_director();
+    // Out of work with nothing left anywhere: the run may be over. Tell
+    // run() now rather than leave the end of the run to its poll.
+    if (drained()) {
+      std::scoped_lock lk(mu_);
+      done_cv_.notify_all();
+    }
     searching_.fetch_sub(1, std::memory_order_acq_rel);
     {
       std::unique_lock lk(me.park_mu);
@@ -483,7 +444,6 @@ void ThreadedExecutor::run() {
     stopping_.store(false, std::memory_order_release);
   }
   feeder_ = std::thread([this] { feeder_loop(); });
-  director_ = std::thread([this] { director_loop(); });
   workers_.reserve(options_.workers);
   for (unsigned i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -493,31 +453,15 @@ void ThreadedExecutor::run() {
     std::unique_lock lk(mu_);
     // Periodic recheck guards against rare wakeup races between the mutexes
     // involved (runtime's, ours, and the per-worker park locks).
-    const auto finished = [this] {
-      // Order matters: quiescent() before directing_ == 0, then quiescent()
-      // again. A completion hook may submit follow-on work after
-      // outstanding_ transiently hits zero; during that whole window
-      // directing_ >= 1, and the re-check synchronizes with its release-
-      // decrement so the follow-on submit is visible.
-      return feeder_done_.load(std::memory_order_acquire) &&
-             runtime_.quiescent() &&
-             directing_.load(std::memory_order_acquire) == 0 &&
-             runtime_.quiescent();
-    };
-    while (!finished() && error_.empty()) {
+    while (!drained() && error_.empty()) {
       done_cv_.wait_for(lk, std::chrono::milliseconds(10));
     }
     stopping_.store(true, std::memory_order_release);
   }
   wake_all_workers();
-  {
-    std::scoped_lock lk(dir_mu_);
-    dir_cv_.notify_all();
-  }
 
   for (auto& w : workers_) w.join();
   workers_.clear();
-  director_.join();
   feeder_.join();
 
   std::scoped_lock lk(mu_);

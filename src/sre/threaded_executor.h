@@ -1,25 +1,31 @@
 // ThreadedExecutor: real-thread engine for the SRE.
 //
-// Mirrors the paper's x86 runtime structure (§III-A): one *feeder* thread
-// receives data from the parent application and injects it into the system
-// (arrivals due at the same instant as one Runtime::Batch), one *director*
-// thread manages scheduling bookkeeping and directs data (dependence
-// propagation, completion hooks), and N worker threads execute
-// computational tasks.
+// Threads: one *feeder* receives data from the parent application and
+// injects it into the system (arrivals due at the same instant as one
+// Runtime::Batch), and N workers execute tasks. The paper's x86 runtime
+// (§III-A) also has a *director* thread for scheduling bookkeeping; here
+// each of its jobs runs on the thread that creates the need, so there is no
+// third kind of thread (the sim engine still models the director).
 //
 // Dispatch: there is one way onto a worker. A worker pops its own Chase–Lev
-// deque without any lock, steals from a sibling's deque when dry, and only
-// then batch-pops ready tasks from the central pool itself (one lock
-// acquisition per batch), running the first and parking the rest in its
-// deque where idle siblings can steal them. Completions retire through a
-// lock-free MPSC queue; the director holds the retire role between worker
-// visits, and after each retire pass it wakes one parked worker when ready
-// work has no awake worker searching for it. Wakeups are targeted (one
-// condvar per worker, one for the director); there is no broadcast on the
-// hot path. Rollback correctness: tasks staged into worker-local queues
-// carry a revocation-epoch stamp; a worker popping a task whose stamp is
-// stale checks the abort flag and, if set, retires the task unrun (the
-// completion path then discards it exactly like an in-flight abort).
+// deque without any lock. When that runs dry it first retires the queued
+// completions (one runtime-lock hold per batch), then steals from a
+// sibling's deque, and only then batch-pops ready tasks from the central
+// pool itself (one lock acquisition per batch), running the first and
+// parking the rest in its deque where idle siblings can steal them.
+// Completions retire inline when nothing else is ready, else through a
+// lock-free MPSC queue that the next dry worker drains. Wakeups are
+// targeted, one condvar per worker, with no broadcast on the hot path: the
+// feeder's ready signal wakes one parked worker when none is searching, and
+// a worker that is the only searcher wakes one sibling when it leaves ready
+// work behind in the pool (after a self-stage, or after a drain that readied
+// more than one batch). The worker that parks on a drained runtime after
+// the feeder is done tells run().
+//
+// Rollback correctness: tasks staged into worker-local queues carry a
+// revocation-epoch stamp; a worker popping a task whose stamp is stale
+// checks the abort flag and, if set, retires the task unrun (the completion
+// path then discards it exactly like an in-flight abort).
 //
 // Used by the examples and tests; the figure benchmarks use the
 // deterministic virtual-time sim::SimExecutor instead (see DESIGN.md §3 and
@@ -77,7 +83,7 @@ class ThreadedExecutor {
     /// Acquires satisfied by a worker batch-popping the pool itself; the
     /// rest of such a batch parks in its deque and surfaces as local_pops.
     std::uint64_t self_stages = 0;
-    /// Always 0: the director stages nothing, workers stage for themselves.
+    /// Always 0: there is no director thread, workers stage for themselves.
     /// Kept because perfbench's engine reads it.
     std::uint64_t director_stages = 0;
     std::uint64_t revoked_at_pop = 0;   ///< rollback victims retired unrun
@@ -85,11 +91,14 @@ class ThreadedExecutor {
     std::uint64_t completion_fallbacks = 0;  ///< MPSC full, retired via lock
     /// Latency path: worker retired its own completion inline because it had
     /// nothing else to do — the successor becomes ready in the same thread
-    /// (chain handoff without a director round-trip).
+    /// (chain handoff with no queue hop).
+    /// Every acquired task retires exactly once, as an inline finish, a
+    /// queued completion drained into worker_retires, or a fallback, so
+    /// inline_finishes + worker_retires + completion_fallbacks ==
+    /// pop_count().
     std::uint64_t inline_finishes = 0;
-    /// Completions a starved worker drained from the MPSC queue itself by
-    /// claiming the retire role (work-conserving: no waiting on the
-    /// director to produce successors).
+    /// Queued completions drained by a worker whose own deque ran dry
+    /// (it claims the retire role; one runtime-lock hold per batch).
     std::uint64_t worker_retires = 0;
     /// Log-bucketed (powers of two, µs) pop-latency histogram; bucket b
     /// counts pops with bit_width(latency_us) == b. Only populated when
@@ -169,19 +178,20 @@ class ThreadedExecutor {
   };
 
   void worker_loop(unsigned worker_ix);
-  void director_loop();
   Task* acquire_task(WorkerState& me, unsigned worker_ix);
   bool execute_and_retire(Task* task, WorkerState& me, unsigned worker_ix);
   /// Claims the retire role (try-lock) and drains up to one batch of
   /// completions through Runtime::finish_staged_batch. Returns the number
   /// retired (0: queue empty or another thread holds the role).
   std::size_t try_retire_batch();
+  /// True once the feeder is done and the runtime is quiescent with no
+  /// retire in flight: run() may return.
+  bool drained() const;
   /// True when a task waits in the pool or in any worker's deque.
   bool work_waiting() const;
-  /// Director: wakes one parked worker when work_waiting() and no awake
-  /// worker is searching for it.
-  void wake_idle_worker();
-  void wake_director();
+  /// Wakes one parked worker unless more than `own_search` workers are
+  /// searching (0 from the feeder, 1 from a worker counting itself).
+  void wake_idle_worker(unsigned own_search);
   void wake_all_workers();
 
   void feeder_loop();
@@ -222,24 +232,18 @@ class ThreadedExecutor {
   std::vector<std::unique_ptr<WorkerState>> wstate_;
   std::unique_ptr<CompletionQueue> completions_;
   /// Serializes the single-consumer side of completions_ (the "retire
-  /// role"): held by the director's drain loop, try-locked by starved
-  /// workers. Guards only the pops — the batch finish runs outside it.
+  /// role"), try-locked by workers whose deque ran dry. Guards only the
+  /// pops — the batch finish runs outside it.
   std::mutex retire_mu_;
-  std::mutex dir_mu_;
-  std::condition_variable dir_cv_;
-  std::atomic<bool> dir_parked_{false};
-  /// Set by wake_director(), consumed by the director's park.
-  std::atomic<bool> dir_signal_{false};
   /// Completions being propagated right now (guards the window between a
   /// task retiring and its completion hooks submitting follow-on work, so
   /// run() cannot observe a transient quiescent state).
-  std::atomic<std::size_t> directing_{0};
+  std::atomic<std::size_t> retiring_{0};
   /// Workers awake and outside a task body: between acquires, retiring or
-  /// about to park. The director wakes a parked worker only when it is 0.
+  /// about to park. See wake_idle_worker().
   alignas(64) std::atomic<unsigned> searching_{0};
 
   std::vector<std::thread> workers_;
-  std::thread director_;
   std::thread feeder_;
 };
 

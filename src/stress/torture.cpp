@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -229,14 +230,31 @@ TortureReport run_speculator_torture(const TortureOptions& opt) {
   sre::ThreadedExecutor ex(rt, ex_opt);
 
   const std::uint32_t burst = std::max<std::uint32_t>(1, opt.burst);
-  for (std::uint32_t i = 1; i <= opt.estimates + 1; ++i) {
-    const bool is_final = i == opt.estimates + 1;
+  const std::uint32_t final_ix = opt.estimates + 1;
+  for (std::uint32_t i = 1; i < final_ix; ++i) {
     const std::uint64_t at_us = ((i - 1) / burst) * 150 + 50;
-    ex.schedule_arrival(at_us, [&spec, &opt, i, is_final](std::uint64_t now) {
+    ex.schedule_arrival(at_us, [&spec, &opt, i](std::uint64_t now) {
       spec.on_estimate(estimate_value(opt.seed, i, opt.storm_rate), i,
-                       is_final, now);
+                       /*is_final=*/false, now);
     });
   }
+  // The final estimate, held (when final_hold_us is set) by re-arming its
+  // arrival every 100 µs until a second epoch has opened or the hold ends.
+  const std::uint64_t final_at = ((final_ix - 1) / burst) * 150 + 50;
+  std::function<void(std::uint64_t)> fire_final = [&](std::uint64_t now) {
+    bool respeculated;
+    {
+      std::scoped_lock lk(obs.mu);
+      respeculated = obs.epochs_opened > 1;
+    }
+    if (!respeculated && now < final_at + opt.final_hold_us) {
+      ex.schedule_arrival(now + 100, fire_final);
+      return;
+    }
+    spec.on_estimate(estimate_value(opt.seed, final_ix, opt.storm_rate),
+                     final_ix, /*is_final=*/true, now);
+  };
+  ex.schedule_arrival(final_at, fire_final);
   ex.run();
 
   // --- Oracles -----------------------------------------------------------

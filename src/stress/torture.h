@@ -45,6 +45,12 @@ struct TortureOptions {
   /// tolerance — each jump makes the next check fail: a rollback storm.
   double storm_rate = 0.4;
 
+  /// > 0: the final estimate waits up to this long (µs) for the storm's
+  /// first rollback to re-speculate, so a run that must exercise
+  /// re-speculation does not race the feeder's clock. The wait re-arms the
+  /// final arrival on the feeder; it never blocks a thread.
+  std::uint64_t final_hold_us = 0;
+
   ChaosOptions chaos = {};
 
   /// Derives a scenario variant from `seed` (verification policy, restart

@@ -26,13 +26,14 @@ TEST(LengthLimited, ValidatesArguments) {
   Histogram h;
   h.at('a') = 1;
   const CodeLengths lens = huff::HuffmanTree::build(h).lengths();
-  EXPECT_THROW(huff::limit_code_lengths(lens, h, 0), std::invalid_argument);
+  EXPECT_THROW((void)huff::limit_code_lengths(lens, h, 0),
+               std::invalid_argument);
   // 256 floored symbols cannot fit in 7 bits.
   const Histogram full = h.with_floor(1);
   const CodeLengths full_lens = huff::HuffmanTree::build(full).lengths();
-  EXPECT_THROW(huff::limit_code_lengths(full_lens, full, 7),
+  EXPECT_THROW((void)huff::limit_code_lengths(full_lens, full, 7),
                std::invalid_argument);
-  EXPECT_NO_THROW(huff::limit_code_lengths(full_lens, full, 8));
+  EXPECT_NO_THROW((void)huff::limit_code_lengths(full_lens, full, 8));
 }
 
 TEST(LengthLimited, AlreadyShortLengthsUnchangedInCost) {

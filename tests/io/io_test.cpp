@@ -48,7 +48,7 @@ TEST(SocketArrival, ZeroJitterIsLinear) {
 TEST(ExplicitArrival, ReplaysSchedule) {
   const sio::ExplicitArrival e({5, 9, 40});
   EXPECT_EQ(e.arrival_us(1), 9u);
-  EXPECT_THROW(e.arrival_us(3), std::out_of_range);
+  EXPECT_THROW((void)e.arrival_us(3), std::out_of_range);
 }
 
 TEST(PoissonArrival, DeterministicPerSeedStrictlyIncreasing) {
@@ -123,7 +123,7 @@ TEST(BlockSource, SplitsIntoBlocks) {
   EXPECT_EQ(src.block(0).size(), 4096u);
   EXPECT_EQ(src.block(2).size(), 10000u - 2 * 4096u);
   EXPECT_EQ(src.total_bytes(), 10000u);
-  EXPECT_THROW(src.block(3), std::out_of_range);
+  EXPECT_THROW((void)src.block(3), std::out_of_range);
 }
 
 TEST(BlockSource, ValidatesInputs) {
@@ -138,7 +138,7 @@ TEST(BlockSource, EmptyInputIsAValidZeroBlockStream) {
   EXPECT_EQ(src.n_blocks(), 0u);
   EXPECT_EQ(src.total_bytes(), 0u);
   EXPECT_EQ(src.last_arrival_us(), 0u);
-  EXPECT_THROW(src.block(0), std::out_of_range);
+  EXPECT_THROW((void)src.block(0), std::out_of_range);
   src.for_each_arrival([](std::size_t, sio::Micros) { FAIL(); });
 }
 
@@ -150,7 +150,7 @@ TEST(BlockSource, EmptySpanIsAValidZeroBlockStream) {
   EXPECT_EQ(src.n_blocks(), 0u);
   EXPECT_EQ(src.total_bytes(), 0u);
   EXPECT_EQ(src.bytes().size(), 0u);
-  EXPECT_THROW(src.block(0), std::out_of_range);
+  EXPECT_THROW((void)src.block(0), std::out_of_range);
   src.for_each_arrival([](std::size_t, sio::Micros) { FAIL(); });
 }
 
@@ -196,7 +196,7 @@ TEST(BlockSource, NonBlockAlignedSizes) {
                           std::make_shared<sio::DiskArrival>());
   EXPECT_EQ(exact.n_blocks(), 3u);
   EXPECT_EQ(exact.block(2).size(), 4096u);
-  EXPECT_THROW(exact.block(3), std::out_of_range);
+  EXPECT_THROW((void)exact.block(3), std::out_of_range);
 
   // One byte over a boundary: final block has length 1.
   const BlockSource over(std::vector<std::uint8_t>(4096 + 1, 2), 4096,
@@ -236,7 +236,7 @@ TEST(BlockSource, MapFileEmptyFileIsZeroBlocks) {
       BlockSource::map_file(path, 4096, std::make_shared<sio::DiskArrival>());
   EXPECT_EQ(src.n_blocks(), 0u);
   EXPECT_EQ(src.total_bytes(), 0u);
-  EXPECT_THROW(src.block(0), std::out_of_range);
+  EXPECT_THROW((void)src.block(0), std::out_of_range);
   std::remove(path.c_str());
 }
 

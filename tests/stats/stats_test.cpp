@@ -38,9 +38,9 @@ TEST(Percentile, InterpolatesLinearly) {
 }
 
 TEST(Percentile, Validates) {
-  EXPECT_THROW(stats::percentile({}, 50.0), std::invalid_argument);
-  EXPECT_THROW(stats::percentile({1}, -1.0), std::invalid_argument);
-  EXPECT_THROW(stats::percentile({1}, 101.0), std::invalid_argument);
+  EXPECT_THROW((void)stats::percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)stats::percentile({1}, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)stats::percentile({1}, 101.0), std::invalid_argument);
 }
 
 TEST(PercentChange, Signs) {

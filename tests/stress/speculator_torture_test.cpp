@@ -68,6 +68,10 @@ TEST(SpeculatorTorture, PinnedSeedExercisesRollbacks) {
   opt.storm_rate = 0.6;
   opt.verify_every = 1;  // Full verification: every estimate checks
   opt.adaptive_restart = false;
+  // The storm's first failing verdict must land, and re-speculate, before
+  // the final estimate ends the run; under sanitizer load the feeder's
+  // clock can outrun it. Bounded: a run that never rolls back still fails.
+  opt.final_hold_us = 2'000'000;
   const TortureReport rep = stress::run_speculator_torture(opt);
   EXPECT_TRUE(rep.ok) << rep.failure;
   EXPECT_TRUE(rep.finished);

@@ -258,7 +258,8 @@ if [[ "${1:-}" == "kernels" ]]; then
 fi
 
 echo "== tier 1: configure + build + ctest (build/) =="
-cmake -B build -S . >/dev/null
+# Warnings fail the tier-1 build.
+cmake -B build -S . -DTVS_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
