@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "huffman/bitio.h"
-#include "simd/simd.h"
 
 namespace huff {
 namespace {
@@ -110,36 +109,19 @@ std::uint64_t pack_words(std::span<const std::uint8_t> block,
   return bits;
 }
 
-EncodedBlock encode_reference(std::span<const std::uint8_t> block,
-                              const CodeTable& table) {
-  BitWriter writer;
-  for (std::uint8_t b : block) {
-    const std::uint8_t len = table.length(b);
-    if (len == 0) {
-      throw_no_code(b);
-    }
-    writer.put(table.code(b), len);
-  }
-  EncodedBlock out;
-  out.bit_count = writer.bit_size();
-  out.bits = writer.take();
-  return out;
-}
-
-/// True when the active level runs the word packer for `table`; Scalar and
-/// tables with codes past kPackedBits take the BitWriter reference.
+/// True when the word packer can take `table`; tables with codes past
+/// kPackedBits take the BitWriter reference.
 bool packs(const CodeTable& table) {
-  return tvs::simd::active() != tvs::simd::Level::Scalar &&
-         table.max_length() <= CodeTable::kPackedBits;
+  return table.max_length() <= CodeTable::kPackedBits;
 }
 
-/// Encodes `block` into `out` at the active level; returns the bit count.
+/// Encodes `block` into `out`; returns the bit count.
 std::uint64_t encode_into(std::span<const std::uint8_t> block,
                           const CodeTable& table, std::span<std::uint8_t> out) {
   if (!packs(table)) {
-    // Reference kernel for differential runs: emit via BitWriter, then copy
-    // the bytes into the caller's storage so arena behavior stays uniform.
-    const EncodedBlock ref = encode_reference(block, table);
+    // Emit via BitWriter, then copy the bytes into the caller's storage so
+    // arena behavior stays uniform.
+    const EncodedBlock ref = detail::encode_reference(block, table);
     if (ref.bits.size() > out.size()) {
       throw std::logic_error("encode_block_into: output buffer too small");
     }
@@ -157,7 +139,7 @@ std::uint64_t encode_into(std::span<const std::uint8_t> block,
 EncodedBlock encode_block(std::span<const std::uint8_t> block,
                           const CodeTable& table) {
   if (!packs(table)) {
-    return encode_reference(block, table);
+    return detail::encode_reference(block, table);
   }
   // Pack into room for the longest code per symbol, plus a word so the word
   // loop runs to the end, then copy out the exact bytes: no sizing pass
@@ -184,15 +166,6 @@ EncodedBlock encode_block_into(std::span<const std::uint8_t> block,
   return enc;
 }
 
-std::uint64_t encoded_bit_count(std::span<const std::uint8_t> block,
-                                const CodeTable& table) {
-  std::uint64_t bits = 0;
-  for (std::uint8_t b : block) {
-    bits += table.length(b);
-  }
-  return bits;
-}
-
 std::vector<std::uint8_t> assemble(std::span<const EncodedBlock> blocks,
                                    std::span<const std::uint64_t> offsets) {
   if (blocks.size() != offsets.size()) {
@@ -209,4 +182,23 @@ std::vector<std::uint8_t> assemble(std::span<const EncodedBlock> blocks,
   return out;
 }
 
+namespace detail {
+
+EncodedBlock encode_reference(std::span<const std::uint8_t> block,
+                              const CodeTable& table) {
+  BitWriter writer;
+  for (std::uint8_t b : block) {
+    const std::uint8_t len = table.length(b);
+    if (len == 0) {
+      throw_no_code(b);
+    }
+    writer.put(table.code(b), len);
+  }
+  EncodedBlock out;
+  out.bit_count = writer.bit_size();
+  out.bits = writer.take();
+  return out;
+}
+
+}  // namespace detail
 }  // namespace huff

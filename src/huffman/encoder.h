@@ -5,13 +5,13 @@
 // bit offset computed by the Offset phase (offsets.h); encode_block produces
 // a self-contained bit buffer which the commit sink splices at that offset.
 //
-// Bit emission has two kernels behind the tvs::simd dispatch contract
-// (docs/data-plane.md): the Scalar level is the original BitWriter path,
-// every other level a word-flush packer that shifts one or two codes into a
-// 64-bit register per step and writes the pending bits with one unaligned
-// big-endian 64-bit store, keeping the bits short of a whole byte. Tables
-// with codes longer than CodeTable::kPackedBits take the BitWriter path.
-// Outputs are bit-identical by contract; kernel_diff_test enforces it.
+// Bit emission has one fast kernel and a reference (docs/data-plane.md,
+// "Kernel contract"). The fast kernel is a word-flush packer that shifts one
+// or two codes into a 64-bit register per step and writes the pending bits
+// with one unaligned big-endian 64-bit store, keeping the bits short of a
+// whole byte. The reference, detail::encode_reference, is the BitWriter
+// path; tables with codes longer than CodeTable::kPackedBits take it in
+// production too. The two are bit-identical; kernel_diff_test compares them.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +51,6 @@ struct EncodedBlock {
     std::span<const std::uint8_t> block, const CodeTable& table,
     std::span<std::uint8_t> out, std::shared_ptr<const void> keepalive);
 
-/// Exact encoded size of `block` in bits under `table`, without producing
-/// output bits (= encoded_bits of the block's histogram; used by tests).
-[[nodiscard]] std::uint64_t encoded_bit_count(
-    std::span<const std::uint8_t> block, const CodeTable& table);
-
 /// Splices pre-encoded blocks into one contiguous bit stream, serially: the
 /// reference for the pipeline's commit sink, which places each block into
 /// the container as it commits (ContainerWriter, stream_format.h).
@@ -66,4 +61,12 @@ struct EncodedBlock {
     std::span<const EncodedBlock> blocks,
     std::span<const std::uint64_t> offsets);
 
+namespace detail {
+
+/// The reference encoder: one BitWriter::put per symbol. Same bits and the
+/// same std::invalid_argument on a code-less symbol as encode_block.
+[[nodiscard]] EncodedBlock encode_reference(std::span<const std::uint8_t> block,
+                                            const CodeTable& table);
+
+}  // namespace detail
 }  // namespace huff

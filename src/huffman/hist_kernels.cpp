@@ -1,12 +1,6 @@
 #include "huffman/hist_kernels.h"
 
 #include <cstddef>
-#include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define TVS_HIST_HAVE_AVX2 1
-#endif
 
 namespace huff::detail {
 
@@ -37,79 +31,5 @@ void hist_swar(std::span<const std::uint8_t> data, std::uint64_t* counts) {
     counts[s] += lanes[0][s] + lanes[1][s] + lanes[2][s] + lanes[3][s];
   }
 }
-
-#if TVS_HIST_HAVE_AVX2
-
-namespace {
-
-// Lane counters are u32, so one flush handles at most kFlushBytes input
-// bytes before any single lane slot could wrap (bound: every byte equal,
-// all landing in one slot of one lane — kFlushBytes/8 < 2^32).
-constexpr std::size_t kFlushBytes = std::size_t{1} << 32;
-
-__attribute__((target("avx2"))) void merge_lanes_avx2(
-    const std::uint32_t lanes[8][256], std::uint64_t* counts) {
-  for (std::size_t s = 0; s < 256; s += 8) {
-    __m256i sum = _mm256_setzero_si256();
-    for (std::size_t l = 0; l < 8; ++l) {
-      sum = _mm256_add_epi32(
-          sum, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i*>(&lanes[l][s])));
-    }
-    const __m128i lo = _mm256_castsi256_si128(sum);
-    const __m128i hi = _mm256_extracti128_si256(sum, 1);
-    __m256i w0 = _mm256_cvtepu32_epi64(lo);
-    __m256i w1 = _mm256_cvtepu32_epi64(hi);
-    __m256i* out = reinterpret_cast<__m256i*>(&counts[s]);
-    _mm256_storeu_si256(out, _mm256_add_epi64(_mm256_loadu_si256(out), w0));
-    _mm256_storeu_si256(out + 1,
-                        _mm256_add_epi64(_mm256_loadu_si256(out + 1), w1));
-  }
-}
-
-__attribute__((target("avx2"))) void hist_avx2_impl(
-    const std::uint8_t* data, std::size_t size, std::uint64_t* counts) {
-  while (size > 0) {
-    const std::size_t chunk = size < kFlushBytes ? size : kFlushBytes;
-    alignas(32) std::uint32_t lanes[8][256] = {};
-    const std::uint8_t* p = data;
-    std::size_t n = chunk;
-    while (n >= 8) {
-      std::uint64_t w;
-      std::memcpy(&w, p, 8);
-      ++lanes[0][w & 0xff];
-      ++lanes[1][(w >> 8) & 0xff];
-      ++lanes[2][(w >> 16) & 0xff];
-      ++lanes[3][(w >> 24) & 0xff];
-      ++lanes[4][(w >> 32) & 0xff];
-      ++lanes[5][(w >> 40) & 0xff];
-      ++lanes[6][(w >> 48) & 0xff];
-      ++lanes[7][w >> 56];
-      p += 8;
-      n -= 8;
-    }
-    while (n > 0) {
-      ++lanes[0][*p++];
-      --n;
-    }
-    merge_lanes_avx2(lanes, counts);
-    data += chunk;
-    size -= chunk;
-  }
-}
-
-}  // namespace
-
-void hist_avx2(std::span<const std::uint8_t> data, std::uint64_t* counts) {
-  hist_avx2_impl(data.data(), data.size(), counts);
-}
-
-#else  // !TVS_HIST_HAVE_AVX2
-
-void hist_avx2(std::span<const std::uint8_t> data, std::uint64_t* counts) {
-  hist_swar(data, counts);
-}
-
-#endif
 
 }  // namespace huff::detail

@@ -1,6 +1,7 @@
-// Histogram counting kernels behind the tvs::simd dispatch contract
-// (docs/data-plane.md). All variants *add* into `counts[0..255]` and must
-// produce identical results; kernel_diff_test enforces equivalence.
+// Histogram counting kernels (docs/data-plane.md, "Kernel contract"):
+// Histogram::count runs hist_swar; hist_scalar is the reference it must
+// match bit for bit. Both *add* into `counts[0..255]`; kernel_diff_test
+// compares them on every corpus.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +15,5 @@ void hist_scalar(std::span<const std::uint8_t> data, std::uint64_t* counts);
 /// Four independent u64 lane tables; kills the store-forwarding stall chain
 /// on runs of equal bytes. Portable (no intrinsics).
 void hist_swar(std::span<const std::uint8_t> data, std::uint64_t* counts);
-
-/// Eight u32 lane tables fed from unaligned 64-bit loads, lanes merged with
-/// AVX2. Must only be called when tvs::simd::detect() >= Avx2; on non-x86
-/// builds it forwards to hist_swar.
-void hist_avx2(std::span<const std::uint8_t> data, std::uint64_t* counts);
 
 }  // namespace huff::detail

@@ -3,26 +3,13 @@
 #include <numeric>
 
 #include "huffman/hist_kernels.h"
-#include "simd/simd.h"
 
 namespace huff {
 
 void Histogram::count(std::span<const std::uint8_t> data) {
-  // Kernel variants and their bit-identity contract live in
-  // docs/data-plane.md ("kernel dispatch contract"); selection follows
-  // tvs::simd::active() (TVS_SIMD override, else CPU detection).
-  switch (tvs::simd::active()) {
-    case tvs::simd::Level::Scalar:
-      detail::hist_scalar(data, counts_.data());
-      return;
-    case tvs::simd::Level::Swar:
-      detail::hist_swar(data, counts_.data());
-      return;
-    case tvs::simd::Level::Avx2:
-      detail::hist_avx2(data, counts_.data());
-      return;
-  }
-  detail::hist_scalar(data, counts_.data());
+  // The fast kernel; hist_scalar is its reference (docs/data-plane.md,
+  // "Kernel contract").
+  detail::hist_swar(data, counts_.data());
 }
 
 Histogram& Histogram::merge(const Histogram& other) {

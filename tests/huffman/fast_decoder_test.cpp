@@ -243,7 +243,7 @@ struct Stream {
       : blocks(std::move(in)) {
     std::vector<std::uint8_t> all;
     for (const auto& b : blocks) {
-      offsets.push_back(huff::encoded_bit_count(all, t));
+      offsets.push_back(t.encoded_bits(Histogram::of(all)));
       all.insert(all.end(), b.begin(), b.end());
     }
     const auto enc = huff::encode_block(all, t);
