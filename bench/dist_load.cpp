@@ -7,18 +7,18 @@
 //  * identity — the correctness anchor: the same NonSpeculative specs
 //    through router + 2 remote agents and through one local
 //    serve::SessionManager must produce byte-identical containers.
-//    Reported as a paired-ratio median (per rep, wall_local / wall_dist
-//    back to back) plus rollback counts — this host's wall clock cannot
+//    Reported as a paired-ratio median and quartiles (per rep, wall_local /
+//    wall_dist back to back) plus rollback counts — this host's wall clock cannot
 //    resolve gaps under ~±10%, so raw deltas are noise.
 //
 //  * scaling — the same Balanced-policy session batch through 1 agent vs
-//    2 agents, paired per rep; the median wall ratio is the subsystem's
-//    scale-out signal.
+//    2 agents, paired per rep; the median wall ratio (with its quartiles) is
+//    the subsystem's scale-out signal.
 //
 //  * spill — one agent started with --bulk-cap=0 (saturated for Bulk by
 //    construction), one with room: every Bulk submit must spill to the
 //    roomy node instead of being shed. BENCH_dist.json records the
-//    spill/shed counts.
+//    spill/shed counts under the shared provenance header (bench_util.h).
 //
 // Agents are discovered via --port-file and reaped via --once (they exit
 // when the router drains). --tvsc=<path> overrides the agent binary;
@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "dist/protocol.h"
 #include "dist/router.h"
 #include "serve/session_manager.h"
@@ -46,12 +47,6 @@ namespace {
 
 constexpr unsigned kWorkers = 4;
 constexpr std::size_t kConcurrent = 2;
-
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -267,6 +262,8 @@ RunOut run_local(const std::vector<dist::SessionSpec>& specs) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Before the output is opened, which would read a tracked file as dirty.
+  const std::string sha = benchutil::git_sha();
   std::string out_path = "BENCH_dist.json";
   std::string tvsc = default_tvsc();
   bool quick = false;
@@ -311,10 +308,10 @@ int main(int argc, char** argv) {
     id_rollbacks_dist += d.rollbacks;
     id_rollbacks_local += l.rollbacks;
   }
-  const double id_ratio = median(id_ratios);
-  std::printf("  identity_ok=%d  wall(local)/wall(dist) median=%.2f  "
-              "rollbacks dist=%llu local=%llu\n",
-              identity_ok ? 1 : 0, id_ratio,
+  const benchutil::Spread id_ratio = benchutil::spread(id_ratios);
+  std::printf("  identity_ok=%d  wall(local)/wall(dist) median=%.2f "
+              "(%.2f..%.2f)  rollbacks dist=%llu local=%llu\n",
+              identity_ok ? 1 : 0, id_ratio.median, id_ratio.p25, id_ratio.p75,
               static_cast<unsigned long long>(id_rollbacks_dist),
               static_cast<unsigned long long>(id_rollbacks_local));
 
@@ -332,10 +329,10 @@ int main(int argc, char** argv) {
     if (two.wall_ms > 0.0) sc_ratios.push_back(one.wall_ms / two.wall_ms);
     sc_rollbacks += one.rollbacks + two.rollbacks;
   }
-  const double sc_ratio = median(sc_ratios);
-  std::printf("  ok=%d  wall(1 node)/wall(2 nodes) median=%.2f  "
+  const benchutil::Spread sc_ratio = benchutil::spread(sc_ratios);
+  std::printf("  ok=%d  wall(1 node)/wall(2 nodes) median=%.2f (%.2f..%.2f)  "
               "rollbacks=%llu\n",
-              scaling_ok ? 1 : 0, sc_ratio,
+              scaling_ok ? 1 : 0, sc_ratio.median, sc_ratio.p25, sc_ratio.p75,
               static_cast<unsigned long long>(sc_rollbacks));
 
   // --- spill-before-shed: saturated + roomy node -------------------------
@@ -385,21 +382,28 @@ int main(int argc, char** argv) {
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"benchmark\": \"dist_load\",\n");
+    benchutil::write_provenance(f, static_cast<unsigned>(reps), sha);
     std::fprintf(f,
                  "  \"description\": \"distributed serving: in-process "
                  "router over tvsc served subprocesses on loopback\",\n");
     std::fprintf(f,
                  "  \"identity\": {\"ok\": %s, \"reps\": %zu, "
                  "\"wall_local_over_dist_median\": %.3f, "
+                 "\"wall_local_over_dist_p25\": %.3f, "
+                 "\"wall_local_over_dist_p75\": %.3f, "
                  "\"rollbacks_dist\": %llu, \"rollbacks_local\": %llu},\n",
-                 identity_ok ? "true" : "false", reps, id_ratio,
+                 identity_ok ? "true" : "false", reps, id_ratio.median,
+                 id_ratio.p25, id_ratio.p75,
                  static_cast<unsigned long long>(id_rollbacks_dist),
                  static_cast<unsigned long long>(id_rollbacks_local));
     std::fprintf(f,
                  "  \"scaling\": {\"ok\": %s, \"reps\": %zu, "
                  "\"wall_1node_over_2node_median\": %.3f, "
+                 "\"wall_1node_over_2node_p25\": %.3f, "
+                 "\"wall_1node_over_2node_p75\": %.3f, "
                  "\"rollbacks\": %llu},\n",
-                 scaling_ok ? "true" : "false", reps, sc_ratio,
+                 scaling_ok ? "true" : "false", reps, sc_ratio.median,
+                 sc_ratio.p25, sc_ratio.p75,
                  static_cast<unsigned long long>(sc_rollbacks));
     std::fprintf(f,
                  "  \"spill\": {\"ok\": %s, \"submitted\": %llu, "
