@@ -3,7 +3,10 @@
 # a sanitizer pass (asan+ubsan preset) over the same test suite. The preset
 # runs with leak checking off; the pipeline test binaries then run again
 # with it on, so a pipeline State kept alive by its own closures (a
-# reference cycle) fails CI.
+# reference cycle) fails CI. The sanitizer pass is also the data-plane
+# kernel gate: kernel_diff_test compares each fast kernel with its
+# reference, and the Huffman pipeline test's arena encodes end next to
+# other blocks, where a store past a block's end would land.
 #
 #   tools/ci.sh            # tier-1 + sanitizers
 #   tools/ci.sh tsan       # ThreadSanitizer over the sre_core test label
@@ -21,11 +24,6 @@
 #   tools/ci.sh flight     # flight-recorder tests + the overhead gate
 #                          # (recorder armed on the sharded executor) + the
 #                          # post-mortem smoke inside serve_load --smoke
-#   tools/ci.sh kernels    # data-plane kernel gate: the differential suite
-#                          # plus codec/histogram/io tests and the Huffman
-#                          # pipeline test (arena encodes that end next to
-#                          # other blocks) under asan+ubsan with TVS_SIMD
-#                          # forced to every dispatch level
 #   tools/ci.sh dist       # distributed-serving gate: net/dist unit tests
 #                          # (frame/wire hostile-input, protocol codecs,
 #                          # router e2e) plus dist_load --smoke — a real
@@ -225,35 +223,6 @@ if [[ "${1:-}" == "dist" ]]; then
   timeout "${TVS_DIST_SMOKE_TIMEBOX_S:-30}" ./build/bench/dist_load --smoke \
     --tvsc=./build/tools/tvsc --out build/BENCH_dist.smoke.json
   echo "== dist green =="
-  exit 0
-fi
-
-if [[ "${1:-}" == "kernels" ]]; then
-  echo "== kernels: SIMD differential gate under asan+ubsan (build-asan/) =="
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j"$JOBS"
-  # The differential suite sweeps every level in-process via force(); running
-  # it once per TVS_SIMD value additionally pins the env-dispatch path (the
-  # one production uses) at each level, all under the sanitizers.
-  for level in 0 1 2; do
-    echo "-- kernel_diff_test with TVS_SIMD=${level} --"
-    TVS_SIMD="$level" ./build-asan/tests/kernel_diff_test
-  done
-  # Codec, histogram, and zero-copy I/O suites at the scalar reference level
-  # and at the best level the host supports: both must be bit-exact. The
-  # pipeline test encodes into epoch arenas, where a block's bytes end next
-  # to another block's and at a chunk end, so a store past a block's end
-  # shows up there.
-  for level in 0 2; do
-    echo "-- codec/histogram/io/arena/pipeline suites with TVS_SIMD=${level} --"
-    TVS_SIMD="$level" ./build-asan/tests/histogram_test
-    TVS_SIMD="$level" ./build-asan/tests/codec_test
-    TVS_SIMD="$level" ./build-asan/tests/stream_format_test
-    TVS_SIMD="$level" ./build-asan/tests/io_test
-    TVS_SIMD="$level" ./build-asan/tests/arena_test
-    TVS_SIMD="$level" ./build-asan/tests/huffman_pipeline_test
-  done
-  echo "== kernels green =="
   exit 0
 fi
 
