@@ -9,11 +9,11 @@
 //     reference/fast trials, median and quartiles of per-pair time ratios —
 //     because bare wall-clock on a shared box cannot resolve sub-10% deltas;
 //     plus the table decoder (interleaved, as decompress_buffer runs it, and
-//     one block at a time) and the commit sink's placement (splice_bits) per
-//     4 KiB block. Then, on a 32 MiB TXT corpus: histogram, encode and
-//     interleaved decode per thread at 1 and 4 threads at once, each
-//     thread over its own range; and the whole decompress
-//     of the corpus's container through decompress_buffer (fresh output)
+//     one block at a time) and the commit sink's placement
+//     (ContainerWriter::place) per 4 KiB block. Then, on a 32 MiB TXT
+//     corpus: histogram, encode and interleaved decode per thread at 1 and
+//     4 threads at once, each thread over its own range; and the whole
+//     decompress of the corpus's container through decompress_buffer (fresh output)
 //     and decompress_into (pre-faulted caller storage). Emits
 //     BENCH_kernels.json with the shared provenance header (bench_util.h).
 #include <benchmark/benchmark.h>
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "huffman/bitio.h"
 #include "huffman/canonical.h"
 #include "huffman/encoder.h"
 #include "huffman/fast_decoder.h"
@@ -43,7 +42,6 @@
 #include "huffman/tree.h"
 #include "sre/arena.h"
 #include "workload/corpus.h"
-#include "workload/rng.h"
 
 namespace {
 
@@ -250,12 +248,12 @@ SweepRow sweep_one(const char* kernel, const char* variant,
           benchutil::spread(ratios)};
 }
 
-/// Decodes every indexed block of `s` into its range of `out`: four at a
+/// Decodes every block of `s` into its range of `out`: four at a
 /// time through decode4_into as decompress_into does (`interleaved`), or
 /// one decode_into per block.
-void decode_blocks(const huff::CompressedStream& s,
-                   const huff::FastDecoder& decoder, std::span<std::uint8_t> out,
-                   bool interleaved) {
+void decode_run(const huff::CompressedStream& s,
+                const huff::FastDecoder& decoder, std::span<std::uint8_t> out,
+                bool interleaved) {
   constexpr std::size_t kLanes = huff::FastDecoder::kLanes;
   const auto block_out = [&](std::size_t i) {
     return out.subspan(i * s.block_size, s.block_bytes(i));
@@ -286,7 +284,7 @@ std::optional<SweepRow> decode_row(std::span<const std::uint8_t> data,
   const auto s = huff::deserialize(huff::compress_buffer(data, kBlock));
   const huff::FastDecoder decoder(s.table());
   std::vector<std::uint8_t> out(data.size());
-  const auto decode_all = [&] { decode_blocks(s, decoder, out, interleaved); };
+  const auto decode_all = [&] { decode_run(s, decoder, out, interleaved); };
   decode_all();
   if (!std::equal(out.begin(), out.end(), data.begin(), data.end())) {
     return std::nullopt;
@@ -301,42 +299,43 @@ std::optional<SweepRow> decode_row(std::span<const std::uint8_t> data,
                   benchutil::spread(mbps), std::nullopt};
 }
 
-/// The commit sink's placement: splice_bits of every encoded 4 KiB block of
-/// `data` into one payload, laid out back to back from a random start bit
-/// so blocks begin at every bit phase. MB/s counts input bytes. Returns
-/// nullopt if the payload differs from huff::assemble's.
+/// The commit sink's placement: ContainerWriter::place of every encoded
+/// 4 KiB block of `data` at the byte-aligned offsets compute_offsets gives.
+/// MB/s counts input bytes. Returns nullopt if the payload differs from
+/// huff::assemble's.
 std::optional<SweepRow> place_row(std::span<const std::uint8_t> data,
                                   const huff::CodeTable& table,
                                   std::size_t bytes_per_trial) {
   constexpr std::size_t kBlock = 4096;
+  const std::size_t n = data.size() / kBlock;
+  std::vector<huff::Histogram> hists;
   std::vector<huff::EncodedBlock> blocks;
-  std::vector<std::uint64_t> offsets;
-  std::uint64_t bit = wl::Rng(7).below(8);
-  for (std::size_t b = 0; b + kBlock <= data.size(); b += kBlock) {
-    blocks.push_back(huff::encode_block(data.subspan(b, kBlock), table));
-    offsets.push_back(bit);
-    bit += blocks.back().bit_count;
+  for (std::size_t b = 0; b < n; ++b) {
+    const auto block = data.subspan(b * kBlock, kBlock);
+    hists.push_back(huff::Histogram::of(block));
+    blocks.push_back(huff::encode_block(block, table));
   }
-  std::vector<std::uint8_t> payload((bit + 7) / 8, 0);
-  // Later trials splice over the first one's bits: the stores are the same.
+  const auto offsets = huff::all_offsets(hists, table);
+  huff::ContainerWriter writer(
+      n * kBlock, static_cast<std::uint32_t>(n), kBlock, table.lengths(),
+      table.encoded_bits(huff::Histogram::merged(hists)));
+  // Later trials place over the first one's bytes: the stores are the same.
   const auto place_all = [&] {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      huff::splice_bits(payload, offsets[i], blocks[i].bits,
-                        blocks[i].bit_count);
-    }
-    benchmark::DoNotOptimize(payload.data());
+    for (std::size_t i = 0; i < n; ++i) writer.place(i, offsets[i], blocks[i]);
     benchmark::ClobberMemory();
   };
-  place_all();
-  if (payload != huff::assemble(blocks, offsets)) return std::nullopt;
-  const std::size_t bytes = blocks.size() * kBlock;
+  const std::size_t bytes = n * kBlock;
   const std::size_t reps = std::max<std::size_t>(1, bytes_per_trial / bytes);
   const double mb = static_cast<double>(reps * bytes) / (1 << 20);
   std::vector<double> mbps;
   for (std::size_t t = 0; t < kTrials; ++t) {
     mbps.push_back(mb / trial_seconds(place_all, reps));
   }
-  return SweepRow{"place", "splice", kBlock, benchutil::spread(mbps),
+  if (huff::deserialize(writer.take()).payload !=
+      huff::assemble(blocks, offsets)) {
+    return std::nullopt;
+  }
+  return SweepRow{"place", "memcpy", kBlock, benchutil::spread(mbps),
                   std::nullopt};
 }
 
@@ -459,7 +458,7 @@ std::optional<std::vector<ScalingRow>> scaling_rows(
         std::move(stream), std::move(decoder),
         std::vector<std::uint8_t>(range), std::vector<std::uint8_t>(scratch_bytes)}));
     auto& st = *state.back();
-    decode_blocks(st.stream, st.decoder, st.out, true);
+    decode_run(st.stream, st.decoder, st.out, true);
     if (!std::equal(st.out.begin(), st.out.end(), range_of(t).begin(),
                     range_of(t).end())) {
       return std::nullopt;
@@ -483,7 +482,7 @@ std::optional<std::vector<ScalingRow>> scaling_rows(
        }},
       {"decode", "interleaved",
        [&](std::size_t t) {
-         decode_blocks(state[t]->stream, state[t]->decoder, state[t]->out, true);
+         decode_run(state[t]->stream, state[t]->decoder, state[t]->out, true);
        }},
   };
   // About 16 MiB per thread per trial.
@@ -612,7 +611,8 @@ int run_kernel_sweep(const char* json_path, const std::string& sha) {
   }
   const auto place = place_row(data, table, kBytesPerTrial);
   if (!place) {
-    std::fprintf(stderr, "place: splice_bits differs from huff::assemble\n");
+    std::fprintf(stderr,
+                 "place: ContainerWriter differs from huff::assemble\n");
     return 1;
   }
   rows.push_back(*place);
@@ -685,9 +685,9 @@ int run_kernel_sweep(const char* json_path, const std::string& sha) {
                  "(unlimited code lengths) on one thread, four at a time "
                  "through FastDecoder::decode4_into as decompress_buffer "
                  "runs them (interleaved) or one FastDecoder::decode_into "
-                 "per block (table); place is splice_bits of each "
-                 "encoded 4 KiB block into one payload at random bit "
-                 "phases, MB/s of input bytes; scaling rows are ns/B per "
+                 "per block (table); place is ContainerWriter::place of "
+                 "each encoded 4 KiB block at its byte-aligned offset, "
+                 "MB/s of input bytes; scaling rows are ns/B per "
                  "thread (median and quartiles over threads x reps samples) "
                  "of histogram, encode and interleaved decode over 4 KiB "
                  "blocks, each of `threads` threads on its own "

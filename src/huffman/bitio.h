@@ -4,10 +4,10 @@
 // most significant bit of byte 0. This makes canonical codes compare
 // lexicographically in the byte stream, which the decoder exploits.
 //
-// BitWriter additionally supports starting at a nonzero *bit offset*, which
-// is what the pipeline's Offset phase produces: each Encode task writes its
-// block at a pre-computed absolute bit position so blocks can be encoded in
-// parallel into one contiguous output (paper §IV-A).
+// Each Encode task writes its block into a buffer of its own, starting at
+// bit 0; the commit sink copies it whole to the byte the pipeline's Offset
+// phase computed (paper §IV-A), so blocks can be encoded in parallel into
+// one contiguous output (ContainerWriter, stream_format.h).
 #pragma once
 
 #include <bit>
@@ -76,15 +76,6 @@ class BitWriter {
   std::uint64_t acc_ = 0;          ///< pending bits, right-aligned
   unsigned pending_bits_ = 0;      ///< < 32 between calls
 };
-
-/// ORs `nbits` bits from the front of `src` into `dst` starting at absolute
-/// bit position `dst_bit_offset`. `dst` must be pre-sized and the target bit
-/// range zeroed. Bytes the range covers whole take plain stores (memcpy when
-/// the offset is byte-aligned); the at most two edge bytes it shares with
-/// neighbouring ranges are OR-merged through std::atomic_ref, so calls on
-/// disjoint bit ranges of one buffer may run concurrently.
-void splice_bits(std::span<std::uint8_t> dst, std::uint64_t dst_bit_offset,
-                 std::span<const std::uint8_t> src, std::uint64_t nbits);
 
 class BitReader {
  public:

@@ -173,11 +173,18 @@ std::vector<std::uint8_t> assemble(std::span<const EncodedBlock> blocks,
   }
   std::uint64_t end_bit = 0;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (offsets[i] % 8 != 0) {
+      throw std::invalid_argument("assemble: offset is not a byte boundary");
+    }
+    if ((blocks[i].bit_count + 7) / 8 > blocks[i].bits.size()) {
+      throw std::invalid_argument("assemble: block shorter than its bits");
+    }
     end_bit = std::max(end_bit, offsets[i] + blocks[i].bit_count);
   }
   std::vector<std::uint8_t> out((end_bit + 7) / 8, 0);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    splice_bits(out, offsets[i], blocks[i].bits, blocks[i].bit_count);
+    std::copy_n(blocks[i].bits.data(), (blocks[i].bit_count + 7) / 8,
+                out.data() + offsets[i] / 8);
   }
   return out;
 }

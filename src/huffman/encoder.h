@@ -2,8 +2,9 @@
 //
 // Each Encode task compresses one input block with a CodeTable. Because the
 // code is variable-length, a block's absolute position in the output is the
-// bit offset computed by the Offset phase (offsets.h); encode_block produces
-// a self-contained bit buffer which the commit sink splices at that offset.
+// offset computed by the Offset phase (offsets.h), which starts every block
+// on a byte boundary; encode_block produces a self-contained, zero-padded
+// buffer which the commit sink copies to that offset.
 //
 // Bit emission has one fast kernel and a reference (docs/data-plane.md,
 // "Kernel contract"). The fast kernel is a word-flush packer that shifts one
@@ -51,12 +52,14 @@ struct EncodedBlock {
     std::span<const std::uint8_t> block, const CodeTable& table,
     std::span<std::uint8_t> out, std::shared_ptr<const void> keepalive);
 
-/// Splices pre-encoded blocks into one contiguous bit stream, serially: the
+/// Copies pre-encoded blocks into one contiguous payload, serially: the
 /// reference for the pipeline's commit sink, which places each block into
 /// the container as it commits (ContainerWriter, stream_format.h).
 ///
-/// `offsets[i]` is the absolute starting bit of block i; the destination is
-/// zero-initialized and sized for the final block's end.
+/// `offsets[i]` is the starting bit of block i; the payload is
+/// zero-initialized and sized for the final block's end. Throws
+/// std::invalid_argument on a size mismatch, an offset that is not a
+/// multiple of 8, or a block with fewer bytes than its bit count.
 [[nodiscard]] std::vector<std::uint8_t> assemble(
     std::span<const EncodedBlock> blocks,
     std::span<const std::uint64_t> offsets);

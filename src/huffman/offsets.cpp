@@ -9,7 +9,7 @@ OffsetGroup compute_offsets(std::span<const Histogram> block_hists,
   std::uint64_t bit = start_bit;
   for (const Histogram& h : block_hists) {
     group.block_offsets.push_back(bit);
-    bit += table.encoded_bits(h);
+    bit += (table.encoded_bits(h) + 7) / 8 * 8;
   }
   group.end_offset = bit;
   return group;

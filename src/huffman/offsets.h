@@ -10,6 +10,10 @@
 // An offset task covers a *group* of blocks (64 on x86-disk, 16 on Cell, 8 on
 // socket): given the group's per-block histograms and the running bit offset,
 // it emits each block's absolute starting bit and the offset at group end.
+//
+// Every block starts on a byte boundary (container v3, stream_format.h):
+// each block's size is its coded bits rounded up to a whole byte. This is
+// the one place that rounds; offsets stay in bits, each a multiple of 8.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +28,12 @@ namespace huff {
 /// Offsets of one group of blocks.
 struct OffsetGroup {
   std::vector<std::uint64_t> block_offsets;  ///< absolute start bit per block
-  std::uint64_t end_offset = 0;              ///< bit offset after the group
+  std::uint64_t end_offset = 0;  ///< where the next group's first block starts
 };
 
 /// Computes bit offsets for a group of blocks whose histograms are
-/// `block_hists`, encoded with `table`, starting at `start_bit`.
+/// `block_hists`, encoded with `table`, starting at `start_bit` (a multiple
+/// of 8).
 [[nodiscard]] OffsetGroup compute_offsets(
     std::span<const Histogram> block_hists, const CodeTable& table,
     std::uint64_t start_bit);

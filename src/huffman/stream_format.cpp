@@ -10,7 +10,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include "huffman/bitio.h"
 #include "huffman/encoder.h"
 #include "huffman/fast_decoder.h"
 #include "huffman/offsets.h"
@@ -21,13 +20,27 @@ namespace huff {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'V', 'S', 'H'};
-constexpr std::uint16_t kVersion = 2;
+constexpr std::uint16_t kVersion = 3;
 
-/// Indexed blocks one decode task covers. A container of at most this many
+/// Blocks one decode task covers. A container of at most this many
 /// blocks decodes inline on the caller's thread; above it, executor
 /// start-up is small next to the work, and per-block tasks would cost more
 /// in dispatch than 64-block runs do.
 constexpr std::size_t kBlocksPerTask = 64;
+
+/// Container bytes before the index: magic through the code lengths.
+constexpr std::size_t kFixedHeaderBytes = 4 + 2 + 8 + 4 + 4 + kSymbols;
+
+/// Container bytes before the payload: the fixed header, `n_blocks` index
+/// entries, and payload_bits.
+constexpr std::size_t header_bytes(std::size_t n_blocks) {
+  return kFixedHeaderBytes + n_blocks * 8 + 8;
+}
+
+/// `bits` rounded up to a whole byte, in bytes.
+constexpr std::uint64_t whole_bytes(std::uint64_t bits) {
+  return (bits + 7) / 8;
+}
 
 /// A transparent huge page on x86-64 and arm64 with 4 KiB base pages.
 constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
@@ -53,47 +66,29 @@ std::vector<std::uint8_t> zeroed_output(std::size_t n) {
   return out;
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-/// Writes `v` little-endian over the 8 bytes at `at`.
-void store_u64(std::uint8_t* at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+/// Writes the `n` low bytes of `v` little-endian over the bytes at `at`.
+void store_le(std::uint8_t* at, std::uint64_t v, std::size_t n = 8) {
+  for (std::size_t i = 0; i < n; ++i) {
     at[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  out.resize(out.size() + 8);
-  store_u64(out.data() + out.size() - 8, v);
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, std::size_t n) {
+  out.resize(out.size() + n);
+  store_le(out.data() + out.size() - n, v, n);
+}
+/// The little-endian value of at most 8 `bytes`.
+std::uint64_t load_le(std::span<const std::uint8_t> bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = bytes.size(); i-- > 0;) v = (v << 8) | bytes[i];
+  return v;
 }
 
 class Parser {
  public:
   explicit Parser(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() {
-    auto b = take(2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  }
-  std::uint32_t u32() {
-    auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
-  std::uint64_t u64() {
-    auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
+  /// The next `n` bytes as a little-endian value.
+  std::uint64_t le(std::size_t n) { return load_le(take(n)); }
   std::span<const std::uint8_t> take(std::uint64_t n) {
     if (n > data_.size() - pos_) {
       throw std::runtime_error("CompressedStream: truncated input");
@@ -117,7 +112,7 @@ struct Parsed {
 
 /// The header checks a block-parallel decoder relies on: with them, every
 /// block's output range lies inside original_bytes and together the ranges
-/// cover it, and every index entry points into the payload.
+/// cover it, and every index entry is a byte boundary inside the payload.
 void check_header(const CompressedStream& s) {
   if (s.block_size == 0 && s.n_blocks > 0) {
     throw std::runtime_error("CompressedStream: zero block size");
@@ -136,18 +131,15 @@ void check_header(const CompressedStream& s) {
   if (!kraft_valid(s.lengths) || (s.original_bytes > 0 && codes_nothing)) {
     throw std::runtime_error("CompressedStream: invalid code lengths");
   }
-  if (s.has_index() && s.block_offsets.size() != s.n_blocks) {
-    throw std::runtime_error("CompressedStream: index size != block count");
-  }
-  for (std::size_t i = 0; i < s.block_offsets.size(); ++i) {
-    if (s.block_offsets[i] > s.payload_bits ||
-        (i > 0 && s.block_offsets[i] < s.block_offsets[i - 1])) {
-      throw std::runtime_error("CompressedStream: bad block index");
-    }
-  }
   // Every code is at least one bit long.
   if (s.original_bytes > s.payload_bits) {
     throw std::runtime_error("CompressedStream: more bytes than payload bits");
+  }
+  for (std::size_t i = 0; i < s.block_offsets.size(); ++i) {
+    if (s.block_offsets[i] % 8 != 0 || s.block_offsets[i] > s.payload_bits ||
+        (i > 0 && s.block_offsets[i] < s.block_offsets[i - 1])) {
+      throw std::runtime_error("CompressedStream: bad block index");
+    }
   }
 }
 
@@ -158,34 +150,28 @@ Parsed parse(std::span<const std::uint8_t> data) {
   if (std::memcmp(magic.data(), kMagic, 4) != 0) {
     throw std::runtime_error("CompressedStream: bad magic");
   }
-  const std::uint16_t version = p.u16();
+  const auto version = static_cast<std::uint16_t>(p.le(2));
   if (version != kVersion) {
     throw std::runtime_error("CompressedStream: unsupported version " +
                              std::to_string(version));
   }
   Parsed out;
   CompressedStream& s = out.header;
-  s.original_bytes = p.u64();
-  s.n_blocks = p.u32();
-  s.block_size = p.u32();
+  s.original_bytes = p.le(8);
+  s.n_blocks = static_cast<std::uint32_t>(p.le(4));
+  s.block_size = static_cast<std::uint32_t>(p.le(4));
   auto lens = p.take(kSymbols);
   std::copy(lens.begin(), lens.end(), s.lengths.begin());
-  const std::uint8_t has_index = p.u8();
-  if (has_index > 1) {
-    throw std::runtime_error("CompressedStream: bad index flag");
+  // Taken whole first, so a hostile block count cannot drive the reserve
+  // below past the input's size.
+  Parser index(p.take(std::uint64_t{s.n_blocks} * 8));
+  s.block_offsets.reserve(s.n_blocks);
+  for (std::uint32_t i = 0; i < s.n_blocks; ++i) {
+    s.block_offsets.push_back(index.le(8));
   }
-  if (has_index == 1) {
-    // Taken whole first, so a hostile block count cannot drive the
-    // reserve below past the input's size.
-    Parser index(p.take(std::uint64_t{s.n_blocks} * 8));
-    s.block_offsets.reserve(s.n_blocks);
-    for (std::uint32_t i = 0; i < s.n_blocks; ++i) {
-      s.block_offsets.push_back(index.u64());
-    }
-  }
-  s.payload_bits = p.u64();
+  s.payload_bits = p.le(8);
   check_header(s);
-  out.payload = p.take(s.payload_bits / 8 + (s.payload_bits % 8 != 0 ? 1 : 0));
+  out.payload = p.take(whole_bytes(s.payload_bits));
   return out;
 }
 
@@ -196,10 +182,6 @@ void decode_payload(const CompressedStream& s,
                     std::span<std::uint8_t> out) {
   if (s.original_bytes == 0) return;
   const FastDecoder decoder(s.table());
-  if (!s.has_index()) {
-    decoder.decode_into(payload, 0, out);
-    return;
-  }
   const auto block_out = [&](std::size_t i) {
     return out.subspan(i * s.block_size, s.block_bytes(i));
   };
@@ -246,23 +228,16 @@ void decode_payload(const CompressedStream& s,
   executor.run();
 }
 
-/// Container bytes before the payload: the fixed header, `index_entries`
-/// index entries, and payload_bits.
-constexpr std::size_t header_bytes(std::size_t index_entries) {
-  return 4 + 2 + 8 + 4 + 4 + kSymbols + 1 + index_entries * 8 + 8;
-}
-
-/// Appends the fixed header, through the index flag.
+/// Appends the fixed header.
 void put_header(std::vector<std::uint8_t>& out, std::uint64_t original_bytes,
                 std::uint32_t n_blocks, std::uint32_t block_size,
-                const CodeLengths& lengths, bool has_index) {
+                const CodeLengths& lengths) {
   out.insert(out.end(), kMagic, kMagic + 4);
-  put_u16(out, kVersion);
-  put_u64(out, original_bytes);
-  put_u32(out, n_blocks);
-  put_u32(out, block_size);
+  put_le(out, kVersion, 2);
+  put_le(out, original_bytes, 8);
+  put_le(out, n_blocks, 4);
+  put_le(out, block_size, 4);
   out.insert(out.end(), lengths.begin(), lengths.end());
-  out.push_back(has_index ? 1 : 0);
 }
 
 }  // namespace
@@ -284,45 +259,76 @@ ContainerWriter::ContainerWriter(std::uint64_t original_bytes,
                                  std::uint32_t n_blocks,
                                  std::uint32_t block_size,
                                  const CodeLengths& lengths,
-                                 std::uint64_t payload_bits, bool with_index)
-    : n_blocks_(n_blocks),
-      payload_bits_(payload_bits),
-      // An empty index is no index (CompressedStream::has_index).
-      with_index_(with_index && n_blocks > 0) {
-  const std::size_t index_entries = with_index_ ? n_blocks : 0;
-  payload_at_ = header_bytes(index_entries);
+                                 std::uint64_t coded_bits)
+    : bit_counts_(n_blocks),
+      coded_bits_(coded_bits),
+      bound_bits_(coded_bits +
+                  (n_blocks == 0 ? 0 : 7 * (std::uint64_t{n_blocks} - 1))),
+      payload_at_(header_bytes(n_blocks)) {
   out_ = zeroed_output(payload_at_ +
-                       static_cast<std::size_t>((payload_bits + 7) / 8));
+                       static_cast<std::size_t>(whole_bytes(bound_bits_)));
   std::vector<std::uint8_t> head;
-  put_header(head, original_bytes, n_blocks, block_size, lengths, with_index_);
+  put_header(head, original_bytes, n_blocks, block_size, lengths);
   std::copy(head.begin(), head.end(), out_.begin());
-  index_at_ = head.size();
-  store_u64(&out_[payload_at_ - 8], payload_bits);
 }
 
 void ContainerWriter::place(std::size_t i, std::uint64_t offset,
                             const EncodedBlock& block) {
-  if (i >= n_blocks_) {
+  if (offset % 8 != 0) {
+    throw std::invalid_argument(
+        "ContainerWriter::place: offset is not a byte boundary");
+  }
+  if (i >= bit_counts_.size()) {
     throw std::out_of_range("ContainerWriter::place: block index out of range");
   }
-  if (offset > payload_bits_ || block.bit_count > payload_bits_ - offset) {
-    throw std::out_of_range("ContainerWriter::place: block past payload_bits");
+  if (offset > bound_bits_ || block.bit_count > bound_bits_ - offset ||
+      whole_bytes(block.bit_count) > block.bits.size()) {
+    throw std::out_of_range("ContainerWriter::place: block past the payload");
   }
-  if (with_index_) store_u64(&out_[index_at_ + i * 8], offset);
-  splice_bits(std::span(out_).subspan(payload_at_), offset, block.bits,
-              block.bit_count);
+  store_le(&out_[kFixedHeaderBytes + i * 8], offset);
+  std::memcpy(&out_[payload_at_ + offset / 8], block.bits.data(),
+              static_cast<std::size_t>(whole_bytes(block.bit_count)));
+  bit_counts_[i] = block.bit_count;
+  if (i + 1 == bit_counts_.size()) payload_bits_ = offset + block.bit_count;
+}
+
+std::vector<std::uint8_t> ContainerWriter::take() {
+  // One module owns the layout, so it checks it: the blocks hold the
+  // committed table's coded size, and each starts on the byte after the
+  // blocks before it.
+  std::uint64_t coded = 0;
+  std::uint64_t start = 0;
+  for (std::size_t i = 0; i < bit_counts_.size(); ++i) {
+    if (load_le(std::span(out_).subspan(kFixedHeaderBytes + i * 8, 8)) !=
+        start) {
+      throw std::logic_error("ContainerWriter: block " + std::to_string(i) +
+                             " is not where the blocks before it end");
+    }
+    coded += bit_counts_[i];
+    start += whole_bytes(bit_counts_[i]) * 8;
+  }
+  if (coded != coded_bits_) {
+    throw std::logic_error("ContainerWriter: blocks hold " +
+                           std::to_string(coded) + " bits, the table codes " +
+                           std::to_string(coded_bits_));
+  }
+  store_le(&out_[payload_at_ - 8], payload_bits_);
+  // Only the size shrinks: the at most 7 bits of slack per block stay as
+  // capacity rather than cost a copy of the container.
+  out_.resize(payload_at_ +
+              static_cast<std::size_t>(whole_bytes(payload_bits_)));
+  return std::move(out_);
 }
 
 std::vector<std::uint8_t> serialize(const CompressedStream& s) {
-  if (s.has_index() && s.block_offsets.size() != s.n_blocks) {
+  if (s.block_offsets.size() != s.n_blocks) {
     throw std::invalid_argument("serialize: index size != block count");
   }
   std::vector<std::uint8_t> out;
   out.reserve(s.serialized_size());
-  put_header(out, s.original_bytes, s.n_blocks, s.block_size, s.lengths,
-             s.has_index());
-  for (std::uint64_t off : s.block_offsets) put_u64(out, off);
-  put_u64(out, s.payload_bits);
+  put_header(out, s.original_bytes, s.n_blocks, s.block_size, s.lengths);
+  for (std::uint64_t off : s.block_offsets) put_le(out, off, 8);
+  put_le(out, s.payload_bits, 8);
   out.insert(out.end(), s.payload.begin(), s.payload.end());
   return out;
 }
@@ -338,8 +344,7 @@ CompressedStream read_header(std::span<const std::uint8_t> container) {
 }
 
 std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
-                                          std::uint32_t block_size,
-                                          bool with_index) {
+                                          std::uint32_t block_size) {
   if (block_size == 0) {
     throw std::invalid_argument("compress_buffer: block_size == 0");
   }
@@ -356,19 +361,17 @@ std::vector<std::uint8_t> compress_buffer(std::span<const std::uint8_t> data,
   const Histogram global = Histogram::merged(hists);
   const CodeTable table = CodeTable::from_histogram(global);
   const auto offsets = all_offsets(hists, table);
-  const std::uint64_t payload_bits = table.encoded_bits(global);
   ContainerWriter writer(data.size(), static_cast<std::uint32_t>(n_blocks),
-                         block_size, table.lengths(), payload_bits,
-                         with_index);
+                         block_size, table.lengths(),
+                         table.encoded_bits(global));
   // Every block is encoded into one buffer: the largest block's bytes (a
   // block's size is the gap to the next offset) plus a word of slack, so
   // the packer's word loop runs to each block's end.
-  std::uint64_t max_bits = 0;
-  for (std::size_t i = 0; i < n_blocks; ++i) {
-    const std::uint64_t end = i + 1 < n_blocks ? offsets[i + 1] : payload_bits;
-    max_bits = std::max(max_bits, end - offsets[i]);
+  std::uint64_t max_bits = n_blocks == 0 ? 0 : table.encoded_bits(hists.back());
+  for (std::size_t i = 0; i + 1 < n_blocks; ++i) {
+    max_bits = std::max(max_bits, offsets[i + 1] - offsets[i]);
   }
-  std::vector<std::uint8_t> scratch((max_bits + 7) / 8 + 8);
+  std::vector<std::uint8_t> scratch(whole_bytes(max_bits) + 8);
   for (std::size_t i = 0; i < n_blocks; ++i) {
     writer.place(i, offsets[i],
                  encode_block_into(blocks[i], table, scratch, nullptr));
@@ -392,18 +395,6 @@ std::vector<std::uint8_t> decompress_buffer(
   auto out = zeroed_output(static_cast<std::size_t>(p.header.original_bytes));
   decode_payload(p.header, p.payload, out);
   return out;
-}
-
-std::vector<std::uint8_t> decode_block(const CompressedStream& stream,
-                                        std::size_t i) {
-  if (!stream.has_index()) {
-    throw std::logic_error("decode_block: container carries no block index");
-  }
-  if (i >= stream.n_blocks) {
-    throw std::out_of_range("decode_block: block index out of range");
-  }
-  return FastDecoder(stream.table())
-      .decode(stream.payload, stream.block_bytes(i), stream.block_offsets[i]);
 }
 
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {

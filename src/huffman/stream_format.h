@@ -2,23 +2,25 @@
 //
 // Layout (little-endian):
 //   magic   "TVSH" (4 bytes)
-//   version u16    — 2
+//   version u16    — 3
 //   n_bytes u64    — original (decoded) byte count
 //   n_blocks u32   — block count
 //   block_size u32 — nominal block size (last block may be short)
 //   lengths  256×u8 — canonical code lengths (fully describe the table)
-//   has_index u8   — 1 if a block index follows
-//   [index]  n_blocks×u64 — absolute starting bit of each block
-//   payload_bits u64
+//   index    n_blocks×u64 — starting bit of each block, a multiple of 8
+//   payload_bits u64 — end of the last block's bits
 //   payload  ceil(payload_bits/8) bytes
 //
-// The optional block index makes the container *randomly accessible*: any
-// block can be decoded without touching the rest of the payload
-// (decode_block) — the natural companion feature for the paper's "streaming
-// long files" use case, and it falls out for free from the pipeline's
-// Offset phase, which computes exactly these positions.
+// Every block starts on a byte boundary: zero bits pad each block to a
+// whole byte (at most 7 per block), so no payload byte holds bits of two
+// blocks. compute_offsets (offsets.h) applies that rule; the index holds
+// exactly its output, the pipeline's Offset phase.
 //
-// The index is also what lets decompress_into decode blocks in parallel.
+// The index makes the container *randomly accessible*: FastDecoder::decode
+// from index entry i decodes block i without touching the rest of the
+// payload — the natural companion feature for the paper's "streaming long
+// files" use case. It is also what lets decompress_into decode blocks in
+// parallel.
 //
 // The examples write/read this format so a compressed file is an actual
 // artifact, not just an in-memory buffer; the decoder rebuilds the canonical
@@ -40,7 +42,7 @@ struct CompressedStream {
   std::uint32_t n_blocks = 0;
   std::uint32_t block_size = 0;
   CodeLengths lengths{};
-  /// Absolute starting bit per block; empty = no random-access index.
+  /// Starting bit per block, each a multiple of 8.
   std::vector<std::uint64_t> block_offsets;
   std::uint64_t payload_bits = 0;
   std::vector<std::uint8_t> payload;
@@ -48,7 +50,6 @@ struct CompressedStream {
   [[nodiscard]] CodeTable table() const {
     return CodeTable::from_lengths(lengths);
   }
-  [[nodiscard]] bool has_index() const { return !block_offsets.empty(); }
 
   /// Decoded size of block `i` (the last block may be short).
   [[nodiscard]] std::size_t block_bytes(std::size_t i) const;
@@ -60,44 +61,51 @@ struct CompressedStream {
 /// Writes one container in place: the constructor allocates it whole,
 /// zero-filled (first touched in 2 MiB pages where the kernel grants them,
 /// see docs/data-plane.md), and writes the header; place() writes each
-/// block's index entry and payload bits. place() calls for distinct blocks
-/// may run concurrently (splice_bits merges the shared edge bytes
-/// atomically); the caller orders every place() before take().
+/// block's index entry and payload bytes. Blocks start on byte boundaries
+/// and share no payload byte, so place() calls for distinct blocks may run
+/// concurrently; the caller orders every place() before take().
 class ContainerWriter {
  public:
-  /// `with_index` embeds the block index; `payload_bits` is the exact
-  /// payload length, which the placed blocks must tile.
+  /// `coded_bits` is the table's coded size of the whole input, which the
+  /// placed blocks' bit counts must sum to. The payload is sized for it
+  /// plus at most 7 padding bits for each block before the last.
   ContainerWriter(std::uint64_t original_bytes, std::uint32_t n_blocks,
                   std::uint32_t block_size, const CodeLengths& lengths,
-                  std::uint64_t payload_bits, bool with_index = true);
+                  std::uint64_t coded_bits);
 
-  /// Writes block `i`, starting at payload bit `offset`. Throws
-  /// std::out_of_range if i >= n_blocks or offset + bit_count >
-  /// payload_bits.
+  /// Copies block `i`'s ceil(bit_count / 8) bytes to payload bit `offset`.
+  /// Throws std::invalid_argument if offset is not a multiple of 8, and
+  /// std::out_of_range if i >= n_blocks or the block ends past the bound.
   void place(std::size_t i, std::uint64_t offset, const EncodedBlock& block);
 
+  /// Where the last block's bits end, once it is placed; 0 before.
   [[nodiscard]] std::uint64_t payload_bits() const { return payload_bits_; }
 
-  /// The container; the writer is left empty.
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
+  /// Writes payload_bits, trims the payload to it and returns the
+  /// container; the writer is left empty. Throws std::logic_error if the
+  /// placed blocks' bit counts do not sum to coded_bits or a block does not
+  /// start where the bytes of the blocks before it end.
+  [[nodiscard]] std::vector<std::uint8_t> take();
 
  private:
   std::vector<std::uint8_t> out_;
-  std::uint32_t n_blocks_;
-  std::uint64_t payload_bits_;
-  bool with_index_;
-  std::size_t index_at_ = 0;    ///< byte offset of index entry 0
+  std::vector<std::uint64_t> bit_counts_;  ///< per block, as placed
+  std::uint64_t coded_bits_;
+  std::uint64_t bound_bits_;  ///< coded_bits + 7 per block before the last
+  std::uint64_t payload_bits_ = 0;
   std::size_t payload_at_ = 0;  ///< byte offset of the payload
 };
 
-/// Serializes to bytes. Deterministic.
+/// Serializes to bytes. Deterministic. Throws std::invalid_argument unless
+/// the index holds one entry per block.
 [[nodiscard]] std::vector<std::uint8_t> serialize(const CompressedStream& s);
 
-/// Parses bytes; throws std::runtime_error on malformed input (bad magic,
-/// truncated payload, invalid code lengths) and on a header whose fields
-/// disagree: a block count other than ceil(original_bytes / block_size), a
-/// zero block size with blocks, a block index entry that decreases or lies
-/// past payload_bits, or more original bytes than payload bits.
+/// Parses bytes; throws std::runtime_error on malformed input (bad magic, a
+/// version other than 3, truncated payload, invalid code lengths) and on a
+/// header whose fields disagree: a block count other than
+/// ceil(original_bytes / block_size), a zero block size with blocks, a
+/// block index entry that is not a multiple of 8, decreases or lies past
+/// payload_bits, or more original bytes than payload bits.
 [[nodiscard]] CompressedStream deserialize(std::span<const std::uint8_t> data);
 
 /// deserialize without the payload copy: parses and checks the whole
@@ -107,30 +115,22 @@ class ContainerWriter {
     std::span<const std::uint8_t> container);
 
 /// Full-buffer convenience: compresses `data` (serial reference path, no
-/// runtime involved) and returns the container bytes. `with_index` embeds
-/// the random-access block index (8 bytes per block).
+/// runtime involved) and returns the container bytes.
 [[nodiscard]] std::vector<std::uint8_t> compress_buffer(
-    std::span<const std::uint8_t> data, std::uint32_t block_size = 4096,
-    bool with_index = true);
-
-/// Random access: decodes only block `i` using the embedded index. Throws
-/// std::logic_error if the container carries no index, std::out_of_range on
-/// a bad block number.
-[[nodiscard]] std::vector<std::uint8_t> decode_block(
-    const CompressedStream& stream, std::size_t i);
+    std::span<const std::uint8_t> data, std::uint32_t block_size = 4096);
 
 /// Inverse of compress_buffer / of the pipeline's output, into caller
 /// storage: `out` must hold exactly the container's original byte count.
 /// Parses the container in place (no payload copy) and decodes with
-/// FastDecoder. An indexed container of more than 64 blocks is decoded
+/// FastDecoder. A container of more than 64 blocks is decoded
 /// block-parallel: one dependency-free SRE task per 64-block run on a
 /// ThreadedExecutor with hardware_concurrency() workers (at most one per
 /// task), each task writing only its blocks' ranges of `out`, four blocks
-/// at a time through FastDecoder::decode4_into. Smaller indexed containers
-/// decode the same way inline on the caller's thread, and a container
-/// without an index decodes serially. Throws std::runtime_error on any
-/// malformed container or corrupt payload, and std::invalid_argument, before
-/// writing anything, if out.size() differs from the original byte count.
+/// at a time through FastDecoder::decode4_into. Smaller containers decode
+/// the same way inline on the caller's thread. Throws std::runtime_error on
+/// any malformed container or corrupt payload, and std::invalid_argument,
+/// before writing anything, if out.size() differs from the original byte
+/// count.
 /// After a throw from the decode itself, the contents of `out` are
 /// unspecified.
 void decompress_into(std::span<const std::uint8_t> container,

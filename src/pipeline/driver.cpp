@@ -412,7 +412,10 @@ double size_overhead_vs_optimal(const RunResult& result) {
   const huff::HuffmanTree tree = huff::HuffmanTree::build(hist);
   const auto optimal = static_cast<double>(tree.encoded_bits(hist));
   if (optimal == 0.0) return 0.0;
-  return (static_cast<double>(result.output_bits) - optimal) / optimal;
+  // The committed tree's coded bits, without the container's byte padding.
+  const auto committed = static_cast<double>(huff::encoded_bits(
+      huff::read_header(result.container).lengths, hist));
+  return (committed - optimal) / optimal;
 }
 
 }  // namespace pipeline

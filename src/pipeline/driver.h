@@ -182,8 +182,11 @@ void install_standard_series(metrics::Sampler& sampler, sre::Runtime& runtime,
 /// Throws std::logic_error on mismatch.
 void verify_roundtrip(const RunResult& result);
 
-/// Compressed-size overhead of `result` relative to the optimal
-/// (non-speculative, exact-tree) encoding of the same input: fraction ≥ ~0.
+/// Compressed-size overhead of `result`'s committed tree relative to the
+/// optimal (non-speculative, exact-tree) encoding of the same input: the
+/// input coded with the container's code lengths against the optimal
+/// tree's bits, a fraction ≥ ~0. The container's per-block byte padding is
+/// not counted.
 [[nodiscard]] double size_overhead_vs_optimal(const RunResult& result);
 
 }  // namespace pipeline

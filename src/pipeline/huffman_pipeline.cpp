@@ -86,7 +86,7 @@ class CommitSink {
     std::size_t placed = 1;
     if (writer_) {
       lk.unlock();
-      put(block, offset, enc);
+      writer_->place(block, offset, enc);
     } else {
       parked_.push_back({block, offset, enc});
       if (allocating_) return;
@@ -98,7 +98,7 @@ class CommitSink {
       // Nothing parks once the writer exists: one batch drains them all.
       const std::vector<Parked> batch = std::exchange(parked_, {});
       lk.unlock();
-      for (const Parked& p : batch) put(p.block, p.offset, p.enc);
+      for (const Parked& p : batch) writer_->place(p.block, p.offset, p.enc);
       placed = batch.size();
     }
     lk.lock();
@@ -120,10 +120,10 @@ class CommitSink {
     }
   }
 
-  /// The container's payload size; 0 until the writer exists.
+  /// The container's payload size; 0 until every block is placed.
   [[nodiscard]] std::uint64_t payload_bits() const {
     std::scoped_lock lk(mu_);
-    return writer_ ? writer_->payload_bits() : 0;
+    return placed_ == n_ && writer_ ? writer_->payload_bits() : 0;
   }
 
   /// Hands the finished container over; a second call throws.
@@ -147,19 +147,6 @@ class CommitSink {
     std::uint64_t offset;
     huff::EncodedBlock enc;
   };
-
-  void put(std::size_t block, std::uint64_t offset,
-           const huff::EncodedBlock& enc) {
-    // The committed table's payload size must be exactly what the blocks
-    // tile: the last block ends on it.
-    if (block + 1 == n_ && offset + enc.bit_count != writer_->payload_bits()) {
-      throw std::logic_error("HuffmanPipeline: blocks end at bit " +
-                             std::to_string(offset + enc.bit_count) +
-                             ", the committed table's payload at " +
-                             std::to_string(writer_->payload_bits()));
-    }
-    writer_->place(block, offset, enc);
-  }
 
   const std::size_t n_;
   const MakeWriter make_;
@@ -272,15 +259,15 @@ struct HuffmanPipeline::State {
   }
 
   /// The output container for the committed table, zero-filled with its
-  /// header written. Its payload is the committed table's size of the final
-  /// prefix histogram, which every block's offset was computed against.
+  /// header written. Its coded size is the committed table's size of the
+  /// final prefix histogram, which every block's offset was computed
+  /// against; take() checks that the placed blocks hold exactly that.
   [[nodiscard]] huff::ContainerWriter make_writer() {
     const huff::CodeLengths lengths = committed_lengths();
-    const std::uint64_t payload_bits =
+    const std::uint64_t coded_bits =
         n_reduces == 0 ? 0 : huff::encoded_bits(lengths, *snapshots.back());
     return {src.total_bytes(), static_cast<std::uint32_t>(n_blocks),
-            static_cast<std::uint32_t>(src.block_size()), lengths,
-            payload_bits};
+            static_cast<std::uint32_t>(src.block_size()), lengths, coded_bits};
   }
 };
 

@@ -99,14 +99,15 @@ class HuffmanPipeline {
   void validate_complete() const;
 
   /// Hands over the compressed container. Nothing is assembled here: each
-  /// block was written to its final bit position in one preallocated
-  /// container when it committed (docs/data-plane.md, "Commit sink"), so
-  /// this moves the finished container out. Throws std::logic_error if a
-  /// block is not placed yet, or on a second call.
+  /// block was copied to its final byte in one preallocated container when
+  /// it committed (docs/data-plane.md, "Commit sink"), so this checks the
+  /// layout and moves the finished container out. Throws std::logic_error
+  /// if a block is not placed yet, if the placed blocks do not hold the
+  /// committed table's coded size, or on a second call.
   [[nodiscard]] std::vector<std::uint8_t> assemble_output();
 
-  /// Compressed payload size in bits of the committed output (0 before the
-  /// container exists).
+  /// The committed container's payload_bits (0 until every block is
+  /// placed).
   [[nodiscard]] std::uint64_t output_bits() const;
 
  private:

@@ -102,71 +102,4 @@ TEST_P(BitIoRoundTrip, RandomChunksRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BitIoRoundTrip,
                          ::testing::Values(3, 7, 31, 127, 8191));
 
-TEST(SpliceBits, ByteAlignedFastPath) {
-  std::vector<std::uint8_t> dst(4, 0);
-  const std::vector<std::uint8_t> src = {0xAB, 0xCD};
-  huff::splice_bits(dst, 8, src, 12);
-  EXPECT_EQ(dst[0], 0x00);
-  EXPECT_EQ(dst[1], 0xAB);
-  EXPECT_EQ(dst[2], 0xC0);  // only top 4 bits of 0xCD
-  EXPECT_EQ(dst[3], 0x00);
-}
-
-TEST(SpliceBits, UnalignedShiftMerge) {
-  std::vector<std::uint8_t> dst(3, 0);
-  const std::vector<std::uint8_t> src = {0b11111111};
-  huff::splice_bits(dst, 3, src, 8);
-  EXPECT_EQ(dst[0], 0b00011111);
-  EXPECT_EQ(dst[1], 0b11100000);
-}
-
-TEST(SpliceBits, MergesIntoExistingBits) {
-  std::vector<std::uint8_t> dst = {0b10000000, 0};
-  const std::vector<std::uint8_t> src = {0b01000000};
-  huff::splice_bits(dst, 1, src, 2);
-  EXPECT_EQ(dst[0], 0b10100000);
-}
-
-TEST(SpliceBits, BoundsChecked) {
-  std::vector<std::uint8_t> dst(1, 0);
-  const std::vector<std::uint8_t> src = {0xFF};
-  EXPECT_THROW(huff::splice_bits(dst, 4, src, 8), std::out_of_range);
-  EXPECT_THROW(huff::splice_bits(dst, 0, src, 16), std::out_of_range);
-}
-
-class SpliceProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SpliceProperty, SplicedStreamsEqualSequentialWrites) {
-  // Writing chunks sequentially must equal splicing each chunk at its
-  // pre-computed bit offset into a zeroed buffer — the parallel-encode
-  // correctness property.
-  wl::Rng rng(GetParam());
-  BitWriter seq;
-  std::vector<std::vector<std::uint8_t>> parts;
-  std::vector<std::uint64_t> part_bits;
-  std::vector<std::uint64_t> offsets;
-  for (int i = 0; i < 40; ++i) {
-    BitWriter part;
-    const int n = 1 + static_cast<int>(rng.below(30));
-    for (int j = 0; j < n; ++j) {
-      const auto nbits = static_cast<std::uint8_t>(1 + rng.below(16));
-      const std::uint64_t v = rng.next() & ((1ULL << nbits) - 1);
-      part.put(v, nbits);
-      seq.put(v, nbits);
-    }
-    offsets.push_back(seq.bit_size() - part.bit_size());
-    part_bits.push_back(part.bit_size());
-    parts.push_back(part.take());
-  }
-  const auto expected = seq.take();
-  std::vector<std::uint8_t> spliced(expected.size(), 0);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    huff::splice_bits(spliced, offsets[i], parts[i], part_bits[i]);
-  }
-  EXPECT_EQ(spliced, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpliceProperty,
-                         ::testing::Values(17, 34, 51, 68, 85, 102));
-
 }  // namespace

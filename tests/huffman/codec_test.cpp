@@ -1,12 +1,13 @@
 // Encoder + decoder + offsets: block-level round trips and the parallel
-// assembly property (encode blocks independently, splice at offsets, decode
-// the whole stream).
+// assembly property (encode blocks independently, copy each to its
+// byte-aligned offset, decode every block from its offset).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <type_traits>
 
+#include "huffman/bitio.h"
 #include "huffman/encoder.h"
 #include "huffman/fast_decoder.h"
 #include "huffman/offsets.h"
@@ -117,10 +118,17 @@ TEST_P(CodecRoundTrip, ParallelAssemblyEqualsSerialEncoding) {
   }
   const CodeTable t = CodeTable::from_histogram(Histogram::merged(hists));
 
-  // "Serial" reference: one pass over the whole buffer.
-  const auto serial = huff::encode_block(data, t);
+  // "Serial" reference: each block through its own BitWriter, whose take()
+  // pads it to a byte, concatenated.
+  std::vector<std::uint8_t> serial;
+  for (const auto block : blocks) {
+    huff::BitWriter w;
+    for (const std::uint8_t b : block) w.put(t.code(b), t.length(b));
+    const auto bytes = w.take();
+    serial.insert(serial.end(), bytes.begin(), bytes.end());
+  }
 
-  // "Parallel": per-block encodes spliced at offset-phase positions.
+  // "Parallel": per-block encodes copied to offset-phase positions.
   const auto offsets = huff::all_offsets(hists, t);
   std::vector<huff::EncodedBlock> encs(n_blocks);
   for (std::size_t i = 0; i < n_blocks; ++i) {
@@ -128,10 +136,15 @@ TEST_P(CodecRoundTrip, ParallelAssemblyEqualsSerialEncoding) {
     EXPECT_EQ(encs[i].bit_count, t.encoded_bits(hists[i]));
   }
   const auto assembled = huff::assemble(encs, offsets);
-  EXPECT_EQ(assembled, serial.bits);
+  EXPECT_EQ(assembled, serial);
 
   const FastDecoder d(t);
-  EXPECT_EQ(d.decode(assembled, data.size()), data);
+  std::vector<std::uint8_t> decoded;
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const auto block = d.decode(assembled, blocks[i].size(), offsets[i]);
+    decoded.insert(decoded.end(), block.begin(), block.end());
+  }
+  EXPECT_EQ(decoded, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -158,10 +171,11 @@ TEST(Offsets, MatchActualEncodedPositions) {
   const CodeTable t = CodeTable::from_histogram(Histogram::merged(hists));
   const auto offsets = huff::all_offsets(hists, t);
 
+  // Each block starts on the byte after the previous block's last bit.
   std::uint64_t running = 0;
   for (std::size_t i = 0; i < n_blocks; ++i) {
     EXPECT_EQ(offsets[i], running);
-    running += t.encoded_bits(hists[i]);
+    running += (t.encoded_bits(hists[i]) + 7) / 8 * 8;
   }
 }
 
@@ -195,6 +209,19 @@ TEST(Assemble, SizeMismatchThrows) {
   std::vector<huff::EncodedBlock> blocks(2);
   std::vector<std::uint64_t> offsets(3, 0);
   EXPECT_THROW(huff::assemble(blocks, offsets), std::invalid_argument);
+}
+
+TEST(Assemble, MisalignedOffsetThrows) {
+  const std::vector<huff::EncodedBlock> blocks = {
+      {std::vector<std::uint8_t>{0xF0}, 4},
+      {std::vector<std::uint8_t>{0xF0}, 4}};
+  for (const std::uint64_t second : {1u, 4u, 7u, 9u}) {
+    const std::vector<std::uint64_t> offsets = {0, second};
+    EXPECT_THROW((void)huff::assemble(blocks, offsets), std::invalid_argument)
+        << second;
+  }
+  EXPECT_EQ(huff::assemble(blocks, std::vector<std::uint64_t>{0, 8}),
+            (std::vector<std::uint8_t>{0xF0, 0xF0}));
 }
 
 }  // namespace

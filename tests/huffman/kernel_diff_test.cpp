@@ -324,7 +324,7 @@ TEST(KernelDiff, CodelessSymbolThrowsInvalidArgumentAnywhereInTheBlock) {
 
 /// What compress_buffer must write for `data`, built from the reference
 /// kernels alone: a hist_scalar per block, the table of the merged counts,
-/// the blocks' offsets and an encode_reference per block, spliced by
+/// the blocks' offsets and an encode_reference per block, copied into place by
 /// huff::assemble.
 struct ReferenceContainer {
   huff::CodeLengths lengths;

@@ -133,10 +133,11 @@ TEST(TvscCli, FlippedHeaderByteLeavesNoOutput) {
 }
 
 TEST(TvscCli, DecodeErrorLeavesNoOutput) {
-  // A consistent header whose last index entry leaves its block one bit:
-  // the decode fails after the output file was created and mapped.
+  // A consistent header whose last index entry points at the payload's last
+  // byte, too few bits for its block: the decode fails after the output
+  // file was created and mapped.
   auto s = huff::deserialize(good_container());
-  s.block_offsets.back() = s.payload_bits - 1;
+  s.block_offsets.back() = (s.payload_bits - 1) / 8 * 8;
   expect_failed_decompress(huff::serialize(s));
 }
 
