@@ -273,7 +273,7 @@ void decode_run(const huff::CompressedStream& s,
   benchmark::ClobberMemory();
 }
 
-/// The decode half of decompress_into on one thread: every indexed 4 KiB
+/// The decode half of decompress_into on one thread: every 4 KiB
 /// block of a compress_buffer container (unlimited-length table) into its
 /// range of one output buffer, interleaved (row `interleaved`) or one block
 /// per call (row `table`). Returns nullopt if the decode is not byte-exact.
@@ -322,6 +322,7 @@ std::optional<SweepRow> place_row(std::span<const std::uint8_t> data,
   // Later trials place over the first one's bytes: the stores are the same.
   const auto place_all = [&] {
     for (std::size_t i = 0; i < n; ++i) writer.place(i, offsets[i], blocks[i]);
+    benchmark::DoNotOptimize(writer);
     benchmark::ClobberMemory();
   };
   const std::size_t bytes = n * kBlock;
@@ -681,7 +682,7 @@ int run_kernel_sweep(const char* json_path, const std::string& sha) {
                  "rows are the BitWriter reference, "
                  "detail::encode_reference (bitwriter, into the arena "
                  "output by a copy), and the word packer (word); decode is "
-                 "every indexed 4 KiB block of a compress_buffer container "
+                 "every 4 KiB block of a compress_buffer container "
                  "(unlimited code lengths) on one thread, four at a time "
                  "through FastDecoder::decode4_into as decompress_buffer "
                  "runs them (interleaved) or one FastDecoder::decode_into "

@@ -75,7 +75,8 @@ class ContainerWriter {
 
   /// Copies block `i`'s ceil(bit_count / 8) bytes to payload bit `offset`.
   /// Throws std::invalid_argument if offset is not a multiple of 8, and
-  /// std::out_of_range if i >= n_blocks or the block ends past the bound.
+  /// std::out_of_range if i >= n_blocks, the block ends past the bound, or
+  /// block.bits holds fewer bytes than that.
   void place(std::size_t i, std::uint64_t offset, const EncodedBlock& block);
 
   /// Where the last block's bits end, once it is placed; 0 before.
